@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 from cellaug.core import heard_count_histogram, load_database, save_database
-from cellaug.preprocess import stack_vectors, vectorize_database
+from cellaug.preprocess import vectorize_database
 from cellaug.testbed import default_desk_spec, generate
 
 spec = default_desk_spec()
@@ -35,7 +35,7 @@ print(f"\nlocation 0 at {corner.coordinates}:")
 for k, p in heard_count_histogram(corner).items():
     print(f"  hears {k} towers with probability {p:.2f}")
 
-x, labels = stack_vectors(vectorize_database(db))
+x = vectorize_database(db).x
 print(f"\nfeature matrix: {x.shape[0]} vectors x {x.shape[1]} towers, "
       f"values in [{x.min():.2f}, {x.max():.2f}]")
 heard_fraction = (x > 0).mean(axis=0)

@@ -8,7 +8,6 @@ Run:  python demos/04_generative_model.py
 import numpy as np
 
 from cellaug.distfit import fit_best, sample_from
-from cellaug.preprocess import FeatureVector
 from cellaug.vae import VaeTrainConfig, generate, train_vae, vae_loss
 
 # Toy location: two towers whose signals rise and fall together (rho = 0.9),
@@ -16,19 +15,18 @@ from cellaug.vae import VaeTrainConfig, generate, train_vae, vae_loss
 rng = np.random.default_rng(42)
 cov = np.array([[1.0, 0.9], [0.9, 1.0]])
 data = np.clip(0.5 + 0.15 * rng.multivariate_normal([0, 0], cov, size=200), 0, 1)
-vectors = [FeatureVector(values=row, location_id=0) for row in data]
-print(f"training data: {len(vectors)} scans, tower correlation "
+print(f"training data: {len(data)} scans, tower correlation "
       f"{np.corrcoef(data[:, 0], data[:, 1])[0, 1]:.3f}")
 
 cfg = VaeTrainConfig(epochs=3000, learning_rate=0.001, seed=1)
-model = train_vae(vectors, cfg)
+model = train_vae(data, cfg, location_id=0)
 print(f"trained {cfg.epochs} epochs: loss {model.trace[0]:.3f} -> {model.trace[-1]:.3f}")
 
-loss, _ = vae_loss(vectors[0], model, rng=0)
+loss, _ = vae_loss(data[0], model, rng=0)
 print(f"one-sample loss: reconstruction {loss.reconstruction:.4f} "
       f"+ kl {loss.kl:.4f} = {loss.total:.4f}")
 
-generated = np.stack([v.values for v in generate(model, 9, 10_000)])
+generated = generate(model, 9, 10_000)
 gen_corr = np.corrcoef(generated[:, 0], generated[:, 1])[0, 1]
 print(f"\ngenerated 10000 samples: correlation {gen_corr:.3f} "
       f"(mean {generated.mean(axis=0).round(3)}, std {generated.std(axis=0).round(3)})")

@@ -36,6 +36,7 @@ from .localize import (
     ErrorReport,
     HyperProfile,
     LocalizerModel,
+    ModelFormatError,
     default_profile,
     desk_profile,
     estimate_location,
@@ -45,9 +46,8 @@ from .localize import (
 )
 from .pipeline import ComparisonResult, run_comparison, temporal_split
 from .preprocess import (
-    FeatureVector,
+    SampleSet,
     asu_to_dbm,
-    heard_mask,
     normalize_asu,
     vectorize,
     vectorize_database,

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FingerprintDatabase, ReferenceLocation, TowerId, heard_count_histogram
+from .core import FingerprintDatabase, TowerId
 from .distfit import FittedDistribution, fit_database, sample_from
-from .preprocess import FeatureVector, heard_mask, normalize_asu, vectorize
+from .preprocess import SampleSet, vectorize
 from .util import ConfigError, derive_rng, parse_bool, read_kv_config
 from .vae import VaeModel, VaeTrainConfig, generate, train_vae
 
@@ -31,16 +31,14 @@ class LocationStats:
     """Per-tower signal statistics at one location, aligned to the universe.
 
     Arrays cover the full tower universe; towers never heard at the location
-    have zero noise_scale and zero heard_probability.
+    have all-zero statistics.
     """
 
     location_id: int
     min_values: np.ndarray
     max_values: np.ndarray
     mean_values: np.ndarray
-    heard_probability: np.ndarray
     noise_scale: np.ndarray  # (max - min) / 2 per tower
-    heard_histogram: dict[int, float]
 
 
 @dataclass(frozen=True)
@@ -98,26 +96,10 @@ class AugmentConfig:
     @staticmethod
     def from_dict(raw: dict[str, str]) -> "AugmentConfig":
         kwargs = {}
-        parsers = {
-            "noise.enabled": ("noise_enabled", parse_bool),
-            "noise.per_scan": ("noise_per_scan", _parse_int),
-            "sampling.enabled": ("sampling_enabled", parse_bool),
-            "sampling.n_per_location": ("sampling_n_per_location", _parse_optional_int),
-            "drop_random.enabled": ("drop_random_enabled", parse_bool),
-            "drop_random.per_scan": ("drop_random_per_scan", _parse_int),
-            "drop_random.max_drop": ("drop_random_max_drop", _parse_int),
-            "drop_threshold.enabled": ("drop_threshold_enabled", parse_bool),
-            "drop_threshold.value": ("drop_threshold_value", _parse_float),
-            "vae.enabled": ("vae_enabled", parse_bool),
-            "vae.n_per_location": ("vae_n_per_location", _parse_optional_int),
-            "vae.epochs": ("vae_epochs", _parse_int),
-            "vae.learning_rate": ("vae_learning_rate", _parse_float),
-            "seed": ("seed", _parse_int),
-        }
         for key, value in raw.items():
-            if key not in parsers:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown augmentation config key: {key}")
-            name, parser = parsers[key]
+            name, parser = CONFIG_KEYS[key]
             kwargs[name] = parser(value, key)
         return AugmentConfig(**kwargs)
 
@@ -126,22 +108,7 @@ class AugmentConfig:
         return AugmentConfig.from_dict(read_kv_config(path))
 
     def to_dict(self) -> dict:
-        return {
-            "noise.enabled": self.noise_enabled,
-            "noise.per_scan": self.noise_per_scan,
-            "sampling.enabled": self.sampling_enabled,
-            "sampling.n_per_location": self.sampling_n_per_location,
-            "drop_random.enabled": self.drop_random_enabled,
-            "drop_random.per_scan": self.drop_random_per_scan,
-            "drop_random.max_drop": self.drop_random_max_drop,
-            "drop_threshold.enabled": self.drop_threshold_enabled,
-            "drop_threshold.value": self.drop_threshold_value,
-            "vae.enabled": self.vae_enabled,
-            "vae.n_per_location": self.vae_n_per_location,
-            "vae.epochs": self.vae_epochs,
-            "vae.learning_rate": self.vae_learning_rate,
-            "seed": self.seed,
-        }
+        return {key: getattr(self, name) for key, (name, _) in CONFIG_KEYS.items()}
 
 
 def _parse_int(value: str, key: str) -> int:
@@ -164,133 +131,133 @@ def _parse_float(value: str, key: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
 
 
+# Config-file key -> (AugmentConfig field, parser); also the key order of to_dict.
+CONFIG_KEYS = {
+    "noise.enabled": ("noise_enabled", parse_bool),
+    "noise.per_scan": ("noise_per_scan", _parse_int),
+    "sampling.enabled": ("sampling_enabled", parse_bool),
+    "sampling.n_per_location": ("sampling_n_per_location", _parse_optional_int),
+    "drop_random.enabled": ("drop_random_enabled", parse_bool),
+    "drop_random.per_scan": ("drop_random_per_scan", _parse_int),
+    "drop_random.max_drop": ("drop_random_max_drop", _parse_int),
+    "drop_threshold.enabled": ("drop_threshold_enabled", parse_bool),
+    "drop_threshold.value": ("drop_threshold_value", _parse_float),
+    "vae.enabled": ("vae_enabled", parse_bool),
+    "vae.n_per_location": ("vae_n_per_location", _parse_optional_int),
+    "vae.epochs": ("vae_epochs", _parse_int),
+    "vae.learning_rate": ("vae_learning_rate", _parse_float),
+    "seed": ("seed", _parse_int),
+}
+
+
 def compute_stats(db: FingerprintDatabase) -> dict[int, LocationStats]:
     """Per-location signal statistics over scans where each tower was heard."""
-    index = {tower: j for j, tower in enumerate(db.tower_universe)}
-    m = db.n_towers
     out: dict[int, LocationStats] = {}
-    for loc in db.locations:
-        values: list[list[float]] = [[] for _ in range(m)]
-        for scan in loc.scans:
-            for tower, asu in scan.readings:
-                values[index[tower]].append(normalize_asu(asu))
-        mins = np.zeros(m)
-        maxs = np.zeros(m)
-        means = np.zeros(m)
-        prob = np.zeros(m)
-        for j, vals in enumerate(values):
-            if vals:
-                arr = np.array(vals)
-                mins[j] = arr.min()
-                maxs[j] = arr.max()
-                means[j] = arr.mean()
-                prob[j] = len(vals) / len(loc.scans)
+    for loc, x, heard in _location_blocks(db):
+        mins, maxs, means = (np.zeros(db.n_towers) for _ in range(3))
+        for j in np.flatnonzero(np.any(heard, axis=0)):
+            values = x[heard[:, j], j]
+            mins[j], maxs[j], means[j] = values.min(), values.max(), values.mean()
         out[loc.location_id] = LocationStats(
             location_id=loc.location_id,
             min_values=mins,
             max_values=maxs,
             mean_values=means,
-            heard_probability=prob,
             noise_scale=(maxs - mins) / 2.0,
-            heard_histogram=heard_count_histogram(loc),
         )
     return out
 
 
-def _heard_of(v: FeatureVector, heard: np.ndarray | None) -> np.ndarray:
-    if heard is None:
-        return v.values > 0.0
-    heard = np.asarray(heard, dtype=bool)
-    if heard.shape != v.values.shape:
-        raise ValueError("heard mask shape disagrees with vector")
-    return heard
-
-
 def augment_noise(
-    v: FeatureVector,
-    stats: LocationStats,
-    rng: np.random.Generator,
-    heard: np.ndarray | None = None,
-) -> FeatureVector:
-    """Add per-tower Gaussian noise to the heard entries, clipped to [0, 1]."""
-    mask = _heard_of(v, heard)
-    noise = rng.normal(0.0, stats.noise_scale)
-    out = v.values.copy()
-    out[mask] = np.clip(v.values[mask] + noise[mask], 0.0, 1.0)
-    return FeatureVector(values=out, location_id=v.location_id)
+    x: np.ndarray, heard: np.ndarray, stats: LocationStats, rng: np.random.Generator
+) -> np.ndarray:
+    """One noisy copy of each row: per-tower Gaussian noise on the heard
+    entries, clipped to [0, 1]. Draws one (rows, m) block of normals."""
+    noise = rng.normal(0.0, stats.noise_scale, size=x.shape)
+    return np.where(heard, np.clip(x + noise, 0.0, 1.0), x)
 
 
 def augment_sampling(
-    loc: ReferenceLocation,
+    heard: np.ndarray,
     fits: dict[TowerId, FittedDistribution],
-    universe: tuple[TowerId, ...],
+    towers: tuple[TowerId, ...],
     rng: np.random.Generator,
     n: int,
-) -> list[FeatureVector]:
-    """Draw n synthetic vectors, each tower independently from its fit.
+) -> np.ndarray:
+    """Draw n synthetic rows, each tower independently from its fit.
 
-    Independence across towers is what separates this technique from the
-    generative one. Towers never heard at the location stay zero.
+    ``heard`` holds the location's scans as rows; a tower heard in any of
+    them is sampled, the others stay zero. Independence across towers is
+    what separates this technique from the generative one.
     """
-    index = {tower: j for j, tower in enumerate(universe)}
-    heard_towers = sorted({tower for scan in loc.scans for tower in scan.towers},
-                          key=lambda t: index[t])
-    missing = [t for t in heard_towers if t not in fits]
+    columns = np.flatnonzero(np.any(heard, axis=0))
+    missing = [towers[j] for j in columns if towers[j] not in fits]
     if missing:
         raise ValueError(f"missing fit for heard tower(s): {', '.join(missing)}")
-    out = np.zeros((n, len(universe)))
-    for tower in heard_towers:
-        out[:, index[tower]] = sample_from(fits[tower], rng, n)
-    return [FeatureVector(values=row, location_id=loc.location_id) for row in out]
+    out = np.zeros((n, len(towers)))
+    for j in columns:
+        out[:, j] = sample_from(fits[towers[j]], rng, n)
+    return out
 
 
 def augment_drop_random(
-    v: FeatureVector,
+    x: np.ndarray,
+    heard: np.ndarray,
     stats: LocationStats,
     cfg: AugmentConfig,
     rng: np.random.Generator,
-    heard: np.ndarray | None = None,
-) -> FeatureVector:
-    """Zero a random subset of heard towers, sparing the serving-cell proxy.
+) -> np.ndarray:
+    """Zero a random subset of each row's heard towers, sparing the
+    serving-cell proxy.
 
     The protected entry is the heard tower with the highest mean RSS at the
     location. The drop count is uniform on {1..min(max_drop, heard-1)}; a
-    single-tower scan is returned unchanged.
+    single-tower row is returned unchanged and consumes no draws.
     """
-    mask = _heard_of(v, heard)
-    heard_idx = np.flatnonzero(mask)
-    if heard_idx.size <= 1:
-        return FeatureVector(values=v.values.copy(), location_id=v.location_id)
-    protected = heard_idx[int(np.argmax(stats.mean_values[heard_idx]))]
-    droppable = heard_idx[heard_idx != protected]
-    max_drop = min(cfg.drop_random_max_drop, heard_idx.size - 1)
-    n_drop = int(rng.integers(1, max_drop + 1))
-    chosen = rng.choice(droppable, size=n_drop, replace=False)
-    out = v.values.copy()
-    out[chosen] = 0.0
-    return FeatureVector(values=out, location_id=v.location_id)
+    out = x.copy()
+    for row, mask in zip(out, heard):
+        heard_idx = np.flatnonzero(mask)
+        if heard_idx.size <= 1:
+            continue
+        protected = heard_idx[int(np.argmax(stats.mean_values[heard_idx]))]
+        droppable = heard_idx[heard_idx != protected]
+        max_drop = min(cfg.drop_random_max_drop, heard_idx.size - 1)
+        n_drop = int(rng.integers(1, max_drop + 1))
+        row[rng.choice(droppable, size=n_drop, replace=False)] = 0.0
+    return out
 
 
-def augment_drop_threshold(v: FeatureVector, cfg: AugmentConfig) -> list[FeatureVector]:
-    """All non-empty removal combinations of entries below the threshold.
+def augment_drop_threshold(x: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
+    """Per row, all non-empty removal combinations of entries below the
+    threshold, rows in input order and combinations in bit order.
 
     Candidates are strictly positive entries under the threshold (a zero
     entry already reads as unheard). If more than 12 qualify, only the 12
     weakest are combined.
     """
-    candidates = np.flatnonzero((v.values > 0.0) & (v.values < cfg.drop_threshold_value))
-    if candidates.size > MAX_THRESHOLD_CANDIDATES:
-        weakest = np.argsort(v.values[candidates], kind="stable")[:MAX_THRESHOLD_CANDIDATES]
-        candidates = np.sort(candidates[weakest])
-    k = candidates.size
-    out: list[FeatureVector] = []
-    for bits in range(1, 2**k):
-        values = v.values.copy()
-        for i in range(k):
-            if bits & (1 << i):
-                values[candidates[i]] = 0.0
-        out.append(FeatureVector(values=values, location_id=v.location_id))
-    return out
+    blocks = [np.empty((0, x.shape[1]))]
+    for row in x:
+        candidates = np.flatnonzero((row > 0.0) & (row < cfg.drop_threshold_value))
+        if candidates.size > MAX_THRESHOLD_CANDIDATES:
+            weakest = np.argsort(row[candidates], kind="stable")[:MAX_THRESHOLD_CANDIDATES]
+            candidates = np.sort(candidates[weakest])
+        k = candidates.size
+        # row b - 1 drops candidate i where bit i of b is set, b = 1 .. 2^k - 1
+        drop = (np.arange(1, 2**k)[:, None] >> np.arange(k)) & 1 == 1
+        out = np.repeat(row[None, :], 2**k - 1, axis=0)
+        out[:, candidates] = np.where(drop, 0.0, row[candidates])
+        blocks.append(out)
+    return np.concatenate(blocks)
+
+
+def _location_blocks(db: FingerprintDatabase):
+    """Each location with its scans' rows and heard mask, in database order."""
+    samples, heard = vectorize(db)
+    start = 0
+    for loc in db.locations:
+        stop = start + len(loc.scans)
+        yield loc, samples.x[start:stop], heard[start:stop]
+        start = stop
 
 
 def train_location_vaes(
@@ -302,15 +269,14 @@ def train_location_vaes(
     vae_cfg = VaeTrainConfig(
         epochs=cfg.vae_epochs, learning_rate=cfg.vae_learning_rate, seed=cfg.seed
     )
-    for loc in db.locations:
+    for loc, x, _ in _location_blocks(db):
         if len(loc.scans) < 2:
             warnings.warn(
                 f"location {loc.location_id}: only {len(loc.scans)} scan(s), "
                 "skipping VAE training"
             )
             continue
-        vectors = [vectorize(s, db.tower_universe, loc.location_id) for s in loc.scans]
-        models[loc.location_id] = train_vae(vectors, vae_cfg, location_id=loc.location_id)
+        models[loc.location_id] = train_vae(x, vae_cfg, location_id=loc.location_id)
     return models
 
 
@@ -319,58 +285,51 @@ def augment_all(
     cfg: AugmentConfig,
     fits: dict[int, dict[TowerId, FittedDistribution]] | None = None,
     vae_models: dict[int, VaeModel] | None = None,
-) -> tuple[list[FeatureVector], dict[str, int]]:
+) -> tuple[SampleSet, dict[str, int]]:
     """Originals plus every enabled technique's output, in a fixed order.
 
-    Fits and VAE models are trained on the fly when not supplied. Returns
-    the combined vector list and the per-technique sample counts.
+    Rows run originals, noise, sampling, drop_random, drop_threshold, vae,
+    each by location then scan. Fits and VAE models are trained on the fly
+    when not supplied. Returns the combined samples and the per-technique
+    sample counts.
     """
-    universe = db.tower_universe
-    per_loc: list[tuple[ReferenceLocation, list[FeatureVector], list[np.ndarray]]] = []
-    for loc in db.locations:
-        vecs = [vectorize(s, universe, loc.location_id) for s in loc.scans]
-        masks = [heard_mask(s, universe) for s in loc.scans]
-        per_loc.append((loc, vecs, masks))
-
-    combined: list[FeatureVector] = [v for _, vecs, _ in per_loc for v in vecs]
-    counts = {"original": len(combined), "noise": 0, "sampling": 0,
-              "drop_random": 0, "drop_threshold": 0, "vae": 0}
+    per_loc = list(_location_blocks(db))
+    blocks: dict[str, list[tuple[int, np.ndarray]]] = {
+        "original": [(loc.location_id, x) for loc, x, _ in per_loc],
+        "noise": [], "sampling": [], "drop_random": [], "drop_threshold": [], "vae": [],
+    }
 
     needs_stats = cfg.noise_enabled or cfg.drop_random_enabled
     stats = compute_stats(db) if needs_stats else {}
 
     if cfg.noise_enabled:
-        for loc, vecs, masks in per_loc:
+        k = cfg.noise_per_scan
+        for loc, x, heard in per_loc:
             rng = derive_rng(cfg.seed, "noise", loc.location_id)
-            for v, mask in zip(vecs, masks):
-                for _ in range(cfg.noise_per_scan):
-                    combined.append(augment_noise(v, stats[loc.location_id], rng, mask))
-                    counts["noise"] += 1
+            rows = augment_noise(np.repeat(x, k, axis=0), np.repeat(heard, k, axis=0),
+                                 stats[loc.location_id], rng)
+            blocks["noise"].append((loc.location_id, rows))
 
     if cfg.sampling_enabled:
         if fits is None:
             fits = fit_database(db)
-        for loc, _, _ in per_loc:
+        for loc, _, heard in per_loc:
             rng = derive_rng(cfg.seed, "sampling", loc.location_id)
             n = cfg.sampling_n_per_location or 10 * len(loc.scans)
-            synthetic = augment_sampling(loc, fits[loc.location_id], universe, rng, n)
-            combined.extend(synthetic)
-            counts["sampling"] += len(synthetic)
+            rows = augment_sampling(heard, fits[loc.location_id], db.tower_universe, rng, n)
+            blocks["sampling"].append((loc.location_id, rows))
 
     if cfg.drop_random_enabled:
-        for loc, vecs, masks in per_loc:
+        k = cfg.drop_random_per_scan
+        for loc, x, heard in per_loc:
             rng = derive_rng(cfg.seed, "drop_random", loc.location_id)
-            for v, mask in zip(vecs, masks):
-                for _ in range(cfg.drop_random_per_scan):
-                    combined.append(augment_drop_random(v, stats[loc.location_id], cfg, rng, mask))
-                    counts["drop_random"] += 1
+            rows = augment_drop_random(np.repeat(x, k, axis=0), np.repeat(heard, k, axis=0),
+                                       stats[loc.location_id], cfg, rng)
+            blocks["drop_random"].append((loc.location_id, rows))
 
     if cfg.drop_threshold_enabled:
-        for _, vecs, _ in per_loc:
-            for v in vecs:
-                dropped = augment_drop_threshold(v, cfg)
-                combined.extend(dropped)
-                counts["drop_threshold"] += len(dropped)
+        for loc, x, _ in per_loc:
+            blocks["drop_threshold"].append((loc.location_id, augment_drop_threshold(x, cfg)))
 
     if cfg.vae_enabled:
         if vae_models is None:
@@ -381,8 +340,11 @@ def augment_all(
                 continue
             rng = derive_rng(cfg.seed, "vae-generate", loc.location_id)
             n = cfg.vae_n_per_location or 10 * len(loc.scans)
-            synthetic = generate(model, rng, n)
-            combined.extend(synthetic)
-            counts["vae"] += len(synthetic)
+            blocks["vae"].append((loc.location_id, generate(model, rng, n)))
 
-    return combined, counts
+    counts = {name: sum(len(rows) for _, rows in bl) for name, bl in blocks.items()}
+    ordered = [block for bl in blocks.values() for block in bl]
+    x = np.concatenate([np.empty((0, db.n_towers))] + [rows for _, rows in ordered])
+    labels = np.concatenate([np.empty(0, dtype=np.int64)]
+                            + [np.full(len(rows), loc_id) for loc_id, rows in ordered])
+    return SampleSet(x, labels, db.tower_universe), counts

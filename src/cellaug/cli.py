@@ -20,6 +20,7 @@ from .core import DatabaseFormatError, FingerprintDatabase, load_database, save_
 from .distfit import fit_database
 from .localize import (
     HyperProfile,
+    ModelFormatError,
     default_profile,
     desk_profile,
     evaluate,
@@ -29,7 +30,7 @@ from .localize import (
 )
 from .nn import TrainingDiverged
 from .pipeline import database_coordinates, run_comparison, temporal_split
-from .preprocess import vectorize_database
+from .preprocess import SampleSet, vectorize_database
 from .testbed import default_desk_spec, generate, spec_from_file
 from .util import ConfigError, read_kv_config
 
@@ -83,10 +84,6 @@ def _resolve_aug_config(aug_raw: dict[str, str], seed: int | None) -> AugmentCon
     return cfg
 
 
-def _load_db(path: str) -> FingerprintDatabase:
-    return load_database(path)
-
-
 def _split_db(db: FingerprintDatabase, args):
     """Split per the CLI flags; bad split parameters are config errors."""
     try:
@@ -99,10 +96,11 @@ def _write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_vectors(path: str | Path, vectors, towers) -> None:
-    lines = [json.dumps({"towers": list(towers)})]
+def _write_vectors(path: str | Path, samples: SampleSet) -> None:
+    lines = [json.dumps({"towers": list(samples.towers)})]
     lines += [
-        json.dumps({"label": v.location_id, "values": v.values.tolist()}) for v in vectors
+        json.dumps({"label": label, "values": row})
+        for label, row in zip(samples.labels.tolist(), samples.x.tolist())
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -118,15 +116,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    db = _load_db(args.database)
-    vectors = vectorize_database(db)
-    _write_vectors(args.out, vectors, db.tower_universe)
-    print(f"wrote {len(vectors)} vectors of length {db.n_towers} -> {args.out}")
+    db = load_database(args.database)
+    samples = vectorize_database(db)
+    _write_vectors(args.out, samples)
+    print(f"wrote {len(samples)} vectors of length {db.n_towers} -> {args.out}")
     return EXIT_OK
 
 
 def cmd_fit_dist(args) -> int:
-    db = _load_db(args.database)
+    db = load_database(args.database)
     fits = fit_database(db)
     payload = {
         "locations": {
@@ -149,13 +147,13 @@ def cmd_fit_dist(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    db = _load_db(args.database)
+    db = load_database(args.database)
     aug_raw, _ = _split_config(args.config)  # profile.* keys belong to train/compare
     cfg = _resolve_aug_config(aug_raw, args.seed)
     db_train, _ = _split_db(db, args)
-    vectors, counts = augment_all(db_train, cfg)
-    _write_vectors(args.out, vectors, db.tower_universe)
-    report = {"counts": counts, "total": len(vectors), "seed": cfg.seed}
+    samples, counts = augment_all(db_train, cfg)
+    _write_vectors(args.out, samples)
+    report = {"counts": counts, "total": len(samples), "seed": cfg.seed}
     print(json.dumps(report))
     if args.report:
         _write_json(args.report, report)
@@ -163,28 +161,31 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    db = _load_db(args.database)
+    db = load_database(args.database)
     aug_raw, profile_raw = _split_config(args.config)
     profile = _resolve_profile(args.profile, profile_raw)
     cfg = _resolve_aug_config(aug_raw, args.seed)
     seed = cfg.seed
     db_train, _ = _split_db(db, args)
     if args.no_augment:
-        vectors = vectorize_database(db_train)
+        samples = vectorize_database(db_train)
     else:
-        vectors, counts = augment_all(db_train, cfg)
+        samples, counts = augment_all(db_train, cfg)
         print(json.dumps({"counts": counts}))
-    model = train_localizer(vectors, profile, database_coordinates(db), seed=seed)
+    model = train_localizer(samples, profile, database_coordinates(db), seed=seed)
     save_model(model, args.out)
-    print(f"trained on {len(vectors)} vectors -> {args.out}")
+    print(f"trained on {len(samples)} vectors -> {args.out}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    db = _load_db(args.database)
+    db = load_database(args.database)
+    unknown = sorted(set(db.tower_universe) - set(model.towers))
+    if unknown:
+        raise ConfigError(f"{args.database}: towers unknown to the model: {', '.join(unknown)}")
     _, db_test = _split_db(db, args)
-    report = evaluate(model, vectorize_database(db_test))
+    report = evaluate(model, vectorize_database(db_test, model.towers))
     _write_json(args.out, report.to_dict())
     csv_path = Path(args.out).with_suffix(".cdf.csv")
     csv_path.write_text(report.cdf_csv(), encoding="utf-8")
@@ -194,7 +195,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     t0 = time.monotonic()
-    db = _load_db(args.database)
+    db = load_database(args.database)
     aug_raw, profile_raw = _split_config(args.config)
     profile = _resolve_profile(args.profile, profile_raw)
     cfg = _resolve_aug_config(aug_raw, args.seed)
@@ -324,13 +325,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatabaseFormatError, FileNotFoundError) as exc:
+    except (ConfigError, DatabaseFormatError, ModelFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDiverged as exc:
         print(f"error: training stage failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

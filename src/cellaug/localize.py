@@ -5,11 +5,12 @@ error evaluation (percentiles and CDF) and the improvement comparison."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .core import TowerId
 from .nn import (
     DenseNetwork,
     LayerSpec,
@@ -22,8 +23,12 @@ from .nn import (
     softmax_cross_entropy,
     train,
 )
-from .preprocess import FeatureVector, stack_vectors
+from .preprocess import SampleSet
 from .util import derive_rng
+
+
+class ModelFormatError(ValueError):
+    """Raised when a saved localizer model cannot be parsed or validated."""
 
 
 @dataclass(frozen=True)
@@ -73,16 +78,20 @@ def desk_profile() -> HyperProfile:
 
 @dataclass
 class LocalizerModel:
-    """Trained classifier plus the label/coordinate bookkeeping for decoding."""
+    """Trained classifier plus the label/coordinate bookkeeping for decoding,
+    and the tower ids its input columns are aligned to."""
 
     network: DenseNetwork
     profile: HyperProfile
     classes: list[int]                       # class index -> location_id
     coords: dict[int, tuple[float, float]]   # location_id -> (x, y) meters
+    towers: tuple[TowerId, ...]              # input column -> tower id
 
     def __post_init__(self):
         if self.network.output_dim != len(self.classes):
             raise ValueError("output dim disagrees with class count")
+        if self.network.input_dim != len(self.towers):
+            raise ValueError("input dim disagrees with tower count")
 
     @property
     def coordinate_matrix(self) -> np.ndarray:
@@ -124,18 +133,19 @@ def make_report(errors: np.ndarray) -> ErrorReport:
 
 
 def train_localizer(
-    train_vectors: list[FeatureVector],
+    samples: SampleSet,
     profile: HyperProfile,
     coords: dict[int, tuple[float, float]],
     seed: int = 0,
 ) -> LocalizerModel:
-    """Train the multinomial classifier on labeled vectors.
+    """Train the multinomial classifier on labeled samples.
 
     Classes are the sorted distinct labels; every label must have an entry
-    in coords. Deterministic for a fixed seed.
+    in coords. The model keeps the samples' tower ids as its input
+    contract. Deterministic for a fixed seed.
     """
-    x, labels = stack_vectors(train_vectors)
-    classes = sorted(set(int(l) for l in labels))
+    x, labels = samples.x, samples.labels
+    classes = np.unique(labels).tolist()
     if len(classes) < 2:
         raise ValueError(f"need at least 2 distinct labels, got {len(classes)}")
     missing = [c for c in classes if c not in coords]
@@ -148,8 +158,7 @@ def train_localizer(
     specs.append(LayerSpec(dims[-1], len(classes), "softmax"))
     net = init_network(specs, derive_rng(seed, "localizer-init"), dropout_rate=profile.dropout_rate)
 
-    class_index = {c: i for i, c in enumerate(classes)}
-    targets = one_hot(np.array([class_index[int(l)] for l in labels]), len(classes))
+    targets = one_hot(np.searchsorted(classes, labels), len(classes))
     cfg = TrainConfig(
         learning_rate=profile.learning_rate,
         batch_size=profile.batch_size,
@@ -158,7 +167,8 @@ def train_localizer(
     )
     train(net, x, targets, softmax_cross_entropy, cfg)
     return LocalizerModel(network=net, profile=profile, classes=classes,
-                          coords={c: tuple(coords[c]) for c in classes})
+                          coords={c: tuple(coords[c]) for c in classes},
+                          towers=samples.towers)
 
 
 def _train_seed(seed: int) -> int:
@@ -175,21 +185,21 @@ def weighted_centroid(probabilities: np.ndarray, coordinates: np.ndarray) -> np.
     return p @ np.asarray(coordinates, dtype=np.float64)
 
 
-def estimate_location(model: LocalizerModel, v: FeatureVector | np.ndarray) -> np.ndarray:
-    """Probability-weighted average of all reference coordinates."""
-    values = v.values if isinstance(v, FeatureVector) else np.asarray(v, dtype=np.float64)
-    p = predict_probabilities(model, values)
+def estimate_location(model: LocalizerModel, x: np.ndarray) -> np.ndarray:
+    """Probability-weighted average of all reference coordinates, for one
+    vector or for each row of a matrix aligned to the model's towers."""
+    p = predict_probabilities(model, np.asarray(x, dtype=np.float64))
     return weighted_centroid(p, model.coordinate_matrix)
 
 
-def evaluate(model: LocalizerModel, test_vectors: list[FeatureVector]) -> ErrorReport:
-    """Euclidean error of each test vector against its location's coordinates."""
-    if not test_vectors:
+def evaluate(model: LocalizerModel, samples: SampleSet) -> ErrorReport:
+    """Euclidean error of each test sample against its location's coordinates."""
+    if len(samples) == 0:
         raise ValueError("empty test set")
-    x, labels = stack_vectors(test_vectors)
-    probs = predict_probabilities(model, x)
-    estimates = weighted_centroid(probs, model.coordinate_matrix)
-    truth = np.array([model.coords[int(l)] for l in labels])
+    if samples.towers != model.towers:
+        raise ValueError("test samples are not aligned to the model's towers")
+    estimates = estimate_location(model, samples.x)
+    truth = np.array([model.coords[int(l)] for l in samples.labels])
     errors = np.linalg.norm(estimates - truth, axis=1)
     return make_report(errors)
 
@@ -211,16 +221,10 @@ def improvement(with_aug: ErrorReport, without_aug: ErrorReport) -> dict[str, fl
 def model_to_dict(model: LocalizerModel) -> dict:
     return {
         "network": network_to_dict(model.network),
-        "profile": {
-            "learning_rate": model.profile.learning_rate,
-            "batch_size": model.profile.batch_size,
-            "dropout_rate": model.profile.dropout_rate,
-            "epochs": model.profile.epochs,
-            "hidden_neurons": model.profile.hidden_neurons,
-            "hidden_layers": model.profile.hidden_layers,
-        },
+        "profile": asdict(model.profile),
         "classes": model.classes,
         "coords": {str(c): list(model.coords[c]) for c in model.classes},
+        "towers": list(model.towers),
     }
 
 
@@ -232,6 +236,7 @@ def model_from_dict(data: dict) -> LocalizerModel:
         profile=profile,
         classes=[int(c) for c in data["classes"]],
         coords=coords,
+        towers=tuple(str(t) for t in data["towers"]),
     )
 
 
@@ -240,4 +245,10 @@ def save_model(model: LocalizerModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LocalizerModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a model saved by :func:`save_model`; a file that is not one
+    raises ModelFormatError."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return model_from_dict(json.loads(text))
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise ModelFormatError(f"{path}: malformed model: {type(exc).__name__}: {exc}") from exc

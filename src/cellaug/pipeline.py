@@ -10,7 +10,7 @@ from .augment import AugmentConfig, augment_all
 from .core import FingerprintDatabase, ReferenceLocation
 from .localize import ErrorReport, HyperProfile, evaluate, improvement, train_localizer
 from .nn import TrainingDiverged
-from .preprocess import FeatureVector, vectorize_database
+from .preprocess import vectorize_database
 
 
 def temporal_split(
@@ -18,9 +18,11 @@ def temporal_split(
     train_fraction: float = 0.7,
     train_scans: int | None = None,
 ) -> tuple[FingerprintDatabase, FingerprintDatabase]:
-    """Per-location temporal split: the first scans train, the rest test.
+    """Per-location temporal split: the earliest scans train, the rest test.
 
-    train_scans overrides the fraction with a fixed per-location count.
+    Scans are ordered by timestamp (stable, so equal timestamps keep their
+    file order) before the cut. train_scans overrides the fraction with a
+    fixed per-location count.
     Both views keep the parent's tower universe so feature indexing is
     identical on both sides; the augmenters must only ever see the first
     view.
@@ -37,8 +39,9 @@ def temporal_split(
                 f"location {loc.location_id}: cannot split {n} scans into "
                 f"{cut} train + {n - cut} test"
             )
-        train_locs.append(replace(loc, scans=loc.scans[:cut]))
-        test_locs.append(replace(loc, scans=loc.scans[cut:]))
+        scans = sorted(loc.scans, key=lambda scan: scan.timestamp)
+        train_locs.append(replace(loc, scans=scans[:cut]))
+        test_locs.append(replace(loc, scans=scans[cut:]))
     def view(locs):
         return FingerprintDatabase(
             tower_universe=db.tower_universe, locations=tuple(locs),
@@ -73,16 +76,9 @@ def database_coordinates(db: FingerprintDatabase) -> dict[int, tuple[float, floa
     return {loc.location_id: loc.coordinates for loc in db.locations}
 
 
-def augmented_training_set(
-    db_train: FingerprintDatabase, cfg: AugmentConfig
-) -> tuple[list[FeatureVector], dict[str, int]]:
-    """Vectors for the augmented model: originals plus enabled techniques."""
-    return augment_all(db_train, cfg)
-
-
-def _train_stage(stage, vectors, profile, coords, seed):
+def _train_stage(stage, samples, profile, coords, seed):
     try:
-        return train_localizer(vectors, profile, coords, seed=seed)
+        return train_localizer(samples, profile, coords, seed=seed)
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"{stage}: {exc}", exc.trace) from exc
 
@@ -102,24 +98,24 @@ def run_comparison(
     """
     db_train, db_test = temporal_split(db, train_fraction, train_scans)
     coords = database_coordinates(db)
-    test_vectors = vectorize_database(db_test)
+    test_set = vectorize_database(db_test)
 
-    baseline_vectors = vectorize_database(db_train)
+    baseline_set = vectorize_database(db_train)
     try:
-        augmented_vectors, counts = augmented_training_set(db_train, replace(cfg, seed=seed))
+        augmented_set, counts = augment_all(db_train, replace(cfg, seed=seed))
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"augmentation stage: {exc}", exc.trace) from exc
 
-    model_without = _train_stage("baseline training", baseline_vectors, profile, coords, seed)
-    model_with = _train_stage("augmented training", augmented_vectors, profile, coords, seed)
+    model_without = _train_stage("baseline training", baseline_set, profile, coords, seed)
+    model_with = _train_stage("augmented training", augmented_set, profile, coords, seed)
 
-    report_without = evaluate(model_without, test_vectors)
-    report_with = evaluate(model_with, test_vectors)
+    report_without = evaluate(model_without, test_set)
+    report_with = evaluate(model_with, test_set)
     return ComparisonResult(
         without_augmentation=report_without,
         with_augmentation=report_with,
         improvement_percent=improvement(report_with, report_without),
         augmented_counts=counts,
-        n_train_scans=len(baseline_vectors),
-        n_test_scans=len(test_vectors),
+        n_train_scans=len(baseline_set),
+        n_test_scans=len(test_set),
     )

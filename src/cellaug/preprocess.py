@@ -11,26 +11,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASU_MAX, ASU_MIN, FingerprintDatabase, RawScan, TowerId
+from .core import ASU_MAX, ASU_MIN, FingerprintDatabase, TowerId
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Normalized RSS vector aligned to a tower universe, labeled by location."""
+class SampleSet:
+    """Labeled samples as rows: an (n, m) matrix of normalized RSS, an (n,)
+    array of location ids, and the m tower ids its columns are aligned to."""
 
-    values: np.ndarray
-    location_id: int
+    x: np.ndarray
+    labels: np.ndarray
+    towers: tuple[TowerId, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        object.__setattr__(self, "towers", tuple(self.towers))
+        if self.x.ndim != 2 or self.x.shape[1] != len(self.towers):
+            raise ValueError(f"expected an (n, {len(self.towers)}) matrix, got {self.x.shape}")
+        if self.labels.shape != (self.x.shape[0],):
+            raise ValueError(f"expected {self.x.shape[0]} labels, got {self.labels.shape}")
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureVector):
+        if not isinstance(other, SampleSet):
             return NotImplemented
-        return self.location_id == other.location_id and np.array_equal(self.values, other.values)
+        return (self.towers == other.towers and np.array_equal(self.labels, other.labels)
+                and np.array_equal(self.x, other.x))
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.x.shape[0]
 
 
 def _check_asu(asu: int) -> int:
@@ -50,49 +59,37 @@ def normalize_asu(asu: int) -> float:
     return _check_asu(asu) / ASU_MAX
 
 
-def vectorize(scan: RawScan, universe: tuple[TowerId, ...], label: int) -> FeatureVector:
-    """Build the feature vector of one scan over the given tower universe.
+def vectorize(
+    db: FingerprintDatabase, towers: tuple[TowerId, ...] | None = None
+) -> tuple[SampleSet, np.ndarray]:
+    """One row per scan, in (location, scan) order, plus the heard mask.
 
-    Entry j holds the normalized ASU of universe[j] if heard, else 0.
+    Columns follow ``towers`` (default: the database's universe); entry j
+    holds the normalized ASU of towers[j] if heard, else 0. ASU 0 and
+    "unheard" collide at feature value 0, so augmenters that care about
+    heard-set structure read the boolean (n, m) mask instead of the values.
     """
-    index = {tower: j for j, tower in enumerate(universe)}
-    values = np.zeros(len(universe), dtype=np.float64)
-    for tower, asu in scan.readings:
-        if tower not in index:
-            raise ValueError(f"unknown tower in scan: {tower}")
-        values[index[tower]] = normalize_asu(asu)
-    return FeatureVector(values=values, location_id=label)
-
-
-def heard_mask(scan: RawScan, universe: tuple[TowerId, ...]) -> np.ndarray:
-    """Boolean mask over the universe marking towers heard in this scan.
-
-    ASU 0 and "unheard" collide at feature value 0, so augmenters that care
-    about heard-set structure take this mask from the raw scan instead of
-    inferring it from the vector.
-    """
-    index = {tower: j for j, tower in enumerate(universe)}
-    mask = np.zeros(len(universe), dtype=bool)
-    for tower, _ in scan.readings:
-        if tower not in index:
-            raise ValueError(f"unknown tower in scan: {tower}")
-        mask[index[tower]] = True
-    return mask
-
-
-def vectorize_database(db: FingerprintDatabase) -> list[FeatureVector]:
-    """One FeatureVector per scan, in deterministic (location, scan) order."""
-    out: list[FeatureVector] = []
+    towers = db.tower_universe if towers is None else tuple(towers)
+    index = {tower: j for j, tower in enumerate(towers)}
+    n = sum(len(loc.scans) for loc in db.locations)
+    x = np.zeros((n, len(towers)), dtype=np.float64)
+    heard = np.zeros((n, len(towers)), dtype=bool)
+    labels = np.empty(n, dtype=np.int64)
+    row = 0
     for loc in db.locations:
         for scan in loc.scans:
-            out.append(vectorize(scan, db.tower_universe, loc.location_id))
-    return out
+            for tower, asu in scan.readings:
+                if tower not in index:
+                    raise ValueError(f"unknown tower in scan: {tower}")
+                x[row, index[tower]] = normalize_asu(asu)
+                heard[row, index[tower]] = True
+            labels[row] = loc.location_id
+            row += 1
+    return SampleSet(x, labels, towers), heard
 
 
-def stack_vectors(vectors: list[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack FeatureVectors into an (n, m) matrix and an (n,) label array."""
-    if not vectors:
-        raise ValueError("no vectors to stack")
-    x = np.stack([v.values for v in vectors])
-    labels = np.array([v.location_id for v in vectors], dtype=np.int64)
-    return x, labels
+def vectorize_database(
+    db: FingerprintDatabase, towers: tuple[TowerId, ...] | None = None
+) -> SampleSet:
+    """The rows of :func:`vectorize` without the heard mask."""
+    return vectorize(db, towers)[0]

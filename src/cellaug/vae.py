@@ -36,7 +36,6 @@ from .nn import (
     network_to_dict,
     sgd_step,
 )
-from .preprocess import FeatureVector
 from .util import as_rng, derive_rng
 
 LATENT_DIM = 5
@@ -142,9 +141,10 @@ def _batch_loss(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> tuple[VaeLos
     return VaeLoss(float(rec), float(kl)), VaeCache(enc_cache, dec_cache, x, xhat, mu, log_var, eps)
 
 
-def _batch_grads(
+def vae_grads(
     model: VaeModel, cache: VaeCache, recon_weight: float = 1.0
 ) -> tuple[Gradients, Gradients]:
+    """Analytic encoder/decoder gradients of recon_weight * rec + kl."""
     n = cache.x.shape[0]
     d_xhat = recon_weight * (cache.xhat - cache.x) / n
     dec_grads, d_z = backward(model.decoder, cache.dec_cache, d_xhat)
@@ -158,17 +158,17 @@ def _batch_grads(
 
 
 def vae_loss(
-    x: np.ndarray | FeatureVector,
+    x: np.ndarray,
     model: VaeModel,
     rng: np.random.Generator | int | None = None,
     eps: np.ndarray | None = None,
 ) -> tuple[VaeLoss, VaeCache]:
-    """Loss of one vector with a single reparameterized latent draw.
+    """Loss of one 1-D vector with a single reparameterized latent draw.
 
     Passing eps freezes the draw, making the loss a deterministic function
     of the parameters (used by the finite-difference gradient checks).
     """
-    values = x.values if isinstance(x, FeatureVector) else np.asarray(x, dtype=np.float64)
+    values = np.asarray(x, dtype=np.float64)
     if values.shape != (model.n_features,):
         raise ValueError(f"expected vector of length {model.n_features}, got {values.shape}")
     if eps is None:
@@ -176,31 +176,17 @@ def vae_loss(
     return _batch_loss(model, values[None, :], np.asarray(eps, dtype=np.float64)[None, :])
 
 
-def vae_grads(
-    model: VaeModel, cache: VaeCache, recon_weight: float = 1.0
-) -> tuple[Gradients, Gradients]:
-    """Analytic encoder/decoder gradients of recon_weight * rec + kl."""
-    return _batch_grads(model, cache, recon_weight)
-
-
 def train_vae(
-    vectors: list[FeatureVector] | np.ndarray,
+    x: np.ndarray,
     cfg: VaeTrainConfig | None = None,
     location_id: int | None = None,
 ) -> VaeModel:
-    """Train one VAE on a location's vectors; returns model with loss trace."""
+    """Train one VAE on the (n, m) rows of one location; returns the model
+    with its loss trace."""
     cfg = cfg or VaeTrainConfig()
-    if isinstance(vectors, np.ndarray):
-        x = np.asarray(vectors, dtype=np.float64)
-        if location_id is None:
-            raise ValueError("location_id required when training from a bare array")
-    else:
-        if location_id is None:
-            labels = {v.location_id for v in vectors}
-            if len(labels) > 1:
-                raise ValueError(f"vectors from multiple locations: {sorted(labels)}")
-            location_id = labels.pop() if labels else -1
-        x = np.stack([v.values for v in vectors]) if vectors else np.empty((0, 0))
+    if location_id is None:
+        raise ValueError("location_id required: it seeds and names the model")
+    x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"too few samples to train a VAE: {n}")
@@ -218,7 +204,7 @@ def train_vae(
             idx = order[start : start + batch]
             eps = rng.standard_normal((idx.size, model.latent_dim))
             loss, cache = _batch_loss(model, x[idx], eps)
-            enc_grads, dec_grads = _batch_grads(model, cache, cfg.recon_weight)
+            enc_grads, dec_grads = vae_grads(model, cache, cfg.recon_weight)
             sgd_step(model.encoder, enc_grads, cfg.learning_rate)
             sgd_step(model.decoder, dec_grads, cfg.learning_rate)
             total += (cfg.recon_weight * loss.reconstruction + loss.kl) * idx.size
@@ -233,14 +219,13 @@ def train_vae(
     return model
 
 
-def generate(model: VaeModel, rng, n: int) -> list[FeatureVector]:
-    """Decode n standard-normal latent draws into synthetic feature vectors."""
+def generate(model: VaeModel, rng, n: int) -> np.ndarray:
+    """Decode n standard-normal latent draws into (n, m) synthetic rows."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = as_rng(rng)
     z = gen.standard_normal((n, model.latent_dim))
-    xhat = np.clip(forward(model.decoder, z), 0.0, 1.0)
-    return [FeatureVector(values=row, location_id=model.location_id) for row in xhat]
+    return np.clip(forward(model.decoder, z), 0.0, 1.0)
 
 
 def vae_to_dict(model: VaeModel) -> dict:

@@ -30,7 +30,7 @@ from cellaug.nn import (
     squared_error,
 )
 from cellaug.pipeline import run_comparison
-from cellaug.preprocess import FeatureVector, asu_to_dbm, normalize_asu
+from cellaug.preprocess import SampleSet, asu_to_dbm, normalize_asu
 from cellaug.testbed import default_desk_spec, generate
 from cellaug.vae import (
     VaeTrainConfig,
@@ -238,9 +238,9 @@ def test_criterion_5_vae_joint_structure():
         cov = np.array([[1.0, 0.9], [0.9, 1.0]])
         data = np.clip(0.5 + 0.15 * rng.multivariate_normal([0, 0], cov, size=200), 0, 1)
 
-        vectors = [FeatureVector(values=row, location_id=0) for row in data]
-        model = train_vae(vectors, VaeTrainConfig(epochs=3000, learning_rate=0.001, seed=1))
-        generated = np.stack([v.values for v in vae_generate(model, 9, 10_000)])
+        model = train_vae(data, VaeTrainConfig(epochs=3000, learning_rate=0.001, seed=1),
+                          location_id=0)
+        generated = vae_generate(model, 9, 10_000)
         vae_corr = float(np.corrcoef(generated[:, 0], generated[:, 1])[0, 1])
 
         fits = [fit_best(data[:, 0]), fit_best(data[:, 1])]
@@ -277,7 +277,7 @@ def test_criterion_6_exact_arithmetic():
         for k in range(7):
             values = [0.9] * 2 + [0.01 * (i + 1) for i in range(k)]
             out = augment_drop_threshold(
-                FeatureVector(np.array(values), 0), AugmentConfig(drop_threshold_value=0.2)
+                np.array([values]), AugmentConfig(drop_threshold_value=0.2)
             )
             assert len(out) == 2**k - 1
 
@@ -348,24 +348,23 @@ def test_criterion_8_serialization_round_trips(tmp_path):
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, net.weights))
 
         data = np.clip(0.5 + 0.1 * rng.standard_normal((20, 3)), 0, 1)
-        vectors = [FeatureVector(values=row, location_id=4) for row in data]
-        vae_model = train_vae(vectors, VaeTrainConfig(epochs=15, seed=2), location_id=4)
+        vae_model = train_vae(data, VaeTrainConfig(epochs=15, seed=2), location_id=4)
         vae_path = tmp_path / "vaes.json"
         save_vae_models({4: vae_model}, vae_path)
         restored = load_vae_models(vae_path)[4]
         for a, b in zip(vae_model.decoder.weights, restored.decoder.weights):
             assert np.array_equal(a, b)
-        assert [v.values.tolist() for v in vae_generate(vae_model, 5, 4)] == \
-               [v.values.tolist() for v in vae_generate(restored, 5, 4)]
+        assert vae_generate(vae_model, 5, 4).tolist() == vae_generate(restored, 5, 4).tolist()
 
-        toy = []
+        toy_rows, toy_labels = [], []
         coords = {}
         for loc in range(3):
             coords[loc] = (float(loc), 0.0)
             for _ in range(6):
-                toy.append(FeatureVector(np.clip(rng.normal(0.2 * loc + 0.2, 0.05, 4), 0, 1), loc))
+                toy_rows.append(np.clip(rng.normal(0.2 * loc + 0.2, 0.05, 4), 0, 1))
+                toy_labels.append(loc)
         model = train_localizer(
-            toy,
+            SampleSet(np.array(toy_rows), toy_labels, ("T0", "T1", "T2", "T3")),
             desk_profile().__class__(learning_rate=0.05, batch_size=8, dropout_rate=0.0,
                                      epochs=20, hidden_neurons=8, hidden_layers=1),
             coords, seed=1,

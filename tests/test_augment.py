@@ -13,12 +13,13 @@ from cellaug.augment import (
 )
 from cellaug.core import RawScan, ReferenceLocation, from_locations
 from cellaug.distfit import FittedDistribution
-from cellaug.preprocess import FeatureVector, normalize_asu, vectorize_database
+from cellaug.preprocess import normalize_asu, vectorize_database
 from cellaug.util import ConfigError
 
 
-def fv(values, label=0):
-    return FeatureVector(values=np.array(values, dtype=float), location_id=label)
+def rows(values, n=1):
+    """A block of n identical rows."""
+    return np.tile(np.array(values, dtype=float), (n, 1))
 
 
 def stats_for(noise_scale, mean_values=None, location_id=0):
@@ -29,9 +30,7 @@ def stats_for(noise_scale, mean_values=None, location_id=0):
         min_values=np.clip(mean - np.array(noise_scale), 0, 1),
         max_values=np.clip(mean + np.array(noise_scale), 0, 1),
         mean_values=mean,
-        heard_probability=np.ones(m),
         noise_scale=np.array(noise_scale, dtype=float),
-        heard_histogram={m: 1.0},
     )
 
 
@@ -64,12 +63,10 @@ class TestComputeStats:
     def test_constant_tower_has_zero_scale(self, two_tower_db):
         stats = compute_stats(two_tower_db)
         assert stats[0].noise_scale[1] == 0.0  # B constant at 20
-        assert stats[0].heard_probability[1] == 1.0
 
     def test_never_heard_tower(self, two_tower_db):
         stats = compute_stats(two_tower_db)
-        assert stats[1].heard_probability[1] == 0.0  # B unheard at location 1
-        assert stats[1].noise_scale[1] == 0.0
+        assert stats[1].noise_scale[1] == 0.0  # B unheard at location 1
 
     def test_order_invariant(self, two_tower_db):
         assert 0.4 <= sum(stats_for([0.1, 0.2]).mean_values) <= 1.1  # sanity of helper
@@ -80,40 +77,41 @@ class TestComputeStats:
 
 class TestNoise:
     def test_zero_scale_is_identity(self):
-        v = fv([0.5, 0.9, 0.0])
-        out = augment_noise(v, stats_for([0.0, 0.0, 0.0]), np.random.default_rng(0))
-        assert out == v
+        v = rows([0.5, 0.9, 0.0])
+        out = augment_noise(v, v > 0, stats_for([0.0, 0.0, 0.0]), np.random.default_rng(0))
+        assert np.array_equal(out, v)
 
     def test_moments_match(self):
-        v = fv([0.5])
+        v = rows([0.5], 100_000)
         stats = stats_for([0.1])
         rng = np.random.default_rng(42)
-        draws = np.array([augment_noise(v, stats, rng).values[0] for _ in range(100_000)])
+        draws = augment_noise(v, v > 0, stats, rng)[:, 0]
         assert abs(draws.mean() - 0.5) < 0.002
         assert abs(draws.std() - 0.1) < 0.005
 
     def test_clipped_to_unit_interval(self):
-        v = fv([0.98])
+        v = rows([0.98], 2000)
         stats = stats_for([0.2])
         rng = np.random.default_rng(1)
-        for _ in range(2000):
-            out = augment_noise(v, stats, rng)
-            assert 0.0 <= out.values[0] <= 1.0
+        out = augment_noise(v, v > 0, stats, rng)
+        assert np.all((0.0 <= out[:, 0]) & (out[:, 0] <= 1.0))
 
     def test_unheard_entries_stay_zero(self):
-        v = fv([0.5, 0.0, 0.0])
+        v = rows([0.5, 0.0, 0.0], 500)
         # tower 2 heard in other scans at this location (nonzero scale), but
         # not in this scan: the explicit mask keeps it silent
         stats = stats_for([0.1, 0.2, 0.0])
         rng = np.random.default_rng(3)
-        heard = np.array([True, False, False])
-        for _ in range(500):
-            out = augment_noise(v, stats, rng, heard=heard)
-            assert out.values[1] == 0.0 and out.values[2] == 0.0
+        heard = np.tile([True, False, False], (500, 1))
+        out = augment_noise(v, heard, stats, rng)
+        assert np.all(out[:, 1] == 0.0) and np.all(out[:, 2] == 0.0)
 
-    def test_label_preserved(self):
-        out = augment_noise(fv([0.5], label=7), stats_for([0.1]), np.random.default_rng(0))
-        assert out.location_id == 7
+    def test_label_preserved(self, two_tower_db):
+        cfg = AugmentConfig().only("noise")
+        out, counts = augment_all(two_tower_db, cfg)
+        originals = out.labels[:counts["original"]]
+        noisy = out.labels[counts["original"]:]
+        assert noisy.tolist() == np.repeat(originals, cfg.noise_per_scan).tolist()
 
 
 class TestSampling:
@@ -123,34 +121,35 @@ class TestSampling:
             "A": FittedDistribution("degenerate", (0.4,), float("inf"), 2),
             "B": FittedDistribution("degenerate", (0.8,), float("inf"), 2),
         }
-        out = augment_sampling(loc, fits, two_tower_db.tower_universe, np.random.default_rng(0), 5)
+        heard = np.ones((len(loc.scans), 2), dtype=bool)  # both scans hear A and B
+        out = augment_sampling(heard, fits, two_tower_db.tower_universe,
+                               np.random.default_rng(0), 5)
         assert len(out) == 5
         for v in out:
-            assert np.array_equal(v.values, [0.4, 0.8])
-            assert v.location_id == 0
+            assert np.array_equal(v, [0.4, 0.8])
 
     def test_beta_entry_mean(self):
-        loc = ReferenceLocation(3, (0, 0), (RawScan(0, (("A", 10),)),))
+        heard = np.array([[True]])  # one scan hearing A
         fits = {"A": FittedDistribution("beta", (2.0, 5.0), 0.0, 10)}
-        out = augment_sampling(loc, fits, ("A",), np.random.default_rng(11), 100_000)
-        values = np.array([v.values[0] for v in out])
+        out = augment_sampling(heard, fits, ("A",), np.random.default_rng(11), 100_000)
+        values = out[:, 0]
         assert abs(values.mean() - 2 / 7) < 0.01
 
     def test_never_heard_tower_stays_zero(self):
-        loc = ReferenceLocation(0, (0, 0), (RawScan(0, (("A", 10), ("B", 12))),))
+        heard = np.array([[True, True, False]])  # one scan hearing A and B
         fits = {
             "A": FittedDistribution("degenerate", (0.3,), float("inf"), 1),
             "B": FittedDistribution("degenerate", (0.4,), float("inf"), 1),
         }
-        out = augment_sampling(loc, fits, ("A", "B", "C"), np.random.default_rng(0), 50)
+        out = augment_sampling(heard, fits, ("A", "B", "C"), np.random.default_rng(0), 50)
         for v in out:
-            assert v.values[2] == 0.0
+            assert v[2] == 0.0
 
     def test_missing_fit_rejected(self):
-        loc = ReferenceLocation(0, (0, 0), (RawScan(0, (("A", 10), ("B", 12))),))
+        heard = np.array([[True, True]])  # one scan hearing A and B
         fits = {"A": FittedDistribution("degenerate", (0.3,), float("inf"), 1)}
         with pytest.raises(ValueError, match="missing fit.*B"):
-            augment_sampling(loc, fits, ("A", "B"), np.random.default_rng(0), 5)
+            augment_sampling(heard, fits, ("A", "B"), np.random.default_rng(0), 5)
 
 
 class TestDropRandom:
@@ -158,91 +157,89 @@ class TestDropRandom:
         return AugmentConfig(drop_random_max_drop=max_drop)
 
     def test_mask_zeroes_subset(self):
-        v = fv([0.5, 0.7, 0.2])
+        v = rows([0.5, 0.7, 0.2])
         stats = stats_for([0.1, 0.1, 0.1], mean_values=[0.5, 0.7, 0.2])
         rng = np.random.default_rng(0)
-        out = augment_drop_random(v, stats, self.cfg(), rng)
+        out = augment_drop_random(v, v > 0, stats, self.cfg(), rng)[0]
         # entry 1 has the highest mean: protected
-        assert out.values[1] == 0.7
-        dropped = np.flatnonzero(out.values == 0.0)
+        assert out[1] == 0.7
+        dropped = np.flatnonzero(out == 0.0)
         assert 1 <= dropped.size <= 2
-        kept = out.values != 0.0
-        assert np.array_equal(out.values[kept], v.values[kept])
+        kept = out != 0.0
+        assert np.array_equal(out[kept], v[0][kept])
 
     def test_single_heard_tower_unchanged(self):
-        v = fv([0.0, 0.4, 0.0])
-        out = augment_drop_random(v, stats_for([0.0] * 3), self.cfg(), np.random.default_rng(0))
-        assert out == v
+        v = rows([0.0, 0.4, 0.0])
+        out = augment_drop_random(v, v > 0, stats_for([0.0] * 3), self.cfg(),
+                                  np.random.default_rng(0))
+        assert np.array_equal(out, v)
 
     def test_protected_never_dropped_others_always_eventually(self):
-        v = fv([0.5, 0.6, 0.7, 0.8, 0.9])
+        v = rows([0.5, 0.6, 0.7, 0.8, 0.9], 10_000)
         means = [0.5, 0.6, 0.7, 0.8, 0.9]
         stats = stats_for([0.1] * 5, mean_values=means)
         rng = np.random.default_rng(123)
-        dropped_ever = np.zeros(5, dtype=bool)
-        for _ in range(10_000):
-            out = augment_drop_random(v, stats, self.cfg(), rng)
-            assert out.values[4] == 0.9  # highest mean is protected
-            dropped_ever |= out.values == 0.0
+        out = augment_drop_random(v, v > 0, stats, self.cfg(), rng)
+        assert np.all(out[:, 4] == 0.9)  # highest mean is protected
+        dropped_ever = np.any(out == 0.0, axis=0)
         assert dropped_ever.tolist() == [True, True, True, True, False]
 
     def test_never_introduces_nonzero(self):
-        v = fv([0.5, 0.0, 0.7])
+        v = rows([0.5, 0.0, 0.7], 200)
         stats = stats_for([0.1] * 3)
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            out = augment_drop_random(v, stats, self.cfg(), rng)
-            assert out.values[1] == 0.0
-            assert set(np.flatnonzero(out.values)) <= set(np.flatnonzero(v.values))
+        out = augment_drop_random(v, v > 0, stats, self.cfg(), rng)
+        for row in out:
+            assert row[1] == 0.0
+            assert set(np.flatnonzero(row)) <= set(np.flatnonzero(v[0]))
 
     def test_max_drop_respected(self):
-        v = fv([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
-        stats = stats_for([0.1] * 7, mean_values=v.values.tolist())
+        v = rows([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7], 2000)
+        stats = stats_for([0.1] * 7, mean_values=v[0].tolist())
         rng = np.random.default_rng(9)
-        for _ in range(2000):
-            out = augment_drop_random(v, stats, self.cfg(max_drop=2), rng)
-            assert (out.values == 0.0).sum() <= 2
+        out = augment_drop_random(v, v > 0, stats, self.cfg(max_drop=2), rng)
+        assert np.all((out == 0.0).sum(axis=1) <= 2)
 
 
 class TestDropThreshold:
     def test_two_candidates_three_outputs(self):
-        v = fv([0.9, 0.15, 0.1])
+        v = rows([0.9, 0.15, 0.1])
         out = augment_drop_threshold(v, AugmentConfig(drop_threshold_value=0.2))
         assert len(out) == 3
-        produced = {tuple(o.values) for o in out}
+        produced = {tuple(o) for o in out}
         assert produced == {(0.9, 0.0, 0.1), (0.9, 0.15, 0.0), (0.9, 0.0, 0.0)}
 
     def test_no_candidates(self):
-        v = fv([0.9, 0.8])
-        assert augment_drop_threshold(v, AugmentConfig(drop_threshold_value=0.2)) == []
+        v = rows([0.9, 0.8])
+        assert len(augment_drop_threshold(v, AugmentConfig(drop_threshold_value=0.2))) == 0
 
     def test_single_candidate(self):
-        out = augment_drop_threshold(fv([0.19]), AugmentConfig(drop_threshold_value=0.2))
+        out = augment_drop_threshold(rows([0.19]), AugmentConfig(drop_threshold_value=0.2))
         assert len(out) == 1
-        assert out[0].values[0] == 0.0
+        assert out[0][0] == 0.0
 
     def test_count_law_exhaustive(self):
         for k in range(7):
             values = [0.5] * 3 + [0.01 * (i + 1) for i in range(k)]
-            out = augment_drop_threshold(fv(values), AugmentConfig(drop_threshold_value=0.2))
+            out = augment_drop_threshold(rows(values), AugmentConfig(drop_threshold_value=0.2))
             assert len(out) == 2**k - 1
             for o in out:
-                assert np.array_equal(o.values[:3], values[:3])
+                assert np.array_equal(o[:3], values[:3])
 
     def test_zero_entries_not_candidates(self):
-        v = fv([0.0, 0.1])
+        v = rows([0.0, 0.1])
         out = augment_drop_threshold(v, AugmentConfig(drop_threshold_value=0.2))
         assert len(out) == 1  # only the 0.1 entry
 
     def test_cap_at_twelve(self):
         values = [0.01 * (i + 1) for i in range(14)]
-        v = FeatureVector(np.array(values), 0)
+        v = rows(values)
         out = augment_drop_threshold(v, AugmentConfig(drop_threshold_value=0.2))
         assert len(out) == 2**12 - 1
         # the two strongest candidates (0.13, 0.14) are never dropped
         for o in out[:100]:
-            assert o.values[12] == pytest.approx(0.13)
-            assert o.values[13] == pytest.approx(0.14)
+            assert o[12] == pytest.approx(0.13)
+            assert o[13] == pytest.approx(0.14)
 
 
 class TestAugmentAll:
@@ -276,9 +273,8 @@ class TestAugmentAll:
     def test_all_outputs_labeled_and_bounded(self, two_tower_db):
         cfg = AugmentConfig(vae_epochs=5, seed=3)
         vectors, _ = augment_all(two_tower_db, cfg)
-        for v in vectors:
-            assert v.location_id in (0, 1)
-            assert np.all(v.values >= 0.0) and np.all(v.values <= 1.0)
+        assert set(vectors.labels.tolist()) <= {0, 1}
+        assert np.all(vectors.x >= 0.0) and np.all(vectors.x <= 1.0)
 
     def test_deterministic(self, two_tower_db):
         cfg = AugmentConfig(vae_epochs=5, seed=9)
@@ -286,8 +282,7 @@ class TestAugmentAll:
         vb, cb = augment_all(two_tower_db, cfg)
         assert ca == cb
         assert len(va) == len(vb)
-        for a, b in zip(va, vb):
-            assert a == b
+        assert va == vb
 
     def test_disabled_technique_contributes_nothing(self, two_tower_db):
         cfg = AugmentConfig.none_enabled()

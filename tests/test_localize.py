@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cellaug.localize import (
     ErrorReport,
     HyperProfile,
+    ModelFormatError,
     default_profile,
     desk_profile,
     estimate_location,
@@ -20,7 +22,9 @@ from cellaug.localize import (
     train_localizer,
     weighted_centroid,
 )
-from cellaug.preprocess import FeatureVector
+from cellaug.preprocess import SampleSet
+
+TOWERS = ("T0", "T1", "T2", "T3")
 
 
 def toy_square_vectors(n_per_loc=30, noise=0.03, seed=0):
@@ -33,12 +37,12 @@ def toy_square_vectors(n_per_loc=30, noise=0.03, seed=0):
         2: [0.1, 0.3, 0.9, 0.1],
         3: [0.3, 0.1, 0.1, 0.9],
     }
-    vectors = []
+    rows, labels = [], []
     for loc, base in patterns.items():
         for _ in range(n_per_loc):
-            values = np.clip(np.array(base) + rng.normal(0, noise, 4), 0, 1)
-            vectors.append(FeatureVector(values=values, location_id=loc))
-    return vectors, coords
+            rows.append(np.clip(np.array(base) + rng.normal(0, noise, 4), 0, 1))
+            labels.append(loc)
+    return SampleSet(np.array(rows), labels, TOWERS), coords
 
 
 FAST = HyperProfile(learning_rate=0.05, batch_size=16, dropout_rate=0.0,
@@ -73,14 +77,13 @@ class TestTrainLocalizer:
     def test_separable_square_high_accuracy(self):
         vectors, coords = toy_square_vectors()
         model = train_localizer(vectors, FAST, coords, seed=1)
-        x = np.stack([v.values for v in vectors])
-        labels = np.array([v.location_id for v in vectors])
+        x, labels = vectors.x, vectors.labels
         pred = predict_probabilities(model, x).argmax(axis=1)
         predicted_ids = np.array(model.classes)[pred]
         assert np.mean(predicted_ids == labels) >= 0.95
 
     def test_single_class_rejected(self):
-        vectors = [FeatureVector(np.array([0.5, 0.5]), 0) for _ in range(4)]
+        vectors = SampleSet(np.full((4, 2), 0.5), [0] * 4, ("A", "B"))
         with pytest.raises(ValueError, match="at least 2 distinct labels"):
             train_localizer(vectors, FAST, {0: (0.0, 0.0)}, seed=0)
 
@@ -92,9 +95,8 @@ class TestTrainLocalizer:
 
     def test_indoor_profile_network_shape(self):
         rng = np.random.default_rng(0)
-        vectors = [
-            FeatureVector(rng.uniform(0, 1, 17), loc) for loc in range(55) for _ in range(2)
-        ]
+        vectors = SampleSet(rng.uniform(0, 1, (110, 17)), np.repeat(np.arange(55), 2),
+                            [f"C{j:02d}" for j in range(17)])
         coords = {i: (float(i), 0.0) for i in range(55)}
         profile = dataclasses.replace(default_profile("indoor"), epochs=1, batch_size=110)
         model = train_localizer(vectors, profile, coords, seed=0)
@@ -129,7 +131,7 @@ class TestEstimateLocation:
         model = train_localizer(vectors, FAST, coords, seed=0)
         rng = np.random.default_rng(7)
         for _ in range(50):
-            v = FeatureVector(rng.uniform(0, 1, 4), 0)
+            v = rng.uniform(0, 1, 4)
             x, y = estimate_location(model, v)
             assert 0.0 - 1e-9 <= x <= 10.0 + 1e-9
             assert 0.0 - 1e-9 <= y <= 10.0 + 1e-9
@@ -177,14 +179,23 @@ class TestEvaluate:
         vectors, coords = toy_square_vectors(n_per_loc=5)
         model = train_localizer(vectors, FAST, coords, seed=0)
         with pytest.raises(ValueError, match="empty test set"):
-            evaluate(model, [])
+            evaluate(model, SampleSet(np.empty((0, 4)), [], TOWERS))
 
     def test_perfect_model_zero_error(self):
         # all test vectors at their labeled location, model nearly certain
         vectors, coords = toy_square_vectors(n_per_loc=30, noise=0.01)
         model = train_localizer(vectors, FAST, coords, seed=2)
-        report = evaluate(model, vectors[:20])
+        report = evaluate(model, SampleSet(vectors.x[:20], vectors.labels[:20], TOWERS))
         assert report.p50 < 1.0  # well under the 10 m grid scale
+
+
+class TestTowerContract:
+    def test_evaluate_rejects_other_towers(self):
+        vectors, coords = toy_square_vectors(n_per_loc=5)
+        model = train_localizer(vectors, FAST, coords, seed=0)
+        renamed = SampleSet(vectors.x, vectors.labels, ("T9",) + TOWERS[1:])
+        with pytest.raises(ValueError, match="towers"):
+            evaluate(model, renamed)
 
 
 class TestImprovement:
@@ -234,6 +245,18 @@ class TestModelSerialization:
         again = model_from_dict(model_to_dict(model))
         for a, b in zip(model.network.weights, again.network.weights):
             assert np.array_equal(a, b)
+
+    def test_towers_saved_and_required(self, tmp_path):
+        vectors, coords = toy_square_vectors(n_per_loc=3)
+        model = train_localizer(vectors, FAST, coords, seed=5)
+        data = model_to_dict(model)
+        assert data["towers"] == list(TOWERS)
+        assert model_from_dict(data).towers == TOWERS
+        del data["towers"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelFormatError, match="towers"):
+            load_model(path)
 
     def test_desk_profile_reasonable(self):
         p = desk_profile()

@@ -5,7 +5,14 @@ import pytest
 
 from cellaug.augment import AugmentConfig, augment_all
 from cellaug.cli import main
-from cellaug.core import RawScan, ReferenceLocation, from_locations, load_database, save_database
+from cellaug.core import (
+    FingerprintDatabase,
+    RawScan,
+    ReferenceLocation,
+    from_locations,
+    load_database,
+    save_database,
+)
 from cellaug.localize import HyperProfile
 from cellaug.pipeline import run_comparison, temporal_split
 from cellaug.preprocess import vectorize_database
@@ -65,6 +72,22 @@ class TestTemporalSplit:
         with pytest.raises(ValueError, match="train_fraction"):
             temporal_split(db, train_fraction=1.2)
 
+    def test_orders_scans_by_timestamp(self, tmp_path):
+        db = tiny_db(scans_per_location=10)
+        reversed_db = FingerprintDatabase(
+            tower_universe=db.tower_universe,
+            locations=tuple(ReferenceLocation(loc.location_id, loc.coordinates, loc.scans[::-1])
+                            for loc in db.locations),
+            testbed=db.testbed, grid_cell_m=db.grid_cell_m,
+        )
+        path = tmp_path / "reversed.jsonl"
+        save_database(reversed_db, path)
+        train_db, test_db = temporal_split(load_database(path), train_scans=5)
+        for loc in train_db.locations:
+            assert [scan.timestamp for scan in loc.scans] == [0, 1, 2, 3, 4]
+        for loc in test_db.locations:
+            assert [scan.timestamp for scan in loc.scans] == [5, 6, 7, 8, 9]
+
 
 class TestRunComparison:
     def test_structure_and_convention(self):
@@ -110,7 +133,7 @@ class TestVaeSkipsThinLocations:
         with pytest.warns(UserWarning, match="location 1"):
             vectors, counts = augment_all(train_db, cfg)
         assert counts["vae"] == 3  # only location 0 generated
-        labels = {v.location_id for v in vectors if v.location_id == 1}
+        labels = set(vectors.labels[vectors.labels == 1].tolist())
         assert labels == {1}  # originals still present for location 1
 
 
@@ -265,3 +288,64 @@ class TestCliTrainEvaluateCompare:
         assert main(["compare", str(db_path), "--config", str(cfg_path),
                      "--profile", "indoor", "--train-scans", "4",
                      "--out", str(tmp_path / "x.json")]) == 2
+
+
+class TestCliEvaluateInputs:
+    """evaluate refuses inputs that would otherwise give a wrong answer or a
+    traceback: exit 2 for format errors, exit 1 for numerical failure."""
+
+    @pytest.fixture
+    def trained(self, tmp_path):
+        db_path = tmp_path / "db.jsonl"
+        save_database(tiny_db(scans_per_location=12), db_path)
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text("profile.epochs = 5\nprofile.hidden_neurons = 8\n"
+                            "profile.hidden_layers = 1\n")
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(db_path), "--config", str(cfg_path), "--no-augment",
+                     "--train-scans", "4", "--out", str(model_path)]) == 0
+        return db_path, model_path
+
+    def evaluate(self, model_path, db_path, tmp_path, capsys):
+        capsys.readouterr()
+        code = main(["evaluate", str(model_path), str(db_path), "--train-scans", "4",
+                     "--out", str(tmp_path / "report.json")])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        return code, errors
+
+    def test_renamed_tower_exits_2(self, tmp_path, trained, capsys):
+        db_path, model_path = trained
+        renamed = tmp_path / "renamed.jsonl"
+        renamed.write_text(db_path.read_text().replace('"T0"', '"T9"'))
+        code, errors = self.evaluate(model_path, renamed, tmp_path, capsys)
+        assert code == 2
+        assert len(errors) == 1 and "T9" in errors[0]
+
+    @pytest.mark.parametrize("damage", ["no_towers", "no_classes", "classes_not_list", "not_json"])
+    def test_malformed_model_exits_2(self, tmp_path, trained, capsys, damage):
+        db_path, model_path = trained
+        data = json.loads(model_path.read_text())
+        if damage == "no_towers":
+            del data["towers"]
+        elif damage == "no_classes":
+            del data["classes"]
+        elif damage == "classes_not_list":
+            data["classes"] = 5
+        text = "{not json" if damage == "not_json" else json.dumps(data)
+        model_path.write_text(text)
+        code, errors = self.evaluate(model_path, db_path, tmp_path, capsys)
+        assert code == 2
+        assert len(errors) == 1
+
+    def test_overflowing_weights_exit_1(self, tmp_path, trained, capsys):
+        db_path, model_path = trained
+        data = json.loads(model_path.read_text())
+        net = data["network"]
+        net["weights"] = [[[1e308] * len(row) for row in w] for w in net["weights"]]
+        net["biases"] = [[1e308] * len(b) for b in net["biases"]]
+        model_path.write_text(json.dumps(data))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, errors = self.evaluate(model_path, db_path, tmp_path, capsys)
+        assert code == 1
+        assert len(errors) == 1

@@ -3,14 +3,19 @@ import pytest
 
 from cellaug.core import RawScan, ReferenceLocation, from_locations
 from cellaug.preprocess import (
-    FeatureVector,
+    SampleSet,
     asu_to_dbm,
-    heard_mask,
     normalize_asu,
-    stack_vectors,
     vectorize,
     vectorize_database,
 )
+
+
+def vectorize_scan(scan, towers, label=0):
+    """Row, label and heard mask of one scan vectorized over `towers`."""
+    db = from_locations([ReferenceLocation(label, (0.0, 0.0), (scan,))])
+    samples, heard = vectorize(db, towers)
+    return samples.x[0], int(samples.labels[0]), heard[0]
 
 
 class TestAsuToDbm:
@@ -52,22 +57,19 @@ class TestNormalizeAsu:
 class TestVectorize:
     def test_zero_fill_and_collision(self):
         s = RawScan(0, (("A", 31), ("C", 0)))
-        v = vectorize(s, ("A", "B", "C"), label=4)
-        assert np.array_equal(v.values, [1.0, 0.0, 0.0])
-        assert v.location_id == 4
+        values, location_id, mask = vectorize_scan(s, ("A", "B", "C"), label=4)
+        assert np.array_equal(values, [1.0, 0.0, 0.0])
+        assert location_id == 4
         # the raw scan keeps the heard/unheard distinction the vector loses
-        mask = heard_mask(s, ("A", "B", "C"))
         assert mask.tolist() == [True, False, True]
 
     def test_two_tower_scan(self):
-        v = vectorize(RawScan(0, (("A", 15), ("B", 31))), ("A", "B"), 0)
-        assert np.allclose(v.values, [15 / 31, 1.0])
+        values, _, _ = vectorize_scan(RawScan(0, (("A", 15), ("B", 31))), ("A", "B"))
+        assert np.allclose(values, [15 / 31, 1.0])
 
     def test_unknown_tower(self):
         with pytest.raises(ValueError, match="unknown tower"):
-            vectorize(RawScan(0, (("D", 1),)), ("A", "B"), 0)
-        with pytest.raises(ValueError, match="unknown tower"):
-            heard_mask(RawScan(0, (("D", 1),)), ("A", "B"))
+            vectorize_scan(RawScan(0, (("D", 1),)), ("A", "B"))
 
     def test_values_stay_in_unit_interval(self):
         rng = np.random.default_rng(0)
@@ -76,11 +78,11 @@ class TestVectorize:
             k = int(rng.integers(1, 7))
             heard = rng.choice(6, size=k, replace=False)
             s = RawScan(0, tuple((universe[j], int(rng.integers(0, 32))) for j in heard))
-            v = vectorize(s, universe, 0)
-            assert np.all(v.values >= 0.0) and np.all(v.values <= 1.0)
+            values, _, _ = vectorize_scan(s, universe)
+            assert np.all(values >= 0.0) and np.all(values <= 1.0)
             for tower, asu in s.readings:
                 if asu > 0:
-                    assert v.values[universe.index(tower)] > 0.0
+                    assert values[universe.index(tower)] > 0.0
 
 
 class TestVectorizeDatabase:
@@ -95,8 +97,8 @@ class TestVectorizeDatabase:
         db = from_locations(locations)
         vectors = vectorize_database(db)
         assert len(vectors) == 55
-        assert all(len(v) == 17 for v in vectors)
-        assert sorted({v.location_id for v in vectors}) == list(range(55))
+        assert vectors.x.shape[1] == 17
+        assert sorted(set(vectors.labels.tolist())) == list(range(55))
 
     def test_single_scan(self):
         db = from_locations(
@@ -107,7 +109,7 @@ class TestVectorizeDatabase:
 
     def test_empty_locations(self):
         db = from_locations([])
-        assert vectorize_database(db) == []
+        assert len(vectorize_database(db)) == 0
 
     def test_deterministic_order(self):
         scans0 = (RawScan(0, (("A", 1),)), RawScan(1, (("A", 2),)))
@@ -116,23 +118,21 @@ class TestVectorizeDatabase:
             ReferenceLocation(1, (1, 0), scans1),
             ReferenceLocation(0, (0, 0), scans0),
         ])
-        labels = [v.location_id for v in vectorize_database(db)]
+        labels = vectorize_database(db).labels.tolist()
         assert labels == [0, 0, 1]
 
 
-class TestFeatureVector:
-    def test_equality_compares_values_and_label(self):
-        a = FeatureVector(np.array([0.1, 0.2]), 1)
-        b = FeatureVector(np.array([0.1, 0.2]), 1)
-        c = FeatureVector(np.array([0.1, 0.3]), 1)
+class TestSampleSet:
+    def test_equality_compares_values_and_labels(self):
+        a = SampleSet(np.array([[0.1, 0.2]]), [1], ("A", "B"))
+        b = SampleSet(np.array([[0.1, 0.2]]), [1], ("A", "B"))
+        c = SampleSet(np.array([[0.1, 0.3]]), [1], ("A", "B"))
         assert a == b
         assert a != c
-        assert a != FeatureVector(np.array([0.1, 0.2]), 2)
+        assert a != SampleSet(np.array([[0.1, 0.2]]), [2], ("A", "B"))
 
-    def test_stack(self):
-        vecs = [FeatureVector(np.array([0.1, 0.2]), 3), FeatureVector(np.array([0.3, 0.4]), 5)]
-        x, labels = stack_vectors(vecs)
-        assert x.shape == (2, 2)
-        assert labels.tolist() == [3, 5]
-        with pytest.raises(ValueError):
-            stack_vectors([])
+    def test_misaligned_shapes_rejected(self):
+        with pytest.raises(ValueError, match="matrix"):
+            SampleSet(np.zeros((2, 3)), [0, 1], ("A", "B"))
+        with pytest.raises(ValueError, match="labels"):
+            SampleSet(np.zeros((2, 2)), [0], ("A", "B"))
