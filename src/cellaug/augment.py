@@ -19,11 +19,13 @@ import numpy as np
 
 from .core import FingerprintDatabase, TowerId
 from .distfit import FittedDistribution, fit_database, sample_from
-from .preprocess import SampleSet, vectorize
+from .preprocess import SampleSet, location_blocks
 from .util import ConfigError, derive_rng, parse_bool, read_kv_config
 from .vae import VaeModel, VaeTrainConfig, generate, train_vae
 
 MAX_THRESHOLD_CANDIDATES = 12  # 2^12 - 1 variants caps the combinatorial path
+# In augment_all's row order; AugmentConfig has a <name>_enabled flag for each.
+TECHNIQUES = ("noise", "sampling", "drop_random", "drop_threshold", "vae")
 
 
 @dataclass(frozen=True)
@@ -74,24 +76,13 @@ class AugmentConfig:
 
     @staticmethod
     def none_enabled() -> "AugmentConfig":
-        return AugmentConfig(
-            noise_enabled=False, sampling_enabled=False, drop_random_enabled=False,
-            drop_threshold_enabled=False, vae_enabled=False,
-        )
+        return AugmentConfig(**{f"{name}_enabled": False for name in TECHNIQUES})
 
     def only(self, technique: str) -> "AugmentConfig":
         """Copy of this config with a single technique enabled."""
-        flags = {
-            "noise": "noise_enabled",
-            "sampling": "sampling_enabled",
-            "drop_random": "drop_random_enabled",
-            "drop_threshold": "drop_threshold_enabled",
-            "vae": "vae_enabled",
-        }
-        if technique not in flags:
+        if technique not in TECHNIQUES:
             raise ConfigError(f"unknown technique: {technique}")
-        updates = {name: (key == technique) for key, name in flags.items()}
-        return replace(self, **updates)
+        return replace(self, **{f"{name}_enabled": name == technique for name in TECHNIQUES})
 
     @staticmethod
     def from_dict(raw: dict[str, str]) -> "AugmentConfig":
@@ -153,7 +144,7 @@ CONFIG_KEYS = {
 def compute_stats(db: FingerprintDatabase) -> dict[int, LocationStats]:
     """Per-location signal statistics over scans where each tower was heard."""
     out: dict[int, LocationStats] = {}
-    for loc, x, heard in _location_blocks(db):
+    for loc, x, heard in location_blocks(db):
         mins, maxs, means = (np.zeros(db.n_towers) for _ in range(3))
         for j in np.flatnonzero(np.any(heard, axis=0)):
             values = x[heard[:, j], j]
@@ -250,16 +241,6 @@ def augment_drop_threshold(x: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _location_blocks(db: FingerprintDatabase):
-    """Each location with its scans' rows and heard mask, in database order."""
-    samples, heard = vectorize(db)
-    start = 0
-    for loc in db.locations:
-        stop = start + len(loc.scans)
-        yield loc, samples.x[start:stop], heard[start:stop]
-        start = stop
-
-
 def train_location_vaes(
     db: FingerprintDatabase, cfg: AugmentConfig
 ) -> dict[int, VaeModel]:
@@ -269,7 +250,7 @@ def train_location_vaes(
     vae_cfg = VaeTrainConfig(
         epochs=cfg.vae_epochs, learning_rate=cfg.vae_learning_rate, seed=cfg.seed
     )
-    for loc, x, _ in _location_blocks(db):
+    for loc, x, _ in location_blocks(db):
         if len(loc.scans) < 2:
             warnings.warn(
                 f"location {loc.location_id}: only {len(loc.scans)} scan(s), "
@@ -293,10 +274,10 @@ def augment_all(
     when not supplied. Returns the combined samples and the per-technique
     sample counts.
     """
-    per_loc = list(_location_blocks(db))
+    per_loc = list(location_blocks(db))
     blocks: dict[str, list[tuple[int, np.ndarray]]] = {
         "original": [(loc.location_id, x) for loc, x, _ in per_loc],
-        "noise": [], "sampling": [], "drop_random": [], "drop_threshold": [], "vae": [],
+        **{name: [] for name in TECHNIQUES},
     }
 
     needs_stats = cfg.noise_enabled or cfg.drop_random_enabled

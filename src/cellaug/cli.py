@@ -38,15 +38,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-PROFILE_KEYS = {
-    "profile.learning_rate": ("learning_rate", float),
-    "profile.batch_size": ("batch_size", int),
-    "profile.dropout_rate": ("dropout_rate", float),
-    "profile.epochs": ("epochs", int),
-    "profile.hidden_neurons": ("hidden_neurons", int),
-    "profile.hidden_layers": ("hidden_layers", int),
-}
-
 
 def _split_config(path: str | None) -> tuple[dict[str, str], dict[str, str]]:
     """Separate profile.* keys from augmentation keys in one config file."""
@@ -65,16 +56,19 @@ def _resolve_profile(kind: str, profile_raw: dict[str, str]) -> HyperProfile:
         return default_profile(kind)
     if kind != "custom":
         raise ConfigError(f"unknown profile: {kind}")
+    # profile.<field> overrides a HyperProfile field, parsed as the desk value's type
+    base = desk_profile()
+    names = {f.name for f in dataclasses.fields(HyperProfile)}
     overrides = {}
     for key, value in profile_raw.items():
-        if key not in PROFILE_KEYS:
+        name = key.removeprefix("profile.")
+        if name not in names:
             raise ConfigError(f"unknown profile config key: {key}")
-        name, cast = PROFILE_KEYS[key]
         try:
-            overrides[name] = cast(value)
+            overrides[name] = type(getattr(base, name))(value)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    return dataclasses.replace(desk_profile(), **overrides)
+    return dataclasses.replace(base, **overrides)
 
 
 def _resolve_aug_config(aug_raw: dict[str, str], seed: int | None) -> AugmentConfig:

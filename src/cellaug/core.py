@@ -9,6 +9,7 @@ scan per line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,6 +155,8 @@ def load_database(path: str | Path) -> FingerprintDatabase:
         header = json.loads(lines[0])
         testbed = str(header["testbed"])
         grid_cell_m = float(header["grid_cell_m"])
+        if not math.isfinite(grid_cell_m):
+            raise ValueError(f"non-finite grid_cell_m: {grid_cell_m}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DatabaseFormatError(f"{path}: line 1: bad header: {exc}") from exc
 
@@ -166,6 +169,8 @@ def load_database(path: str | Path) -> FingerprintDatabase:
             rec = json.loads(raw)
             loc_id = int(rec["loc"])
             xy = (float(rec["x"]), float(rec["y"]))
+            if not all(map(math.isfinite, xy)):
+                raise ValueError(f"non-finite coordinates: {xy}")
             scan = RawScan(
                 timestamp=int(rec["ts"]),
                 readings=tuple((str(t), int(a)) for t, a in rec["readings"]),

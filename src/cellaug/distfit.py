@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gammaln, polygamma, psi
 
 from .core import FingerprintDatabase
-from .preprocess import normalize_asu
+from .preprocess import location_blocks
 from .util import as_rng
 
 BOUNDARY_EPS = 1e-4     # Beta/Gamma likelihoods diverge at 0 and 1
@@ -252,13 +252,8 @@ def fit_database(db: FingerprintDatabase) -> dict[int, dict[str, FittedDistribut
     Samples are the normalized ASU values of the scans where the tower was
     heard; towers never heard at a location are absent from its mapping.
     """
-    fits: dict[int, dict[str, FittedDistribution]] = {}
-    for loc in db.locations:
-        per_tower: dict[str, list[float]] = {}
-        for scan in loc.scans:
-            for tower, asu in scan.readings:
-                per_tower.setdefault(tower, []).append(normalize_asu(asu))
-        fits[loc.location_id] = {
-            tower: fit_best(np.array(values)) for tower, values in sorted(per_tower.items())
-        }
-    return fits
+    return {
+        loc.location_id: {db.tower_universe[j]: fit_best(x[heard[:, j], j])
+                          for j in np.flatnonzero(np.any(heard, axis=0))}
+        for loc, x, heard in location_blocks(db)
+    }

@@ -175,10 +175,6 @@ def _train_seed(seed: int) -> int:
     return int(derive_rng(seed, "localizer-train").integers(0, 2**31))
 
 
-def predict_probabilities(model: LocalizerModel, x: np.ndarray) -> np.ndarray:
-    return forward(model.network, x, train_mode=False)
-
-
 def weighted_centroid(probabilities: np.ndarray, coordinates: np.ndarray) -> np.ndarray:
     """Average of the reference coordinates weighted by class probability."""
     p = np.asarray(probabilities, dtype=np.float64)
@@ -188,7 +184,7 @@ def weighted_centroid(probabilities: np.ndarray, coordinates: np.ndarray) -> np.
 def estimate_location(model: LocalizerModel, x: np.ndarray) -> np.ndarray:
     """Probability-weighted average of all reference coordinates, for one
     vector or for each row of a matrix aligned to the model's towers."""
-    p = predict_probabilities(model, np.asarray(x, dtype=np.float64))
+    p = forward(model.network, np.asarray(x, dtype=np.float64))
     return weighted_centroid(p, model.coordinate_matrix)
 
 
@@ -231,6 +227,8 @@ def model_to_dict(model: LocalizerModel) -> dict:
 def model_from_dict(data: dict) -> LocalizerModel:
     profile = HyperProfile(**data["profile"])
     coords = {int(k): (float(v[0]), float(v[1])) for k, v in data["coords"].items()}
+    if not np.all(np.isfinite(list(coords.values()))):
+        raise ValueError("non-finite coordinates")
     return LocalizerModel(
         network=network_from_dict(data["network"]),
         profile=profile,

@@ -2,7 +2,8 @@
 
 Shared by the localization classifier (softmax head) and the generative
 augmenter (tanh/sigmoid/linear heads). No autodiff: gradients are the exact
-analytic expressions for the fixed affine + activation topology.
+analytic expressions for the fixed affine + activation topology; a softmax
+head takes the fused cross-entropy gradient (probs - targets) / n.
 """
 
 from __future__ import annotations
@@ -63,12 +64,11 @@ class Gradients:
 
 @dataclass
 class ForwardCache:
-    """Intermediate values needed by backward(): inputs, pre-activations,
-    pure activations, the values actually fed forward (after dropout), and
-    the dropout multipliers."""
+    """Intermediate values needed by backward(): inputs, pure activations,
+    the values actually fed forward (after dropout), and the dropout
+    multipliers."""
 
     x: np.ndarray
-    zs: list[np.ndarray] = field(default_factory=list)
     post: list[np.ndarray] = field(default_factory=list)
     fed: list[np.ndarray] = field(default_factory=list)
     drop: list[np.ndarray | None] = field(default_factory=list)
@@ -80,7 +80,6 @@ class TrainConfig:
     batch_size: int
     epochs: int
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
@@ -155,8 +154,7 @@ def forward_with_cache(
     a = x
     last = len(net.layers) - 1
     for i, (spec, w, b) in enumerate(zip(net.layers, net.weights, net.biases)):
-        z = a @ w + b
-        post = _activate(z, spec.activation)
+        post = _activate(a @ w + b, spec.activation)
         if not np.all(np.isfinite(post)):
             raise FloatingPointError(f"non-finite activation in layer {i}")
         mask = None
@@ -165,7 +163,6 @@ def forward_with_cache(
             keep = 1.0 - net.dropout_rate
             mask = (rng.random(post.shape) < keep) / keep
             fed = post * mask
-        cache.zs.append(z)
         cache.post.append(post)
         cache.fed.append(fed)
         cache.drop.append(mask)
@@ -186,20 +183,14 @@ def forward(
     return out[0] if single else out
 
 
-def _activation_grad(spec: LayerSpec, z: np.ndarray, post: np.ndarray, d_post: np.ndarray) -> np.ndarray:
+def _activation_grad(spec: LayerSpec, post: np.ndarray, d_post: np.ndarray) -> np.ndarray:
     if spec.activation == "relu":
-        return d_post * (z > 0.0)
+        return d_post * (post > 0.0)
     if spec.activation == "tanh":
         return d_post * (1.0 - post**2)
     if spec.activation == "sigmoid":
         return d_post * post * (1.0 - post)
-    if spec.activation == "linear":
-        return d_post
-    if spec.activation == "softmax":
-        # full Jacobian product: dz = p*(dp - sum(dp*p))
-        inner = np.sum(d_post * post, axis=1, keepdims=True)
-        return post * (d_post - inner)
-    raise ValueError(f"unknown activation: {spec.activation}")
+    return d_post  # linear, or a softmax head fed dLoss/dLogits (see backward)
 
 
 def backward(
@@ -207,7 +198,8 @@ def backward(
 ) -> tuple[Gradients, np.ndarray]:
     """Exact gradients of the cached forward pass.
 
-    loss_grad is dLoss/dOutput (same shape as the output batch). Returns
+    loss_grad is dLoss/dOutput (same shape as the output batch) or, for a
+    softmax head, dLoss/dLogits as softmax_cross_entropy returns it. Returns
     parameter gradients and dLoss/dInput for chaining through sub-networks.
     """
     loss_grad = np.asarray(loss_grad, dtype=np.float64)
@@ -219,7 +211,7 @@ def backward(
     d_fed = loss_grad
     for i in range(len(net.layers) - 1, -1, -1):
         d_post = d_fed if cache.drop[i] is None else d_fed * cache.drop[i]
-        delta = _activation_grad(net.layers[i], cache.zs[i], cache.post[i], d_post)
+        delta = _activation_grad(net.layers[i], cache.post[i], d_post)
         a_prev = cache.x if i == 0 else cache.fed[i - 1]
         d_weights[i] = a_prev.T @ delta
         d_biases[i] = np.sum(delta, axis=0)
@@ -242,14 +234,13 @@ def sgd_step(net: DenseNetwork, grads: Gradients, learning_rate: float) -> Dense
 def softmax_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of softmax outputs against one-hot targets.
 
-    Returns (loss, dLoss/dProbs); chained through the softmax Jacobian this
-    yields the classic probs - targets gradient at the logits.
+    Returns (loss, dLoss/dLogits = (probs - targets) / n), the gradient that
+    backward() passes through a softmax head. The 1e-300 floor only bounds
+    the loss (690.8 for a row whose target probability underflows).
     """
     n = probs.shape[0]
-    safe = np.maximum(probs, 1e-300)
-    loss = float(-np.sum(targets * np.log(safe)) / n)
-    grad = -(targets / safe) / n
-    return loss, grad
+    loss = float(-np.sum(targets * np.log(np.maximum(probs, 1e-300))) / n)
+    return loss, (probs - targets) / n
 
 
 def squared_error(outputs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -274,9 +265,9 @@ def train(
     loss_fn,
     cfg: TrainConfig,
 ) -> tuple[DenseNetwork, list[float]]:
-    """Epochs of shuffled mini-batch SGD; returns the per-epoch loss trace.
+    """Epochs of mini-batch SGD in random order; returns the per-epoch loss trace.
 
-    loss_fn(outputs, targets) must return (mean batch loss, dLoss/dOutputs).
+    loss_fn(outputs, targets) must return (mean batch loss, loss_grad for backward()).
     Deterministic for a fixed config seed; raises TrainingDiverged if the
     loss goes non-finite.
     """
@@ -291,7 +282,7 @@ def train(
     n = inputs.shape[0]
     trace: list[float] = []
     for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]

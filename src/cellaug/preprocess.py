@@ -93,3 +93,13 @@ def vectorize_database(
 ) -> SampleSet:
     """The rows of :func:`vectorize` without the heard mask."""
     return vectorize(db, towers)[0]
+
+
+def location_blocks(db: FingerprintDatabase):
+    """Each location with its scans' rows and heard mask, in database order."""
+    samples, heard = vectorize(db)
+    start = 0
+    for loc in db.locations:
+        stop = start + len(loc.scans)
+        yield loc, samples.x[start:stop], heard[start:stop]
+        start = stop

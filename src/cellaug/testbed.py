@@ -46,7 +46,6 @@ class TestbedSpec:
     seed: int
     grid_spacing_m: float | None = None
     points: tuple[tuple[float, float], ...] | None = None
-    heard_cap: int = MAX_READINGS_PER_SCAN
 
     def __post_init__(self):
         if len(self.towers) < 2:
@@ -57,8 +56,6 @@ class TestbedSpec:
             raise ConfigError("either grid_spacing_m or explicit points required")
         if self.scans_per_location < 1:
             raise ConfigError("scans_per_location must be >= 1")
-        if self.heard_cap != MAX_READINGS_PER_SCAN:
-            raise ConfigError(f"heard cap is fixed at {MAX_READINGS_PER_SCAN}")
         if len(self.reference_points()) < 2:
             raise ConfigError("need at least 2 reference locations")
 
@@ -109,7 +106,7 @@ def generate(spec: TestbedSpec) -> FingerprintDatabase:
                 )
             heard.sort(key=lambda pair: (-pair[1], pair[0]))
             readings = tuple(
-                (tower_id, dbm_to_asu(dbm)) for tower_id, dbm in heard[: spec.heard_cap]
+                (tower_id, dbm_to_asu(dbm)) for tower_id, dbm in heard[:MAX_READINGS_PER_SCAN]
             )
             scans.append(RawScan(timestamp=s, readings=readings))
         locations.append(

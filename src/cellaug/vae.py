@@ -7,12 +7,13 @@ plus the closed-form KL against the standard normal prior, with the
 reparameterization trick for gradient flow. New samples come from decoding
 standard-normal latent draws.
 
-Training weights the reconstruction term by 1/sigma_rec^2 (default
-sigma_rec = 0.1, i.e. a Gaussian decoder calibrated to the scale of
-normalized RSS). With a unit-variance decoder the KL term dominates on
+Training weights the reconstruction term by RECON_WEIGHT = 1/sigma_rec^2
+with sigma_rec = 0.1, i.e. a Gaussian decoder calibrated to the scale of
+normalized RSS. With a unit-variance decoder the KL term dominates on
 data whose per-tower variance is far below 1 and the posterior collapses,
 leaving the decoder blind to the latent and destroying exactly the
-joint-structure capture this augmenter exists for.
+joint-structure capture this augmenter exists for. Batches are the full
+location up to 64 rows, else chunks of 32.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ HIDDEN_UNITS = 10
 # Per-location datasets are small: full batch up to this size, else chunks of 32.
 FULL_BATCH_LIMIT = 64
 MINI_BATCH = 32
+RECON_WEIGHT = 100.0  # 1/sigma_rec^2 for sigma_rec = 0.1
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,6 @@ class VaeTrainConfig:
     epochs: int = 3000
     learning_rate: float = 0.001
     seed: int = 0
-    batch_size: int | None = None  # None: full batch if n <= 64, else 32
-    recon_weight: float = 100.0    # 1/sigma_rec^2; 1.0 recovers the unweighted loss
 
 
 @dataclass(frozen=True)
@@ -100,26 +100,19 @@ class VaeCache:
 
 
 def build_vae(
-    n_features: int, seed, latent_dim: int = LATENT_DIM, hidden: int = HIDDEN_UNITS,
+    n_features: int, seed: int, latent_dim: int = LATENT_DIM, hidden: int = HIDDEN_UNITS,
     location_id: int = -1,
 ) -> VaeModel:
     """Fresh encoder/decoder pair with the 10-5-10 bottleneck structure."""
-    root = _seed_int(seed)
     enc = init_network(
         [LayerSpec(n_features, hidden, "tanh"), LayerSpec(hidden, 2 * latent_dim, "linear")],
-        derive_rng(root, "vae-encoder"),
+        derive_rng(seed, "vae-encoder"),
     )
     dec = init_network(
         [LayerSpec(latent_dim, hidden, "tanh"), LayerSpec(hidden, n_features, "sigmoid")],
-        derive_rng(root, "vae-decoder"),
+        derive_rng(seed, "vae-decoder"),
     )
     return VaeModel(enc, dec, location_id)
-
-
-def _seed_int(seed) -> int:
-    if isinstance(seed, np.random.Generator):
-        return int(seed.integers(0, 2**32))
-    return int(seed)
 
 
 def kl_to_standard_normal(mu: np.ndarray, log_var: np.ndarray) -> float:
@@ -137,8 +130,8 @@ def _batch_loss(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> tuple[VaeLos
     xhat, dec_cache = forward_with_cache(model.decoder, z)
     n = x.shape[0]
     rec = 0.5 * np.sum((x - xhat) ** 2) / n
-    kl = 0.5 * np.sum(np.exp(log_var) + mu**2 - 1.0 - log_var) / n
-    return VaeLoss(float(rec), float(kl)), VaeCache(enc_cache, dec_cache, x, xhat, mu, log_var, eps)
+    kl = kl_to_standard_normal(mu, log_var) / n
+    return VaeLoss(float(rec), kl), VaeCache(enc_cache, dec_cache, x, xhat, mu, log_var, eps)
 
 
 def vae_grads(
@@ -191,9 +184,9 @@ def train_vae(
     if n < 2:
         raise ValueError(f"too few samples to train a VAE: {n}")
 
-    model = build_vae(x.shape[1], derive_rng(cfg.seed, "vae-init", location_id),
-                      location_id=location_id)
-    batch = cfg.batch_size or (n if n <= FULL_BATCH_LIMIT else MINI_BATCH)
+    init_seed = int(derive_rng(cfg.seed, "vae-init", location_id).integers(0, 2**32))
+    model = build_vae(x.shape[1], init_seed, location_id=location_id)
+    batch = n if n <= FULL_BATCH_LIMIT else MINI_BATCH
     rng = derive_rng(cfg.seed, "vae-train", location_id)
 
     trace: list[float] = []
@@ -204,10 +197,10 @@ def train_vae(
             idx = order[start : start + batch]
             eps = rng.standard_normal((idx.size, model.latent_dim))
             loss, cache = _batch_loss(model, x[idx], eps)
-            enc_grads, dec_grads = vae_grads(model, cache, cfg.recon_weight)
+            enc_grads, dec_grads = vae_grads(model, cache, RECON_WEIGHT)
             sgd_step(model.encoder, enc_grads, cfg.learning_rate)
             sgd_step(model.decoder, dec_grads, cfg.learning_rate)
-            total += (cfg.recon_weight * loss.reconstruction + loss.kl) * idx.size
+            total += (RECON_WEIGHT * loss.reconstruction + loss.kl) * idx.size
         epoch_loss = total / n
         trace.append(epoch_loss)
         if not np.isfinite(epoch_loss):

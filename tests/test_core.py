@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellaug.core import (
+    ASU_MAX,
+    MAX_READINGS_PER_SCAN,
     DatabaseFormatError,
     FingerprintDatabase,
     RawScan,
@@ -149,6 +153,26 @@ class TestSerialization:
         with pytest.raises(DatabaseFormatError, match="conflicting coordinates"):
             load_database(path)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_coordinates_rejected(self, tmp_path, bad):
+        path = tmp_path / "xy.jsonl"
+        path.write_text(
+            '{"testbed": "x", "grid_cell_m": 1}\n'
+            '{"loc": 0, "x": 0, "y": 0, "ts": 0, "readings": [["A", 1]]}\n'
+            f'{{"loc": 1, "x": {bad}, "y": 0, "ts": 0, "readings": [["A", 2]]}}\n'
+        )
+        with pytest.raises(DatabaseFormatError, match=r"xy\.jsonl: line 3: non-finite"):
+            load_database(path)
+
+    def test_non_finite_grid_cell_rejected(self, tmp_path):
+        path = tmp_path / "grid.jsonl"
+        path.write_text(
+            '{"testbed": "x", "grid_cell_m": NaN}\n'
+            '{"loc": 0, "x": 0, "y": 0, "ts": 0, "readings": [["A", 1]]}\n'
+        )
+        with pytest.raises(DatabaseFormatError, match=r"grid\.jsonl: line 1: .*non-finite"):
+            load_database(path)
+
     def test_unwritable_path_raises_io_error(self, small_db, tmp_path):
         with pytest.raises(OSError):
             save_database(small_db, tmp_path / "missing_dir" / "db.jsonl")
@@ -190,6 +214,36 @@ class TestSerialization:
             path = tmp_path / f"r{trial}.jsonl"
             save_database(db, path)
             assert load_database(path) == db
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def surveys(draw):
+    """Databases of 1-4 locations with 1-3 scans each, arbitrary finite
+    coordinates and grid size, and free-form tower ids and testbed name."""
+    towers = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=9, unique=True))
+    loc_ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4, unique=True))
+    locations = []
+    for loc_id in loc_ids:
+        scans = []
+        for _ in range(draw(st.integers(1, 3))):
+            heard = draw(st.lists(st.sampled_from(towers), min_size=1,
+                                  max_size=MAX_READINGS_PER_SCAN, unique=True))
+            asus = draw(st.lists(st.integers(0, ASU_MAX), min_size=len(heard), max_size=len(heard)))
+            scans.append(scan(draw(st.integers(-2**40, 2**40)), zip(heard, asus)))
+        locations.append(ReferenceLocation(loc_id, (draw(finite), draw(finite)), tuple(scans)))
+    return from_locations(locations, testbed=draw(st.text(max_size=8)), grid_cell_m=draw(finite))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(db=surveys())
+    def test_load_inverts_save(self, tmp_path_factory, db):
+        path = tmp_path_factory.mktemp("survey") / "db.jsonl"
+        save_database(db, path)
+        assert load_database(path) == db
 
 
 class TestHeardCountHistogram:

@@ -17,11 +17,11 @@ from cellaug.localize import (
     make_report,
     model_from_dict,
     model_to_dict,
-    predict_probabilities,
     save_model,
     train_localizer,
     weighted_centroid,
 )
+from cellaug.nn import forward
 from cellaug.preprocess import SampleSet
 
 TOWERS = ("T0", "T1", "T2", "T3")
@@ -78,7 +78,7 @@ class TestTrainLocalizer:
         vectors, coords = toy_square_vectors()
         model = train_localizer(vectors, FAST, coords, seed=1)
         x, labels = vectors.x, vectors.labels
-        pred = predict_probabilities(model, x).argmax(axis=1)
+        pred = forward(model.network, x).argmax(axis=1)
         predicted_ids = np.array(model.classes)[pred]
         assert np.mean(predicted_ids == labels) >= 0.95
 
@@ -139,7 +139,7 @@ class TestEstimateLocation:
     def test_probabilities_sum_to_one(self):
         vectors, coords = toy_square_vectors(n_per_loc=5)
         model = train_localizer(vectors, FAST, coords, seed=0)
-        p = predict_probabilities(model, np.full(4, 0.5))
+        p = forward(model.network, np.full(4, 0.5))
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -256,6 +256,16 @@ class TestModelSerialization:
         path = tmp_path / "old.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ModelFormatError, match="towers"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coordinates_rejected(self, tmp_path, bad):
+        vectors, coords = toy_square_vectors(n_per_loc=3)
+        data = model_to_dict(train_localizer(vectors, FAST, coords, seed=5))
+        data["coords"]["1"][0] = bad
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelFormatError, match="model.json.*non-finite"):
             load_model(path)
 
     def test_desk_profile_reasonable(self):

@@ -126,16 +126,31 @@ class TestBackward:
         assert np.all(d_in == 0.0)
 
     def test_softmax_cross_entropy_logit_gradient(self):
-        # chained through the softmax Jacobian the gradient is (o - t) / n
+        # the fused head: the loss hands (o - t) / n to backward, which
+        # passes it through the softmax as the gradient at the logits
         net = init_network([LayerSpec(3, 4, "softmax")], 2)
         rng = np.random.default_rng(3)
         x = rng.normal(0, 1, (6, 3))
         t = one_hot(rng.integers(0, 4, 6), 4)
         out, cache = forward_with_cache(net, x)
         _, d_out = softmax_cross_entropy(out, t)
-        inner = np.sum(d_out * out, axis=1, keepdims=True)
-        delta = out * (d_out - inner)
-        assert np.allclose(delta, (out - t) / 6, atol=1e-12)
+        assert np.array_equal(d_out, (out - t) / 6)
+        grads, _ = backward(net, cache, d_out)
+        assert np.allclose(grads.biases[0], np.sum(out - t, axis=0) / 6, atol=1e-15)
+        assert np.allclose(grads.weights[0], x.T @ (out - t) / 6, atol=1e-15)
+
+    def test_saturated_softmax_row_keeps_exact_gradient(self):
+        # logit gap 800: the target's probability underflows to 0, yet the
+        # logit gradient is still (p - t) / n and the loss stays finite
+        net = DenseNetwork([LayerSpec(1, 2, "softmax")], [np.zeros((1, 2))],
+                           [np.array([0.0, 800.0])])
+        t = one_hot(np.array([0]), 2)
+        out, cache = forward_with_cache(net, np.zeros((1, 1)))
+        assert out[0, 0] == 0.0
+        loss, d_out = softmax_cross_entropy(out, t)
+        assert loss == pytest.approx(-np.log(1e-300))
+        grads, _ = backward(net, cache, d_out)
+        assert np.array_equal(grads.biases[0], [-1.0, 1.0])
 
 
 class TestSgd:

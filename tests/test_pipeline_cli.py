@@ -338,6 +338,33 @@ class TestCliEvaluateInputs:
         assert code == 2
         assert len(errors) == 1
 
+    def test_non_finite_model_coordinates_exit_2(self, tmp_path, trained, capsys):
+        db_path, model_path = trained
+        data = json.loads(model_path.read_text())
+        data["coords"]["0"][0] = float("nan")
+        model_path.write_text(json.dumps(data))
+        code, errors = self.evaluate(model_path, db_path, tmp_path, capsys)
+        assert code == 2
+        assert len(errors) == 1 and str(model_path) in errors[0]
+
+    def test_non_finite_survey_coordinates_exit_2(self, tmp_path, trained, capsys):
+        db_path, model_path = trained
+        lines = db_path.read_text().splitlines()
+        scan = json.loads(lines[1])
+        scan["x"] = float("nan")
+        lines[1] = json.dumps(scan)
+        bad = tmp_path / "nan.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code, errors = self.evaluate(model_path, bad, tmp_path, capsys)
+        assert code == 2
+        assert len(errors) == 1 and f"{bad}: line 2: non-finite" in errors[0]
+        code = main(["train", str(bad), "--no-augment", "--train-scans", "4",
+                     "--out", str(tmp_path / "nan_model.json")])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert code == 2
+        assert len(errors) == 1 and f"{bad}: line 2: non-finite" in errors[0]
+
     def test_overflowing_weights_exit_1(self, tmp_path, trained, capsys):
         db_path, model_path = trained
         data = json.loads(model_path.read_text())

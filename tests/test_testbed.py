@@ -162,11 +162,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="grid_spacing_m or explicit points"):
             spec_with(towers, points=None)
 
-    def test_heard_cap_fixed_at_seven(self):
-        towers = [Tower("A", (0.0, 0.0), -50.0), Tower("B", (1.0, 0.0), -50.0)]
-        with pytest.raises(ConfigError, match="fixed at 7"):
-            spec_with(towers, heard_cap=5)
-
     def test_needs_two_locations(self):
         towers = [Tower("A", (0.0, 0.0), -50.0), Tower("B", (1.0, 0.0), -50.0)]
         with pytest.raises(ConfigError, match="at least 2 reference locations"):
