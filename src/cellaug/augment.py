@@ -21,7 +21,7 @@ from .core import FingerprintDatabase, TowerId
 from .distfit import FittedDistribution, fit_database, sample_from
 from .preprocess import SampleSet, location_blocks
 from .util import ConfigError, derive_rng, parse_bool, read_kv_config
-from .vae import VaeModel, VaeTrainConfig, generate, train_vae
+from .vae import VaeModel, VaeTrainConfig, generate, train_vaes
 
 MAX_THRESHOLD_CANDIDATES = 12  # 2^12 - 1 variants caps the combinatorial path
 # In augment_all's row order; AugmentConfig has a <name>_enabled flag for each.
@@ -244,12 +244,14 @@ def augment_drop_threshold(x: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
 def train_location_vaes(
     db: FingerprintDatabase, cfg: AugmentConfig
 ) -> dict[int, VaeModel]:
-    """Train one VAE per location; locations with fewer than 2 scans are
-    skipped with a warning."""
-    models: dict[int, VaeModel] = {}
+    """Train one VAE per location, all locations with the same scan count
+    in one stacked run; locations with fewer than 2 scans are skipped with
+    a warning. Returns the models in location order."""
     vae_cfg = VaeTrainConfig(
         epochs=cfg.vae_epochs, learning_rate=cfg.vae_learning_rate, seed=cfg.seed
     )
+    groups: dict[int, list[tuple[int, np.ndarray]]] = {}  # scan count -> (id, rows)
+    kept: list[int] = []
     for loc, x, _ in location_blocks(db):
         if len(loc.scans) < 2:
             warnings.warn(
@@ -257,8 +259,13 @@ def train_location_vaes(
                 "skipping VAE training"
             )
             continue
-        models[loc.location_id] = train_vae(x, vae_cfg, location_id=loc.location_id)
-    return models
+        groups.setdefault(len(x), []).append((loc.location_id, x))
+        kept.append(loc.location_id)
+    models: dict[int, VaeModel] = {}
+    for group in groups.values():
+        ids = [loc_id for loc_id, _ in group]
+        models.update(zip(ids, train_vaes(np.stack([x for _, x in group]), vae_cfg, ids)))
+    return {loc_id: models[loc_id] for loc_id in kept}
 
 
 def augment_all(

@@ -68,7 +68,10 @@ def _resolve_profile(kind: str, profile_raw: dict[str, str]) -> HyperProfile:
             overrides[name] = type(getattr(base, name))(value)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    return dataclasses.replace(base, **overrides)
+    try:
+        return dataclasses.replace(base, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _resolve_aug_config(aug_raw: dict[str, str], seed: int | None) -> AugmentConfig:

@@ -4,6 +4,8 @@ For each (location, tower) pair the normalized RSS samples are fitted with
 Beta, Gamma and Gaussian models; the family with the highest log-likelihood
 wins. Constant data falls back to a point mass. The Gamma and Beta solvers
 are Newton iterations on the score equations, using digamma/trigamma.
+scipy.special is imported inside the functions that use it, so a command
+that fits nothing never loads scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, polygamma, psi
 
 from .core import FingerprintDatabase
 from .preprocess import location_blocks
@@ -72,6 +73,8 @@ def fit_gaussian(samples) -> FittedDistribution:
 
 
 def _gamma_log_likelihood(x: np.ndarray, shape: float, scale: float) -> float:
+    from scipy.special import gammaln
+
     return float(
         (shape - 1.0) * np.sum(np.log(x))
         - np.sum(x) / scale
@@ -85,6 +88,8 @@ def fit_gamma(samples) -> FittedDistribution:
     With scale profiled out (scale = mean / shape), the shape k solves
     log(k) - digamma(k) = log(mean) - mean(log x).
     """
+    from scipy.special import polygamma, psi
+
     x = _as_samples(samples)
     if x.size < 2:
         raise FitError(f"too few samples: {x.size}")
@@ -124,12 +129,16 @@ def beta_method_of_moments(mean: float, var: float) -> tuple[float, float]:
 
 
 def _beta_log_likelihood(a: float, b: float, n: int, mean_log: float, mean_log1m: float) -> float:
+    from scipy.special import gammaln
+
     return float(n * ((a - 1.0) * mean_log + (b - 1.0) * mean_log1m
                       - (gammaln(a) + gammaln(b) - gammaln(a + b))))
 
 
 def fit_beta(samples) -> FittedDistribution:
     """Beta MLE by two-dimensional Newton on the score, moments-initialized."""
+    from scipy.special import polygamma, psi
+
     x = _as_samples(samples)
     if x.size < 2:
         raise FitError(f"too few samples: {x.size}")
@@ -226,6 +235,8 @@ def score_norm(dist: FittedDistribution, samples) -> float:
 
     Diagnostic for the Newton solvers; near-zero at a true MLE.
     """
+    from scipy.special import psi
+
     x = _as_samples(samples)
     n = x.size
     if dist.family == GAUSSIAN:

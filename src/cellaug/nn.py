@@ -4,6 +4,10 @@ Shared by the localization classifier (softmax head) and the generative
 augmenter (tanh/sigmoid/linear heads). No autodiff: gradients are the exact
 analytic expressions for the fixed affine + activation topology; a softmax
 head takes the fused cross-entropy gradient (probs - targets) / n.
+
+A network may carry a leading stack axis: weights (L, in, out), biases
+(L, out), inputs (L, n, in). Its L networks then run as one batched matmul
+per layer, each slice computing exactly what the unstacked network would.
 """
 
 from __future__ import annotations
@@ -17,6 +21,27 @@ import numpy as np
 from .util import as_rng
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear", "softmax")
+
+
+class NonFiniteError(FloatingPointError):
+    """A non-finite activation or gradient. `slices` lists the flat indices
+    over a stacked network's leading axes that hold one (empty when the
+    network is not stacked)."""
+
+    def __init__(self, message: str, slices: list[int]):
+        super().__init__(message)
+        self.slices = slices
+
+
+def _non_finite(message: str, arrays: list[np.ndarray], lead: int) -> NonFiniteError:
+    """The error for arrays that failed a finiteness check; the first `lead`
+    axes of each array are the stack axes."""
+    if not lead:
+        return NonFiniteError(message, [])
+    bad = np.zeros(arrays[0].shape[:lead], dtype=bool)
+    for a in arrays:
+        bad |= ~np.isfinite(a.reshape(a.shape[:lead] + (-1,))).all(axis=-1)
+    return NonFiniteError(message, np.flatnonzero(bad).tolist())
 
 
 class TrainingDiverged(RuntimeError):
@@ -127,9 +152,9 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "linear":
         return z
     if kind == "softmax":
-        shifted = z - np.max(z, axis=1, keepdims=True)
+        shifted = z - np.max(z, axis=-1, keepdims=True)
         e = np.exp(shifted)
-        return e / np.sum(e, axis=1, keepdims=True)
+        return e / np.sum(e, axis=-1, keepdims=True)
     raise ValueError(f"unknown activation: {kind}")
 
 
@@ -139,14 +164,15 @@ def forward_with_cache(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Batched forward pass. x is (n, input_dim); returns (n, output_dim).
+    """Batched forward pass. x is (n, input_dim), or (L, n, input_dim) for a
+    stacked network; returns (..., n, output_dim).
 
     In train mode, hidden activations are masked by inverted dropout so the
     eval-mode pass needs no rescaling.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ValueError(f"expected input shape (n, {net.input_dim}), got {x.shape}")
+    if x.ndim < 2 or x.shape[-1] != net.input_dim:
+        raise ValueError(f"expected input shape (..., n, {net.input_dim}), got {x.shape}")
     if train_mode and net.dropout_rate > 0.0 and rng is None:
         raise ValueError("train_mode with dropout requires an rng")
 
@@ -154,9 +180,9 @@ def forward_with_cache(
     a = x
     last = len(net.layers) - 1
     for i, (spec, w, b) in enumerate(zip(net.layers, net.weights, net.biases)):
-        post = _activate(a @ w + b, spec.activation)
-        if not np.all(np.isfinite(post)):
-            raise FloatingPointError(f"non-finite activation in layer {i}")
+        post = _activate(a @ w + b[..., None, :], spec.activation)
+        if not np.isfinite(post).all():
+            raise _non_finite(f"non-finite activation in layer {i}", [post], post.ndim - 2)
         mask = None
         fed = post
         if train_mode and net.dropout_rate > 0.0 and i != last:
@@ -213,17 +239,17 @@ def backward(
         d_post = d_fed if cache.drop[i] is None else d_fed * cache.drop[i]
         delta = _activation_grad(net.layers[i], cache.post[i], d_post)
         a_prev = cache.x if i == 0 else cache.fed[i - 1]
-        d_weights[i] = a_prev.T @ delta
-        d_biases[i] = np.sum(delta, axis=0)
-        d_fed = delta @ net.weights[i].T
+        d_weights[i] = a_prev.swapaxes(-1, -2) @ delta
+        d_biases[i] = np.sum(delta, axis=-2)
+        d_fed = delta @ net.weights[i].swapaxes(-1, -2)
     return Gradients(d_weights, d_biases), d_fed
 
 
 def sgd_step(net: DenseNetwork, grads: Gradients, learning_rate: float) -> DenseNetwork:
     """In-place SGD update: theta <- theta - lr * grad."""
-    for g in grads.weights + grads.biases:
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient")
+    arrays = grads.weights + grads.biases
+    if not all(np.isfinite(g).all() for g in arrays):
+        raise _non_finite("non-finite gradient", arrays, grads.weights[0].ndim - 2)
     for w, gw in zip(net.weights, grads.weights):
         w -= learning_rate * gw
     for b, gb in zip(net.biases, grads.biases):

@@ -14,6 +14,14 @@ data whose per-tower variance is far below 1 and the posterior collapses,
 leaving the decoder blind to the latent and destroying exactly the
 joint-structure capture this augmenter exists for. Batches are the full
 location up to 64 rows, else chunks of 32.
+
+Locations with the same row count train together as one stack: every
+parameter gains a leading location axis, (L, in, out), and each SGD step
+runs the forward, backward and update of all L models as one batched pass
+through the nn engine. Each location still draws from its own "vae-init"
+and "vae-train" streams, in the order a lone run would, so a model trained
+in a stack is bit-identical to the same location trained alone
+(train_vae is the L = 1 case).
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .nn import (
     DenseNetwork,
     Gradients,
     LayerSpec,
+    NonFiniteError,
     TrainingDiverged,
     backward,
     forward,
@@ -57,8 +66,10 @@ class VaeTrainConfig:
 
 @dataclass(frozen=True)
 class VaeLoss:
-    reconstruction: float
-    kl: float
+    """Batch-mean loss terms: floats, or (L,) arrays for a stacked model."""
+
+    reconstruction: float | np.ndarray
+    kl: float | np.ndarray
 
     @property
     def total(self) -> float:
@@ -115,37 +126,43 @@ def build_vae(
     return VaeModel(enc, dec, location_id)
 
 
-def kl_to_standard_normal(mu: np.ndarray, log_var: np.ndarray) -> float:
-    """KL(N(mu, diag(exp(log_var))) || N(0, I)) in closed form."""
+def _slice_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the last two axes, one total per stacked slice."""
+    return np.sum(values.reshape(values.shape[:-2] + (-1,)), axis=-1)
+
+
+def kl_to_standard_normal(mu: np.ndarray, log_var: np.ndarray) -> float | np.ndarray:
+    """KL(N(mu, diag(exp(log_var))) || N(0, I)) in closed form, summed over
+    the rows of each stacked slice of (L, n, d) inputs."""
     mu = np.asarray(mu, dtype=np.float64)
     log_var = np.asarray(log_var, dtype=np.float64)
-    return float(0.5 * np.sum(np.exp(log_var) + mu**2 - 1.0 - log_var))
+    return 0.5 * _slice_sum(np.exp(log_var) + mu**2 - 1.0 - log_var)
 
 
 def _batch_loss(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> tuple[VaeLoss, VaeCache]:
     enc_out, enc_cache = forward_with_cache(model.encoder, x)
     d = model.latent_dim
-    mu, log_var = enc_out[:, :d], enc_out[:, d:]
+    mu, log_var = enc_out[..., :d], enc_out[..., d:]
     z = mu + np.exp(0.5 * log_var) * eps
     xhat, dec_cache = forward_with_cache(model.decoder, z)
-    n = x.shape[0]
-    rec = 0.5 * np.sum((x - xhat) ** 2) / n
+    n = x.shape[-2]
+    rec = 0.5 * _slice_sum((x - xhat) ** 2) / n
     kl = kl_to_standard_normal(mu, log_var) / n
-    return VaeLoss(float(rec), kl), VaeCache(enc_cache, dec_cache, x, xhat, mu, log_var, eps)
+    return VaeLoss(rec, kl), VaeCache(enc_cache, dec_cache, x, xhat, mu, log_var, eps)
 
 
 def vae_grads(
     model: VaeModel, cache: VaeCache, recon_weight: float = 1.0
 ) -> tuple[Gradients, Gradients]:
     """Analytic encoder/decoder gradients of recon_weight * rec + kl."""
-    n = cache.x.shape[0]
+    n = cache.x.shape[-2]
     d_xhat = recon_weight * (cache.xhat - cache.x) / n
     dec_grads, d_z = backward(model.decoder, cache.dec_cache, d_xhat)
     sigma = np.exp(0.5 * cache.log_var)
     d_mu = d_z + cache.mu / n
     d_log_var = d_z * cache.eps * 0.5 * sigma + 0.5 * (np.exp(cache.log_var) - 1.0) / n
     enc_grads, _ = backward(
-        model.encoder, cache.enc_cache, np.concatenate([d_mu, d_log_var], axis=1)
+        model.encoder, cache.enc_cache, np.concatenate([d_mu, d_log_var], axis=-1)
     )
     return enc_grads, dec_grads
 
@@ -169,6 +186,86 @@ def vae_loss(
     return _batch_loss(model, values[None, :], np.asarray(eps, dtype=np.float64)[None, :])
 
 
+def stack_vaes(models: list[VaeModel]) -> VaeModel:
+    """One model whose parameters are those of `models` stacked along a new
+    leading axis, in order (location_id -1)."""
+
+    def stack(nets: list[DenseNetwork]) -> DenseNetwork:
+        return DenseNetwork(
+            nets[0].layers,
+            [np.stack(ws) for ws in zip(*(net.weights for net in nets))],
+            [np.stack(bs) for bs in zip(*(net.biases for net in nets))],
+        )
+
+    return VaeModel(stack([m.encoder for m in models]), stack([m.decoder for m in models]), -1)
+
+
+def _diverged(location_ids: list[int], slices, traces: np.ndarray, what: str) -> TrainingDiverged:
+    ids = [location_ids[i] for i in slices]
+    label = "location" if len(ids) == 1 else "locations"
+    return TrainingDiverged(
+        f"VAE training ({label} {', '.join(map(str, ids))}): {what}",
+        traces[:, slices[0]].tolist(),
+    )
+
+
+def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> list[VaeModel]:
+    """Train one VAE per slice of the (L, n, m) stack x in one stacked pass.
+
+    Slice l holds the rows of location location_ids[l], which seeds and
+    names its model. Returns the L models, each with its loss trace.
+    Raises TrainingDiverged naming the locations whose slice went
+    non-finite, with the trace of the first of them.
+    """
+    n_locations, n, _ = x.shape
+    if n < 2:
+        raise ValueError(f"too few samples to train a VAE: {n}")
+
+    models = [
+        build_vae(x.shape[2], int(derive_rng(cfg.seed, "vae-init", loc).integers(0, 2**32)),
+                  location_id=loc)
+        for loc in location_ids
+    ]
+    stacked = stack_vaes(models)
+    rngs = [derive_rng(cfg.seed, "vae-train", loc) for loc in location_ids]
+    batch = n if n <= FULL_BATCH_LIMIT else MINI_BATCH
+    rows = np.arange(n_locations)[:, None]
+
+    traces = np.empty((cfg.epochs, n_locations))
+    for epoch in range(cfg.epochs):
+        # Per location: its permutation, then the eps of every batch in turn.
+        # One (n, d) draw is those per-batch draws: the generator fills in order.
+        draws = [(rng.permutation(n), rng.standard_normal((n, stacked.latent_dim)))
+                 for rng in rngs]
+        order = np.stack([perm for perm, _ in draws])
+        eps_epoch = np.stack([eps for _, eps in draws])
+        total = np.zeros(n_locations)
+        for start in range(0, n, batch):
+            idx = order[:, start : start + batch]
+            eps = eps_epoch[:, start : start + batch]
+            try:
+                loss, cache = _batch_loss(stacked, x[rows, idx], eps)
+                enc_grads, dec_grads = vae_grads(stacked, cache, RECON_WEIGHT)
+                sgd_step(stacked.encoder, enc_grads, cfg.learning_rate)
+                sgd_step(stacked.decoder, dec_grads, cfg.learning_rate)
+            except NonFiniteError as exc:
+                raise _diverged(location_ids, exc.slices, traces[:epoch],
+                                f"{exc} at epoch {epoch + 1}") from exc
+            total += (RECON_WEIGHT * loss.reconstruction + loss.kl) * idx.shape[1]
+        traces[epoch] = total / n
+        bad = np.flatnonzero(~np.isfinite(traces[epoch]))
+        if bad.size:
+            raise _diverged(location_ids, bad, traces[: epoch + 1],
+                            f"loss diverged at epoch {epoch + 1}")
+
+    for i, model in enumerate(models):
+        for net, stack in ((model.encoder, stacked.encoder), (model.decoder, stacked.decoder)):
+            net.weights = [w[i] for w in stack.weights]
+            net.biases = [b[i] for b in stack.biases]
+        model.trace = traces[:, i].tolist()
+    return models
+
+
 def train_vae(
     x: np.ndarray,
     cfg: VaeTrainConfig | None = None,
@@ -176,40 +273,10 @@ def train_vae(
 ) -> VaeModel:
     """Train one VAE on the (n, m) rows of one location; returns the model
     with its loss trace."""
-    cfg = cfg or VaeTrainConfig()
     if location_id is None:
         raise ValueError("location_id required: it seeds and names the model")
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError(f"too few samples to train a VAE: {n}")
-
-    init_seed = int(derive_rng(cfg.seed, "vae-init", location_id).integers(0, 2**32))
-    model = build_vae(x.shape[1], init_seed, location_id=location_id)
-    batch = n if n <= FULL_BATCH_LIMIT else MINI_BATCH
-    rng = derive_rng(cfg.seed, "vae-train", location_id)
-
-    trace: list[float] = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            eps = rng.standard_normal((idx.size, model.latent_dim))
-            loss, cache = _batch_loss(model, x[idx], eps)
-            enc_grads, dec_grads = vae_grads(model, cache, RECON_WEIGHT)
-            sgd_step(model.encoder, enc_grads, cfg.learning_rate)
-            sgd_step(model.decoder, dec_grads, cfg.learning_rate)
-            total += (RECON_WEIGHT * loss.reconstruction + loss.kl) * idx.size
-        epoch_loss = total / n
-        trace.append(epoch_loss)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDiverged(
-                f"VAE training (location {location_id}): loss diverged "
-                f"at epoch {len(trace)}", trace
-            )
-    model.trace = trace
-    return model
+    return train_vaes(x[None], cfg or VaeTrainConfig(), [location_id])[0]
 
 
 def generate(model: VaeModel, rng, n: int) -> np.ndarray:

@@ -10,11 +10,13 @@ from cellaug.augment import (
     augment_noise,
     augment_sampling,
     compute_stats,
+    train_location_vaes,
 )
 from cellaug.core import RawScan, ReferenceLocation, from_locations
 from cellaug.distfit import FittedDistribution
-from cellaug.preprocess import normalize_asu, vectorize_database
+from cellaug.preprocess import location_blocks, normalize_asu, vectorize_database
 from cellaug.util import ConfigError
+from cellaug.vae import VaeTrainConfig, train_vae
 
 
 def rows(values, n=1):
@@ -290,6 +292,35 @@ class TestAugmentAll:
         vectors, counts = augment_all(two_tower_db, cfg)
         assert counts["noise"] == 4 * cfg.noise_per_scan
         assert counts["sampling"] == 0 and counts["vae"] == 0
+
+
+class TestTrainLocationVaes:
+    def test_stacked_groups_equal_lone_runs(self):
+        rng = np.random.default_rng(12)
+        towers = ("A", "B", "C", "D")
+        locations = []
+        for loc_id, n_scans in enumerate((1, 2, 5, 5, 70)):
+            scans = tuple(
+                RawScan(t, tuple((tw, int(rng.integers(3, 31))) for tw in towers
+                                 if rng.random() < 0.8) or (("A", 9),))
+                for t in range(n_scans))
+            locations.append(ReferenceLocation(loc_id, (float(loc_id), 0.0), scans))
+        db = from_locations(locations)
+        cfg = AugmentConfig(vae_epochs=25, vae_learning_rate=0.01, seed=4)
+        with pytest.warns(UserWarning, match="location 0: only 1 scan"):
+            models = train_location_vaes(db, cfg)
+        assert list(models) == [1, 2, 3, 4]
+        vae_cfg = VaeTrainConfig(epochs=25, learning_rate=0.01, seed=4)
+        for loc, x, _ in location_blocks(db):
+            if loc.location_id == 0:
+                continue
+            alone = train_vae(x, vae_cfg, location_id=loc.location_id)
+            model = models[loc.location_id]
+            assert model.location_id == loc.location_id
+            assert model.trace == alone.trace
+            for net, net_alone in ((model.encoder, alone.encoder), (model.decoder, alone.decoder)):
+                for a, b in zip(net.weights + net.biases, net_alone.weights + net_alone.biases):
+                    assert np.array_equal(a, b)
 
 
 class TestAugmentConfig:

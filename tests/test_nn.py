@@ -4,6 +4,7 @@ import pytest
 from cellaug.nn import (
     DenseNetwork,
     LayerSpec,
+    NonFiniteError,
     TrainConfig,
     TrainingDiverged,
     backward,
@@ -187,6 +188,71 @@ class TestSgd:
         from cellaug.nn import Gradients
         with pytest.raises(FloatingPointError):
             sgd_step(net, Gradients([np.array([[np.inf]])], [np.array([0.0])]), 0.1)
+
+
+class TestStacked:
+    """A network with a leading stack axis computes, slice by slice, exactly
+    what the unstacked networks compute."""
+
+    SPECS = [LayerSpec(4, 6, "tanh"), LayerSpec(6, 5, "relu"),
+             LayerSpec(5, 4, "sigmoid"), LayerSpec(4, 3, "softmax")]
+
+    def _nets(self):
+        rng = np.random.default_rng(6)
+        nets = [init_network(self.SPECS, seed) for seed in range(3)]
+        for net in nets:
+            for b in net.biases:
+                b[:] = rng.normal(0, 0.5, b.shape)
+        stacked = DenseNetwork(self.SPECS,
+                               [np.stack(ws) for ws in zip(*(n.weights for n in nets))],
+                               [np.stack(bs) for bs in zip(*(n.biases for n in nets))])
+        return nets, stacked
+
+    def test_forward_backward_sgd_equal_per_slice(self):
+        nets, stacked = self._nets()
+        rng = np.random.default_rng(7)
+        x = rng.normal(0, 1, (3, 7, 4))
+        loss_grad = rng.normal(0, 1, (3, 7, 3))
+        out, cache = forward_with_cache(stacked, x)
+        grads, d_in = backward(stacked, cache, loss_grad)
+        sgd_step(stacked, grads, 0.1)
+        for i, net in enumerate(nets):
+            out_i, cache_i = forward_with_cache(net, x[i])
+            assert np.array_equal(out[i], out_i)
+            grads_i, d_in_i = backward(net, cache_i, loss_grad[i])
+            assert np.array_equal(d_in[i], d_in_i)
+            for g, g_i in zip(grads.weights + grads.biases, grads_i.weights + grads_i.biases):
+                assert np.array_equal(g[i], g_i)
+            sgd_step(net, grads_i, 0.1)
+            for p, p_i in zip(stacked.weights + stacked.biases, net.weights + net.biases):
+                assert np.array_equal(p[i], p_i)
+
+    def test_input_last_axis_checked(self):
+        _, stacked = self._nets()
+        with pytest.raises(ValueError, match="input shape"):
+            forward_with_cache(stacked, np.zeros((3, 7, 5)))
+
+    def test_non_finite_errors_name_their_slices(self):
+        nets, stacked = self._nets()
+        stacked.biases[1][1] = np.inf
+        with pytest.raises(NonFiniteError, match="layer 1") as excinfo:
+            forward_with_cache(stacked, np.ones((3, 2, 4)))
+        assert excinfo.value.slices == [1]
+        _, cache = forward_with_cache(nets[0], np.ones((2, 4)))
+        grads, _ = backward(nets[0], cache, np.ones((2, 3)))
+        assert grads.weights[0].ndim == 2
+        grads.biases[2][0] = np.nan
+        with pytest.raises(NonFiniteError, match="gradient") as excinfo:
+            sgd_step(nets[0], grads, 0.1)
+        assert excinfo.value.slices == []
+        _, stacked = self._nets()
+        out, cache = forward_with_cache(stacked, np.ones((3, 2, 4)))
+        grads, _ = backward(stacked, cache, np.ones_like(out))
+        grads.biases[3][0, 1] = np.inf
+        grads.weights[1][2, 0, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="gradient") as excinfo:
+            sgd_step(stacked, grads, 0.1)
+        assert excinfo.value.slices == [0, 2]
 
 
 class TestTrain:

@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +293,54 @@ class TestCliTrainEvaluateCompare:
         assert main(["compare", str(db_path), "--config", str(cfg_path),
                      "--profile", "indoor", "--train-scans", "4",
                      "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is needed only to fit distributions; evaluate and synth never load it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, cellaug.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+class TestCliExitCodes:
+    @staticmethod
+    def run(argv, capsys):
+        capsys.readouterr()
+        code = main(argv)
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        return code, errors
+
+    def test_out_of_range_profile_value_exits_2(self, tmp_path, capsys):
+        db_path = tmp_path / "db.jsonl"
+        save_database(tiny_db(), db_path)
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("profile.epochs = 0\n")
+        code, errors = self.run(["train", str(db_path), "--config", str(cfg_path),
+                                 "--no-augment", "--train-scans", "4",
+                                 "--out", str(tmp_path / "m.json")], capsys)
+        assert code == 2
+        assert len(errors) == 1 and "positive" in errors[0]
+
+    def test_diverging_vae_exits_1_naming_a_location(self, tmp_path, capsys):
+        db_path = tmp_path / "db.jsonl"
+        save_database(tiny_db(), db_path)
+        cfg_path = tmp_path / "diverge.cfg"
+        cfg_path.write_text("noise.enabled = false\nsampling.enabled = false\n"
+                            "drop_random.enabled = false\ndrop_threshold.enabled = false\n"
+                            "vae.epochs = 50\nvae.learning_rate = 1e9\n")
+        with np.errstate(all="ignore"):
+            code, errors = self.run(["augment", str(db_path), "--config", str(cfg_path),
+                                     "--train-scans", "4", "--out", str(tmp_path / "v.jsonl")],
+                                    capsys)
+        assert code == 1
+        assert len(errors) == 1
+        assert re.search(r"VAE training \(locations? \d", errors[0])
 
 
 class TestCliEvaluateInputs:

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from cellaug.nn import TrainingDiverged
 from cellaug.vae import (
     VaeTrainConfig,
+    _batch_loss,
     build_vae,
     generate,
     kl_to_standard_normal,
     load_vae_models,
     save_vae_models,
+    stack_vaes,
     train_vae,
+    train_vaes,
     vae_from_dict,
     vae_grads,
     vae_loss,
@@ -134,6 +138,44 @@ class TestTrainVae:
     def test_array_input_needs_location_id(self):
         with pytest.raises(ValueError, match="location_id"):
             train_vae(np.zeros((5, 2)), VaeTrainConfig(epochs=1))
+
+
+class TestStacked:
+    def test_grads_equal_per_slice_with_frozen_eps(self):
+        models = [build_vae(4, seed, location_id=seed) for seed in range(3)]
+        stacked = stack_vaes(models)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0.1, 0.9, (3, 6, 4))
+        eps = rng.standard_normal((3, 6, stacked.latent_dim))
+        loss, cache = _batch_loss(stacked, x, eps)
+        enc_grads, dec_grads = vae_grads(stacked, cache, recon_weight=100.0)
+        for i, model in enumerate(models):
+            loss_i, cache_i = _batch_loss(model, x[i], eps[i])
+            assert loss.reconstruction[i] == loss_i.reconstruction
+            assert loss.kl[i] == loss_i.kl
+            for stacked_grads, grads_i in zip((enc_grads, dec_grads),
+                                              vae_grads(model, cache_i, recon_weight=100.0)):
+                for g, g_i in zip(stacked_grads.weights + stacked_grads.biases,
+                                  grads_i.weights + grads_i.biases):
+                    assert np.array_equal(g[i], g_i)
+
+    def test_diverging_loss_names_its_location(self):
+        x = np.stack([correlated_vectors(8, 0.5, seed) for seed in range(3)])
+        x[1] *= 1e160  # squared error overflows in slice 1 only
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged) as excinfo:
+                train_vaes(x, VaeTrainConfig(epochs=5, seed=0), [10, 11, 12])
+        assert str(excinfo.value) == "VAE training (location 11): loss diverged at epoch 1"
+        assert excinfo.value.trace == [np.inf]
+
+    def test_non_finite_step_names_its_locations(self):
+        x = np.stack([correlated_vectors(8, 0.5, seed) for seed in range(3)])
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged, match=r"^VAE training \(locations? 1\d") as excinfo:
+                train_vaes(x, VaeTrainConfig(epochs=50, learning_rate=1e9, seed=0),
+                           [10, 11, 12])
+        assert "non-finite" in str(excinfo.value)
+        assert len(excinfo.value.trace) >= 1 and np.all(np.isfinite(excinfo.value.trace))
 
 
 class TestGenerate:
