@@ -18,21 +18,20 @@ print(f"testbed '{spec.name}': {spec.area[0]:.0f}x{spec.area[1]:.0f} m, "
       f"{len(spec.towers)} towers, {spec.scans_per_location} scans/location")
 
 db = generate(spec)
-print(f"generated {len(db.locations)} reference locations, "
+print(f"generated {len(db.location_ids)} reference locations, "
       f"tower universe {db.tower_universe}")
 
 # How many towers does one scan hear? Weak towers flicker around the
 # sensitivity floor, so the count varies scan to scan.
-overall = Counter(len(s.readings) for loc in db.locations for s in loc.scans)
+overall = Counter(db.heard.sum(axis=1).tolist())
 total = sum(overall.values())
 print("\nheard-tower counts over all scans:")
 for k in sorted(overall):
     bar = "#" * int(60 * overall[k] / total)
     print(f"  {k} towers: {overall[k]/total:5.1%} {bar}")
 
-corner = db.locations[0]
-print(f"\nlocation 0 at {corner.coordinates}:")
-for k, p in heard_count_histogram(corner).items():
+print(f"\nlocation 0 at {tuple(db.coordinates[0].tolist())}:")
+for k, p in heard_count_histogram(db.heard[db.scan_location == 0]).items():
     print(f"  hears {k} towers with probability {p:.2f}")
 
 x = vectorize_database(db).x

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 
 from cellaug.distfit import fit_best, fit_database, sample_from
-from cellaug.preprocess import normalize_asu
+from cellaug.preprocess import location_blocks
 from cellaug.testbed import default_desk_spec, generate
 
 db = generate(default_desk_spec())
@@ -22,24 +22,20 @@ print("winning family over all (location, tower) pairs:")
 for family, count in tally.most_common():
     print(f"  {family:10s} {count}")
 
-loc = db.locations[14]
-print(f"\nlocation {loc.location_id} at {loc.coordinates}:")
-for tower, fit in fits[loc.location_id].items():
+loc_id, x, heard = list(location_blocks(db))[14]
+print(f"\nlocation {loc_id} at {tuple(db.coordinates[14].tolist())}:")
+for tower, fit in fits[loc_id].items():
     params = ", ".join(f"{p:.3f}" for p in fit.params)
     ll = f"{fit.log_likelihood:8.1f}" if np.isfinite(fit.log_likelihood) else "     inf"
     print(f"  {tower}: {fit.family:10s} ({params})  log-likelihood {ll}  n={fit.sample_count}")
 
 # Compare a fitted model's samples against the raw data moments.
 tower = "T00"
-samples = np.array([
-    normalize_asu(asu)
-    for scan in loc.scans
-    for t, asu in scan.readings
-    if t == tower
-])
-fit = fits[loc.location_id][tower]
+j = db.tower_universe.index(tower)
+samples = x[heard[:, j], j]
+fit = fits[loc_id][tower]
 draws = sample_from(fit, rng=7, n=50_000)
-print(f"\n{tower} at location {loc.location_id}: fitted {fit.family}")
+print(f"\n{tower} at location {loc_id}: fitted {fit.family}")
 print(f"  data  mean {samples.mean():.4f}  std {samples.std():.4f}  (n={samples.size})")
 print(f"  model mean {draws.mean():.4f}  std {draws.std():.4f}  (n={draws.size})")
 

@@ -17,9 +17,8 @@ from cellaug.augment import (
     augment_sampling,
     compute_stats,
 )
-from cellaug.core import from_locations
 from cellaug.distfit import fit_database
-from cellaug.preprocess import vectorize
+from cellaug.preprocess import location_blocks
 from cellaug.testbed import default_desk_spec, generate
 from cellaug.util import derive_rng
 
@@ -29,14 +28,13 @@ def show(name, values):
 
 
 db = generate(default_desk_spec())
-loc = db.locations[7]
-stats = compute_stats(db)[loc.location_id]
 # Each technique works on row blocks: here the location's scans, one row each,
 # with the heard mask that tells a heard ASU 0 from an unheard tower.
-samples, heard = vectorize(from_locations([loc]), db.tower_universe)
-v, mask = samples.x[:1], heard[:1]  # the first scan
+loc_id, x, heard = list(location_blocks(db))[7]
+stats = compute_stats(db)[loc_id]
+v, mask = x[:1], heard[:1]  # the first scan
 
-print(f"location {loc.location_id} at {loc.coordinates}, first scan:")
+print(f"location {loc_id} at {tuple(db.coordinates[7].tolist())}, first scan:")
 show("towers", range(len(db.tower_universe)))
 show("original", v[0])
 show("noise scale s", stats.noise_scale)
@@ -49,7 +47,7 @@ for row in augment_noise(np.repeat(v, 3, axis=0), np.repeat(mask, 3, axis=0), st
 print("\nindependent per-tower sampling from fitted distributions:")
 fits = fit_database(db)
 rng = derive_rng(0, "demo-sampling")
-for sample in augment_sampling(heard, fits[loc.location_id], db.tower_universe, rng, 3):
+for sample in augment_sampling(heard, fits[loc_id], db.tower_universe, rng, 3):
     show("sampled", sample)
 
 print("\nrandom tower dropper (protected: strongest mean tower):")

@@ -11,8 +11,8 @@ from cellaug.pipeline import run_comparison
 from cellaug.testbed import default_desk_spec, generate
 
 db = generate(default_desk_spec())
-print(f"survey: {len(db.locations)} locations x "
-      f"{len(db.locations[0].scans)} scans, {db.n_towers} towers")
+print(f"survey: {len(db.location_ids)} locations x "
+      f"{db.scan_counts[0]} scans, {db.n_towers} towers")
 
 cfg = AugmentConfig(seed=1)
 profile = desk_profile()

@@ -7,20 +7,24 @@ zeroes a random subset of heard towers (never the strongest-mean one, the
 serving-cell proxy); the threshold dropper enumerates all removal
 combinations of weak entries. Everything is deterministic given the config
 seed: each (technique, location) pair gets its own derived RNG stream.
+
+The heard mask, not the value, decides whether a tower was heard: a heard
+ASU-0 reading (value 0) counts in the statistics and fits, and the threshold
+dropper takes only strictly positive entries as candidates, so it never
+drops one (doing so would change no value).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .core import FingerprintDatabase, TowerId
 from .distfit import FittedDistribution, fit_database, sample_from
 from .preprocess import SampleSet, location_blocks
-from .util import ConfigError, derive_rng, parse_bool, read_kv_config
+from .util import ConfigError, derive_rng, parse_bool
 from .vae import VaeModel, VaeTrainConfig, generate, train_vaes
 
 MAX_THRESHOLD_CANDIDATES = 12  # 2^12 - 1 variants caps the combinatorial path
@@ -94,10 +98,6 @@ class AugmentConfig:
             kwargs[name] = parser(value, key)
         return AugmentConfig(**kwargs)
 
-    @staticmethod
-    def from_file(path: str | Path) -> "AugmentConfig":
-        return AugmentConfig.from_dict(read_kv_config(path))
-
     def to_dict(self) -> dict:
         return {key: getattr(self, name) for key, (name, _) in CONFIG_KEYS.items()}
 
@@ -144,13 +144,13 @@ CONFIG_KEYS = {
 def compute_stats(db: FingerprintDatabase) -> dict[int, LocationStats]:
     """Per-location signal statistics over scans where each tower was heard."""
     out: dict[int, LocationStats] = {}
-    for loc, x, heard in location_blocks(db):
+    for loc_id, x, heard in location_blocks(db):
         mins, maxs, means = (np.zeros(db.n_towers) for _ in range(3))
         for j in np.flatnonzero(np.any(heard, axis=0)):
             values = x[heard[:, j], j]
             mins[j], maxs[j], means[j] = values.min(), values.max(), values.mean()
-        out[loc.location_id] = LocationStats(
-            location_id=loc.location_id,
+        out[loc_id] = LocationStats(
+            location_id=loc_id,
             min_values=mins,
             max_values=maxs,
             mean_values=means,
@@ -252,15 +252,12 @@ def train_location_vaes(
     )
     groups: dict[int, list[tuple[int, np.ndarray]]] = {}  # scan count -> (id, rows)
     kept: list[int] = []
-    for loc, x, _ in location_blocks(db):
-        if len(loc.scans) < 2:
-            warnings.warn(
-                f"location {loc.location_id}: only {len(loc.scans)} scan(s), "
-                "skipping VAE training"
-            )
+    for loc_id, x, _ in location_blocks(db):
+        if len(x) < 2:
+            warnings.warn(f"location {loc_id}: only {len(x)} scan(s), skipping VAE training")
             continue
-        groups.setdefault(len(x), []).append((loc.location_id, x))
-        kept.append(loc.location_id)
+        groups.setdefault(len(x), []).append((loc_id, x))
+        kept.append(loc_id)
     models: dict[int, VaeModel] = {}
     for group in groups.values():
         ids = [loc_id for loc_id, _ in group]
@@ -283,7 +280,7 @@ def augment_all(
     """
     per_loc = list(location_blocks(db))
     blocks: dict[str, list[tuple[int, np.ndarray]]] = {
-        "original": [(loc.location_id, x) for loc, x, _ in per_loc],
+        "original": [(loc_id, x) for loc_id, x, _ in per_loc],
         **{name: [] for name in TECHNIQUES},
     }
 
@@ -292,43 +289,43 @@ def augment_all(
 
     if cfg.noise_enabled:
         k = cfg.noise_per_scan
-        for loc, x, heard in per_loc:
-            rng = derive_rng(cfg.seed, "noise", loc.location_id)
+        for loc_id, x, heard in per_loc:
+            rng = derive_rng(cfg.seed, "noise", loc_id)
             rows = augment_noise(np.repeat(x, k, axis=0), np.repeat(heard, k, axis=0),
-                                 stats[loc.location_id], rng)
-            blocks["noise"].append((loc.location_id, rows))
+                                 stats[loc_id], rng)
+            blocks["noise"].append((loc_id, rows))
 
     if cfg.sampling_enabled:
         if fits is None:
             fits = fit_database(db)
-        for loc, _, heard in per_loc:
-            rng = derive_rng(cfg.seed, "sampling", loc.location_id)
-            n = cfg.sampling_n_per_location or 10 * len(loc.scans)
-            rows = augment_sampling(heard, fits[loc.location_id], db.tower_universe, rng, n)
-            blocks["sampling"].append((loc.location_id, rows))
+        for loc_id, _, heard in per_loc:
+            rng = derive_rng(cfg.seed, "sampling", loc_id)
+            n = cfg.sampling_n_per_location or 10 * len(heard)
+            rows = augment_sampling(heard, fits[loc_id], db.tower_universe, rng, n)
+            blocks["sampling"].append((loc_id, rows))
 
     if cfg.drop_random_enabled:
         k = cfg.drop_random_per_scan
-        for loc, x, heard in per_loc:
-            rng = derive_rng(cfg.seed, "drop_random", loc.location_id)
+        for loc_id, x, heard in per_loc:
+            rng = derive_rng(cfg.seed, "drop_random", loc_id)
             rows = augment_drop_random(np.repeat(x, k, axis=0), np.repeat(heard, k, axis=0),
-                                       stats[loc.location_id], cfg, rng)
-            blocks["drop_random"].append((loc.location_id, rows))
+                                       stats[loc_id], cfg, rng)
+            blocks["drop_random"].append((loc_id, rows))
 
     if cfg.drop_threshold_enabled:
-        for loc, x, _ in per_loc:
-            blocks["drop_threshold"].append((loc.location_id, augment_drop_threshold(x, cfg)))
+        for loc_id, x, _ in per_loc:
+            blocks["drop_threshold"].append((loc_id, augment_drop_threshold(x, cfg)))
 
     if cfg.vae_enabled:
         if vae_models is None:
             vae_models = train_location_vaes(db, cfg)
-        for loc, _, _ in per_loc:
-            model = vae_models.get(loc.location_id)
+        for loc_id, x, _ in per_loc:
+            model = vae_models.get(loc_id)
             if model is None:
                 continue
-            rng = derive_rng(cfg.seed, "vae-generate", loc.location_id)
-            n = cfg.vae_n_per_location or 10 * len(loc.scans)
-            blocks["vae"].append((loc.location_id, generate(model, rng, n)))
+            rng = derive_rng(cfg.seed, "vae-generate", loc_id)
+            n = cfg.vae_n_per_location or 10 * len(x)
+            blocks["vae"].append((loc_id, generate(model, rng, n)))
 
     counts = {name: sum(len(rows) for _, rows in bl) for name, bl in blocks.items()}
     ordered = [block for bl in blocks.values() for block in bl]

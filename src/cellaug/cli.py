@@ -15,6 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .augment import AugmentConfig, augment_all
 from .core import DatabaseFormatError, FingerprintDatabase, load_database, save_database
 from .distfit import fit_database
@@ -108,7 +110,7 @@ def cmd_synth(args) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     db = generate(spec)
     save_database(db, args.out)
-    print(f"wrote {len(db.locations)} locations, {db.n_towers} towers -> {args.out}")
+    print(f"wrote {len(db.location_ids)} locations, {db.n_towers} towers -> {args.out}")
     return EXIT_OK
 
 
@@ -181,6 +183,11 @@ def cmd_evaluate(args) -> int:
     unknown = sorted(set(db.tower_universe) - set(model.towers))
     if unknown:
         raise ConfigError(f"{args.database}: towers unknown to the model: {', '.join(unknown)}")
+    model_xy = [model.coords.get(loc, (np.nan, np.nan)) for loc in db.location_ids.tolist()]
+    wrong = db.location_ids[np.any(np.reshape(model_xy, (-1, 2)) != db.coordinates, axis=1)]
+    if wrong.size:
+        raise ConfigError(f"{args.database}: locations unknown to the model or at other "
+                          f"coordinates: {', '.join(map(str, wrong.tolist()))}")
     _, db_test = _split_db(db, args)
     report = evaluate(model, vectorize_database(db_test, model.towers))
     _write_json(args.out, report.to_dict())

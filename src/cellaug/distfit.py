@@ -264,7 +264,7 @@ def fit_database(db: FingerprintDatabase) -> dict[int, dict[str, FittedDistribut
     heard; towers never heard at a location are absent from its mapping.
     """
     return {
-        loc.location_id: {db.tower_universe[j]: fit_best(x[heard[:, j], j])
-                          for j in np.flatnonzero(np.any(heard, axis=0))}
-        for loc, x, heard in location_blocks(db)
+        loc_id: {db.tower_universe[j]: fit_best(x[heard[:, j], j])
+                 for j in np.flatnonzero(np.any(heard, axis=0))}
+        for loc_id, x, heard in location_blocks(db)
     }

@@ -182,7 +182,7 @@ def forward_with_cache(
     for i, (spec, w, b) in enumerate(zip(net.layers, net.weights, net.biases)):
         post = _activate(a @ w + b[..., None, :], spec.activation)
         if not np.isfinite(post).all():
-            raise _non_finite(f"non-finite activation in layer {i}", [post], post.ndim - 2)
+            raise _non_finite(f"layer {i} activation is non-finite", [post], post.ndim - 2)
         mask = None
         fed = post
         if train_mode and net.dropout_rate > 0.0 and i != last:
@@ -249,7 +249,7 @@ def sgd_step(net: DenseNetwork, grads: Gradients, learning_rate: float) -> Dense
     """In-place SGD update: theta <- theta - lr * grad."""
     arrays = grads.weights + grads.biases
     if not all(np.isfinite(g).all() for g in arrays):
-        raise _non_finite("non-finite gradient", arrays, grads.weights[0].ndim - 2)
+        raise _non_finite("gradient is non-finite", arrays, grads.weights[0].ndim - 2)
     for w, gw in zip(net.weights, grads.weights):
         w -= learning_rate * gw
     for b, gb in zip(net.biases, grads.biases):

@@ -6,8 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .augment import AugmentConfig, augment_all
-from .core import FingerprintDatabase, ReferenceLocation
+from .core import SCAN_ARRAYS, FingerprintDatabase
 from .localize import ErrorReport, HyperProfile, evaluate, improvement, train_localizer
 from .nn import TrainingDiverged
 from .preprocess import vectorize_database
@@ -23,31 +25,24 @@ def temporal_split(
     Scans are ordered by timestamp (stable, so equal timestamps keep their
     file order) before the cut. train_scans overrides the fraction with a
     fixed per-location count.
-    Both views keep the parent's tower universe so feature indexing is
-    identical on both sides; the augmenters must only ever see the first
-    view.
+    Both views keep the parent's tower universe and locations so feature
+    indexing is identical on both sides; the augmenters must only ever see
+    the first view.
     """
     if train_scans is None and not (0.0 < train_fraction < 1.0):
         raise ValueError(f"train_fraction must be in (0, 1): {train_fraction}")
-    train_locs: list[ReferenceLocation] = []
-    test_locs: list[ReferenceLocation] = []
-    for loc in db.locations:
-        n = len(loc.scans)
-        cut = train_scans if train_scans is not None else max(1, int(n * train_fraction))
-        if not (0 < cut < n):
-            raise ValueError(
-                f"location {loc.location_id}: cannot split {n} scans into "
-                f"{cut} train + {n - cut} test"
-            )
-        scans = sorted(loc.scans, key=lambda scan: scan.timestamp)
-        train_locs.append(replace(loc, scans=scans[:cut]))
-        test_locs.append(replace(loc, scans=scans[cut:]))
-    def view(locs):
-        return FingerprintDatabase(
-            tower_universe=db.tower_universe, locations=tuple(locs),
-            testbed=db.testbed, grid_cell_m=db.grid_cell_m,
-        )
-    return view(train_locs), view(test_locs)
+    n = db.scan_counts.tolist()
+    cut = [train_scans if train_scans is not None else max(1, int(k * train_fraction)) for k in n]
+    for loc_id, k, c in zip(db.location_ids.tolist(), n, cut):
+        if not (0 < c < k):
+            raise ValueError(f"location {loc_id}: cannot split {k} scans into {c} train + {k - c} test")
+    order = np.lexsort((db.timestamps, db.scan_location))
+    rank = np.arange(order.size) - np.repeat(np.cumsum(n) - n, n)
+    train = rank < np.repeat(cut, n)
+
+    def view(rows):
+        return replace(db, **{name: getattr(db, name)[rows] for name in SCAN_ARRAYS})
+    return view(order[train]), view(order[~train])
 
 
 @dataclass(frozen=True)
@@ -73,7 +68,7 @@ class ComparisonResult:
 
 
 def database_coordinates(db: FingerprintDatabase) -> dict[int, tuple[float, float]]:
-    return {loc.location_id: loc.coordinates for loc in db.locations}
+    return dict(zip(db.location_ids.tolist(), map(tuple, db.coordinates.tolist())))
 
 
 def _train_stage(stage, samples, profile, coords, seed):

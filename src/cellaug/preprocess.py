@@ -65,27 +65,23 @@ def vectorize(
     """One row per scan, in (location, scan) order, plus the heard mask.
 
     Columns follow ``towers`` (default: the database's universe); entry j
-    holds the normalized ASU of towers[j] if heard, else 0. ASU 0 and
-    "unheard" collide at feature value 0, so augmenters that care about
-    heard-set structure read the boolean (n, m) mask instead of the values.
+    holds the normalized ASU of towers[j] if heard, else 0. A heard ASU 0
+    also reads 0, so augmenters that care about heard-set structure read
+    the boolean (n, m) mask instead of the values.
     """
     towers = db.tower_universe if towers is None else tuple(towers)
     index = {tower: j for j, tower in enumerate(towers)}
-    n = sum(len(loc.scans) for loc in db.locations)
-    x = np.zeros((n, len(towers)), dtype=np.float64)
-    heard = np.zeros((n, len(towers)), dtype=bool)
-    labels = np.empty(n, dtype=np.int64)
-    row = 0
-    for loc in db.locations:
-        for scan in loc.scans:
-            for tower, asu in scan.readings:
-                if tower not in index:
-                    raise ValueError(f"unknown tower in scan: {tower}")
-                x[row, index[tower]] = normalize_asu(asu)
-                heard[row, index[tower]] = True
-            labels[row] = loc.location_id
-            row += 1
-    return SampleSet(x, labels, towers), heard
+    heard = db.heard
+    for tower, used in zip(db.tower_universe, np.any(heard, axis=0).tolist()):
+        if used and tower not in index:
+            raise ValueError(f"unknown tower in scan: {tower}")
+    src = [j for j, tower in enumerate(db.tower_universe) if tower in index]
+    dst = [index[db.tower_universe[j]] for j in src]
+    x = np.zeros((len(heard), len(towers)))
+    out_heard = np.zeros(x.shape, dtype=bool)
+    x[:, dst] = np.where(heard[:, src], db.asu[:, src] / ASU_MAX, 0.0)
+    out_heard[:, dst] = heard[:, src]
+    return SampleSet(x, db.location_ids[db.scan_location], towers), out_heard
 
 
 def vectorize_database(
@@ -96,10 +92,8 @@ def vectorize_database(
 
 
 def location_blocks(db: FingerprintDatabase):
-    """Each location with its scans' rows and heard mask, in database order."""
+    """(location_id, rows, heard mask) for each location in database order,
+    slices of one :func:`vectorize`."""
     samples, heard = vectorize(db)
-    start = 0
-    for loc in db.locations:
-        stop = start + len(loc.scans)
-        yield loc, samples.x[start:stop], heard[start:stop]
-        start = stop
+    cuts = np.cumsum(db.scan_counts)[:-1]
+    return zip(db.location_ids.tolist(), np.split(samples.x, cuts), np.split(heard, cuts))

@@ -27,6 +27,7 @@ in a stack is bit-identical to the same location trained alone
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,12 +140,23 @@ def kl_to_standard_normal(mu: np.ndarray, log_var: np.ndarray) -> float | np.nda
     return 0.5 * _slice_sum(np.exp(log_var) + mu**2 - 1.0 - log_var)
 
 
+@contextmanager
+def _network(name: str):
+    """Prefix the engine's non-finite errors with the network they came from."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{name} {exc}", exc.slices) from exc
+
+
 def _batch_loss(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> tuple[VaeLoss, VaeCache]:
-    enc_out, enc_cache = forward_with_cache(model.encoder, x)
+    with _network("encoder"):
+        enc_out, enc_cache = forward_with_cache(model.encoder, x)
     d = model.latent_dim
     mu, log_var = enc_out[..., :d], enc_out[..., d:]
     z = mu + np.exp(0.5 * log_var) * eps
-    xhat, dec_cache = forward_with_cache(model.decoder, z)
+    with _network("decoder"):
+        xhat, dec_cache = forward_with_cache(model.decoder, z)
     n = x.shape[-2]
     rec = 0.5 * _slice_sum((x - xhat) ** 2) / n
     kl = kl_to_standard_normal(mu, log_var) / n
@@ -232,31 +244,35 @@ def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> l
     rows = np.arange(n_locations)[:, None]
 
     traces = np.empty((cfg.epochs, n_locations))
-    for epoch in range(cfg.epochs):
-        # Per location: its permutation, then the eps of every batch in turn.
-        # One (n, d) draw is those per-batch draws: the generator fills in order.
-        draws = [(rng.permutation(n), rng.standard_normal((n, stacked.latent_dim)))
-                 for rng in rngs]
-        order = np.stack([perm for perm, _ in draws])
-        eps_epoch = np.stack([eps for _, eps in draws])
-        total = np.zeros(n_locations)
-        for start in range(0, n, batch):
-            idx = order[:, start : start + batch]
-            eps = eps_epoch[:, start : start + batch]
-            try:
-                loss, cache = _batch_loss(stacked, x[rows, idx], eps)
-                enc_grads, dec_grads = vae_grads(stacked, cache, RECON_WEIGHT)
-                sgd_step(stacked.encoder, enc_grads, cfg.learning_rate)
-                sgd_step(stacked.decoder, dec_grads, cfg.learning_rate)
-            except NonFiniteError as exc:
-                raise _diverged(location_ids, exc.slices, traces[:epoch],
-                                f"{exc} at epoch {epoch + 1}") from exc
-            total += (RECON_WEIGHT * loss.reconstruction + loss.kl) * idx.shape[1]
-        traces[epoch] = total / n
-        bad = np.flatnonzero(~np.isfinite(traces[epoch]))
-        if bad.size:
-            raise _diverged(location_ids, bad, traces[: epoch + 1],
-                            f"loss diverged at epoch {epoch + 1}")
+    # The finiteness checks name the network, layer and locations of an overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            # Per location: its permutation, then the eps of every batch in turn.
+            # One (n, d) draw is those per-batch draws: the generator fills in order.
+            draws = [(rng.permutation(n), rng.standard_normal((n, stacked.latent_dim)))
+                     for rng in rngs]
+            order = np.stack([perm for perm, _ in draws])
+            eps_epoch = np.stack([eps for _, eps in draws])
+            total = np.zeros(n_locations)
+            for start in range(0, n, batch):
+                idx = order[:, start : start + batch]
+                eps = eps_epoch[:, start : start + batch]
+                try:
+                    loss, cache = _batch_loss(stacked, x[rows, idx], eps)
+                    enc_grads, dec_grads = vae_grads(stacked, cache, RECON_WEIGHT)
+                    with _network("encoder"):
+                        sgd_step(stacked.encoder, enc_grads, cfg.learning_rate)
+                    with _network("decoder"):
+                        sgd_step(stacked.decoder, dec_grads, cfg.learning_rate)
+                except NonFiniteError as exc:
+                    raise _diverged(location_ids, exc.slices, traces[:epoch],
+                                    f"{exc} at epoch {epoch + 1}") from exc
+                total += (RECON_WEIGHT * loss.reconstruction + loss.kl) * idx.shape[1]
+            traces[epoch] = total / n
+            bad = np.flatnonzero(~np.isfinite(traces[epoch]))
+            if bad.size:
+                raise _diverged(location_ids, bad, traces[: epoch + 1],
+                                f"loss diverged at epoch {epoch + 1}")
 
     for i, model in enumerate(models):
         for net, stack in ((model.encoder, stacked.encoder), (model.decoder, stacked.decoder)):

@@ -14,7 +14,7 @@ from cellaug.augment import (
 )
 from cellaug.core import RawScan, ReferenceLocation, from_locations
 from cellaug.distfit import FittedDistribution
-from cellaug.preprocess import location_blocks, normalize_asu, vectorize_database
+from cellaug.preprocess import location_blocks, normalize_asu, vectorize, vectorize_database
 from cellaug.util import ConfigError
 from cellaug.vae import VaeTrainConfig, train_vae
 
@@ -118,12 +118,11 @@ class TestNoise:
 
 class TestSampling:
     def test_degenerate_fits_reproduce_points(self, two_tower_db):
-        loc = two_tower_db.locations[0]
         fits = {
             "A": FittedDistribution("degenerate", (0.4,), float("inf"), 2),
             "B": FittedDistribution("degenerate", (0.8,), float("inf"), 2),
         }
-        heard = np.ones((len(loc.scans), 2), dtype=bool)  # both scans hear A and B
+        heard = np.ones((two_tower_db.scan_counts[0], 2), dtype=bool)  # both scans hear A and B
         out = augment_sampling(heard, fits, two_tower_db.tower_universe,
                                np.random.default_rng(0), 5)
         assert len(out) == 5
@@ -244,6 +243,36 @@ class TestDropThreshold:
             assert o[13] == pytest.approx(0.14)
 
 
+class TestHeardAsuZero:
+    """The heard mask, not the value, decides "heard": a heard ASU-0 reading
+    vectorizes to 0, counts in the statistics, and is never a threshold
+    candidate (dropping it would change no value)."""
+
+    @pytest.fixture
+    def db(self):
+        scans = (RawScan(0, (("A", 0), ("B", 3), ("C", 5))), RawScan(1, (("A", 10), ("C", 25))))
+        return from_locations([ReferenceLocation(0, (0.0, 0.0), scans)])
+
+    def test_vectorized_as_zero_but_heard(self, db):
+        samples, heard = vectorize(db)
+        assert samples.x[0].tolist() == [0.0, normalize_asu(3), normalize_asu(5)]
+        assert heard.tolist() == [[True, True, True], [True, False, True]]
+
+    def test_counted_by_stats(self, db):
+        stats = compute_stats(db)[0]
+        assert stats.min_values[0] == 0.0
+        assert stats.max_values[0] == normalize_asu(10)
+        assert stats.mean_values[0] == pytest.approx(normalize_asu(5))
+
+    def test_not_a_threshold_candidate(self, db):
+        first = vectorize_database(db).x[:1]
+        out = augment_drop_threshold(first, AugmentConfig(drop_threshold_value=0.2))
+        assert len(out) == 2**2 - 1  # B and C are candidates; the heard ASU 0 is not
+        assert np.all(out[:, 0] == 0.0)
+        assert {tuple(o) for o in out[:, 1:]} == {
+            (0.0, normalize_asu(5)), (normalize_asu(3), 0.0), (0.0, 0.0)}
+
+
 class TestAugmentAll:
     def test_only_originals(self, two_tower_db):
         vectors, counts = augment_all(two_tower_db, AugmentConfig.none_enabled())
@@ -311,12 +340,12 @@ class TestTrainLocationVaes:
             models = train_location_vaes(db, cfg)
         assert list(models) == [1, 2, 3, 4]
         vae_cfg = VaeTrainConfig(epochs=25, learning_rate=0.01, seed=4)
-        for loc, x, _ in location_blocks(db):
-            if loc.location_id == 0:
+        for loc_id, x, _ in location_blocks(db):
+            if loc_id == 0:
                 continue
-            alone = train_vae(x, vae_cfg, location_id=loc.location_id)
-            model = models[loc.location_id]
-            assert model.location_id == loc.location_id
+            alone = train_vae(x, vae_cfg, location_id=loc_id)
+            model = models[loc_id]
+            assert model.location_id == loc_id
             assert model.trace == alone.trace
             for net, net_alone in ((model.encoder, alone.encoder), (model.decoder, alone.decoder)):
                 for a, b in zip(net.weights + net.biases, net_alone.weights + net_alone.biases):

@@ -26,7 +26,8 @@ TOWERS = [f"T{i}" for i in range(6)]
 
 @st.composite
 def surveys(draw):
-    """1-3 locations of 1-4 scans, each hearing 1-6 of six towers."""
+    """1-3 locations of 1-4 scans, each hearing 1-6 of six towers, as the
+    hand-built locations; from_locations makes the database."""
     locations = []
     for loc_id in range(draw(st.integers(1, 3))):
         scans = []
@@ -34,7 +35,7 @@ def surveys(draw):
             heard = draw(st.lists(st.sampled_from(TOWERS), min_size=1, max_size=6, unique=True))
             scans.append(RawScan(ts, tuple((t, draw(st.integers(0, ASU_MAX))) for t in heard)))
         locations.append(ReferenceLocation(loc_id, (float(loc_id), 0.0), tuple(scans)))
-    return from_locations(locations)
+    return locations
 
 
 FOUR_TECHNIQUES = AugmentConfig(noise_per_scan=3, sampling_n_per_location=4,
@@ -42,10 +43,10 @@ FOUR_TECHNIQUES = AugmentConfig(noise_per_scan=3, sampling_n_per_location=4,
 
 
 @settings(max_examples=40, deadline=None)
-@given(db=surveys(), seed=st.integers(0, 2**16), threshold=st.floats(0.0, 1.0))
-def test_augment_all_invariants(db, seed, threshold):
+@given(locations=surveys(), seed=st.integers(0, 2**16), threshold=st.floats(0.0, 1.0))
+def test_augment_all_invariants(locations, seed, threshold):
     cfg = replace(FOUR_TECHNIQUES, seed=seed, drop_threshold_value=threshold)
-    out, counts = augment_all(db, cfg)
+    out, counts = augment_all(from_locations(locations), cfg)
     assert len(out) == sum(counts.values())
     assert np.all((out.x >= 0.0) & (out.x <= 1.0))
 
@@ -62,24 +63,25 @@ def test_augment_all_invariants(db, seed, threshold):
                      sum(0 < asu / ASU_MAX < threshold for _, asu in scan.readings)) - 1
             for scan in loc.scans),
     ):
-        for loc in db.locations:
+        for loc in locations:
             expected += [loc.location_id] * per_loc(loc)
     assert out.labels.tolist() == expected
 
     # no row holds a nonzero value for a tower never heard at its location
-    for loc in db.locations:
-        heard = {t for scan in loc.scans for t in scan.towers}
+    for loc in locations:
+        heard = {t for scan in loc.scans for t, _ in scan.readings}
         silent = [j for j, t in enumerate(out.towers) if t not in heard]
         assert np.all(out.x[out.labels == loc.location_id][:, silent] == 0.0)
 
 
 @settings(max_examples=40, deadline=None)
-@given(db=surveys(), seed=st.integers(0, 2**16), max_drop=st.integers(1, 6))
-def test_row_augmenters_touch_only_heard_entries(db, seed, max_drop):
+@given(locations=surveys(), seed=st.integers(0, 2**16), max_drop=st.integers(1, 6))
+def test_row_augmenters_touch_only_heard_entries(locations, seed, max_drop):
+    db = from_locations(locations)
     samples, heard = vectorize(db)
     stats = compute_stats(db)
     rng = np.random.default_rng(seed)
-    for loc in db.locations:
+    for loc in locations:
         rows = samples.labels == loc.location_id
         x, mask = samples.x[rows], heard[rows]
         noisy = augment_noise(x, mask, stats[loc.location_id], rng)

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,8 @@ from cellaug.core import (
     load_database,
     save_database,
 )
+from cellaug.pipeline import temporal_split
+from cellaug.preprocess import location_blocks, normalize_asu, vectorize
 
 
 def scan(ts, readings):
@@ -29,6 +34,15 @@ def make_db(loc_specs, testbed="t", grid=1.0):
     return from_locations(locations, testbed=testbed, grid_cell_m=grid)
 
 
+def one_location(tower_universe, asu_rows):
+    """Direct construction: location 0 at the origin, one scan per row of
+    ASU values (0 = unheard), readings in column order."""
+    asu = np.array(asu_rows)
+    position = np.where(asu > 0, np.cumsum(asu > 0, axis=1) - 1, -1)
+    return FingerprintDatabase(tower_universe, [0], [(0.0, 0.0)], [0] * len(asu),
+                               range(len(asu)), asu, position)
+
+
 @pytest.fixture
 def small_db():
     return make_db([
@@ -40,9 +54,9 @@ def small_db():
 class TestRawScan:
     def test_orders_and_caps(self):
         s = scan(5, [("X", 1), ("Y", 31)])
-        assert s.towers == ("X", "Y")
-        assert s.asu_of("Y") == 31
-        assert s.asu_of("Z") is None
+        assert tuple(t for t, _ in s.readings) == ("X", "Y")
+        assert dict(s.readings).get("Y") == 31
+        assert dict(s.readings).get("Z") is None
 
     def test_empty_scan_rejected(self):
         with pytest.raises(ValueError, match="empty scan"):
@@ -67,22 +81,21 @@ class TestRawScan:
 class TestDatabaseInvariants:
     def test_universe_is_sorted_union(self, small_db):
         assert small_db.tower_universe == ("A", "B")
-        assert len(small_db.locations) == 2
+        assert len(small_db.location_ids) == 2
 
     def test_scan_outside_universe_rejected(self):
-        loc = ReferenceLocation(0, (0, 0), (scan(0, [("A", 1)]),))
-        with pytest.raises(ValueError, match="unknown tower"):
-            FingerprintDatabase(tower_universe=("B",), locations=(loc,))
+        # a reading is a column of the universe: two columns need two towers
+        with pytest.raises(ValueError, match="shape"):
+            one_location(("B",), [[1, 0]])
 
     def test_subset_universe_allowed_for_views(self):
         # split views keep the parent universe even if a tower drops out
-        loc = ReferenceLocation(0, (0, 0), (scan(0, [("A", 1)]),))
-        db = FingerprintDatabase(tower_universe=("A", "B"), locations=(loc,))
+        db = one_location(("A", "B"), [[1, 0]])
         assert db.tower_universe == ("A", "B")
 
     def test_unsorted_universe_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            FingerprintDatabase(tower_universe=("B", "A"), locations=())
+            one_location(("B", "A"), [[1, 0]])
 
     def test_duplicate_location_id_rejected(self):
         locs = (
@@ -90,7 +103,7 @@ class TestDatabaseInvariants:
             ReferenceLocation(0, (1, 1), (scan(0, [("A", 2)]),)),
         )
         with pytest.raises(ValueError, match="duplicate location_id"):
-            FingerprintDatabase(tower_universe=("A",), locations=locs)
+            from_locations(locs)
 
     def test_location_requires_scans(self):
         with pytest.raises(ValueError, match="no scans"):
@@ -103,7 +116,7 @@ class TestSerialization:
         save_database(small_db, path)
         loaded = load_database(path)
         assert loaded.tower_universe == ("A", "B")
-        assert len(loaded.locations) == 2
+        assert len(loaded.location_ids) == 2
 
     def test_round_trip_identity(self, small_db, tmp_path):
         path = tmp_path / "db.jsonl"
@@ -141,6 +154,16 @@ class TestSerialization:
             '{"loc": 0, "x": 0, "y": 0, "ts": 0, "readings": [["A", 32]]}\n'
         )
         with pytest.raises(DatabaseFormatError, match="ASU out of range"):
+            load_database(path)
+
+    @pytest.mark.parametrize("key", ["loc", "ts"])
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    def test_integer_outside_int64_rejected(self, tmp_path, key, value):
+        record = {"loc": 0, "x": 0, "y": 0, "ts": 0, "readings": [["A", 1]]}
+        record[key] = value
+        path = tmp_path / "big.jsonl"
+        path.write_text('{"testbed": "x", "grid_cell_m": 1}\n' + json.dumps(record) + "\n")
+        with pytest.raises(DatabaseFormatError, match=rf"big\.jsonl: line 2: {key} outside int64"):
             load_database(path)
 
     def test_conflicting_coordinates_rejected(self, tmp_path):
@@ -193,7 +216,7 @@ class TestSerialization:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 55 * 3
         loaded = load_database(path)
-        assert len(loaded.locations) == 55
+        assert len(loaded.location_ids) == 55
         assert loaded == db
 
     def test_random_databases_round_trip(self, tmp_path):
@@ -220,21 +243,55 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def surveys(draw):
-    """Databases of 1-4 locations with 1-3 scans each, arbitrary finite
-    coordinates and grid size, and free-form tower ids and testbed name."""
+def surveys_in_file_order(draw):
+    """A survey as drawn: (scans, coordinates, testbed, grid_cell_m), where
+    scans lists (location id, RawScan) in file order. 1-4 locations with
+    1-3 scans each and arbitrary finite coordinates and grid size; free-form
+    tower ids and testbed name. Scans interleave across locations, tie on
+    timestamps often, and list their readings in no particular tower order."""
     towers = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=9, unique=True))
     loc_ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4, unique=True))
-    locations = []
+    coordinates = {loc_id: (draw(finite), draw(finite)) for loc_id in loc_ids}
+    scans = []
     for loc_id in loc_ids:
-        scans = []
         for _ in range(draw(st.integers(1, 3))):
             heard = draw(st.lists(st.sampled_from(towers), min_size=1,
                                   max_size=MAX_READINGS_PER_SCAN, unique=True))
             asus = draw(st.lists(st.integers(0, ASU_MAX), min_size=len(heard), max_size=len(heard)))
-            scans.append(scan(draw(st.integers(-2**40, 2**40)), zip(heard, asus)))
-        locations.append(ReferenceLocation(loc_id, (draw(finite), draw(finite)), tuple(scans)))
-    return from_locations(locations, testbed=draw(st.text(max_size=8)), grid_cell_m=draw(finite))
+            ts = draw(st.integers(0, 2) | st.integers(-2**40, 2**40))
+            scans.append((loc_id, scan(ts, zip(heard, asus))))
+    return draw(st.permutations(scans)), coordinates, draw(st.text(max_size=8)), draw(finite)
+
+
+def grouped(scans):
+    """Each location's scans in file order, locations by ascending id."""
+    out: dict[int, list[RawScan]] = {}
+    for loc_id, s in scans:
+        out.setdefault(loc_id, []).append(s)
+    return dict(sorted(out.items()))
+
+
+def build(drawn):
+    scans, coordinates, testbed, grid = drawn
+    locations = [ReferenceLocation(loc_id, coordinates[loc_id], tuple(loc_scans))
+                 for loc_id, loc_scans in grouped(scans).items()]
+    return from_locations(locations, testbed=testbed, grid_cell_m=grid)
+
+
+def surveys():
+    return surveys_in_file_order().map(build)
+
+
+def read_back(db):
+    """Each scan of db as (location id, RawScan), in database order, read
+    cell by cell from the arrays."""
+    out = []
+    for i, ts in enumerate(db.timestamps.tolist()):
+        readings = sorted((int(db.position[i, j]), db.tower_universe[j], int(db.asu[i, j]))
+                          for j in range(db.n_towers) if db.position[i, j] >= 0)
+        loc_id = int(db.location_ids[db.scan_location[i]])
+        out.append((loc_id, scan(ts, [(t, a) for _, t, a in readings])))
+    return out
 
 
 class TestRoundTripProperty:
@@ -245,12 +302,88 @@ class TestRoundTripProperty:
         save_database(db, path)
         assert load_database(path) == db
 
+    @settings(max_examples=60, deadline=None)
+    @given(db=surveys())
+    def test_resave_is_byte_identical(self, tmp_path_factory, db):
+        # readings keep their file order, which is not tower order
+        first, second = (tmp_path_factory.mktemp("survey") / "db.jsonl" for _ in range(2))
+        save_database(db, first)
+        save_database(load_database(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=surveys_in_file_order())
+    def test_load_groups_interleaved_lines(self, tmp_path_factory, drawn):
+        scans, coordinates, testbed, grid = drawn
+        lines = [json.dumps({"testbed": testbed, "grid_cell_m": grid})]
+        lines += [json.dumps({"loc": loc_id, "x": coordinates[loc_id][0], "y": coordinates[loc_id][1],
+                              "ts": s.timestamp, "readings": [list(r) for r in s.readings]})
+                  for loc_id, s in scans]
+        path = tmp_path_factory.mktemp("survey") / "db.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        db = load_database(path)
+        assert db == build(drawn)
+        assert read_back(db) == [(loc_id, s) for loc_id, ss in grouped(scans).items() for s in ss]
+
+
+class TestSplitAndVectorizeProperties:
+    """temporal_split and vectorize against plain-Python references that
+    work scan by scan on the drawn survey."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(drawn=surveys_in_file_order(), train_scans=st.none() | st.integers(0, 3),
+           fraction=st.floats(0.05, 0.95))
+    def test_temporal_split_matches_reference(self, drawn, train_scans, fraction):
+        db = build(drawn)
+        train, test, failure = [], [], None
+        for loc_id, loc_scans in grouped(drawn[0]).items():
+            n = len(loc_scans)
+            cut = train_scans if train_scans is not None else max(1, int(n * fraction))
+            if not 0 < cut < n:
+                failure = failure or f"location {loc_id}: cannot split {n} scans into {cut} train"
+                continue
+            ordered = sorted(loc_scans, key=lambda s: s.timestamp)  # stable: ties keep file order
+            train += [(loc_id, s) for s in ordered[:cut]]
+            test += [(loc_id, s) for s in ordered[cut:]]
+        if failure:
+            with pytest.raises(ValueError, match=re.escape(failure)):
+                temporal_split(db, fraction, train_scans)
+            return
+        for view, expected in zip(temporal_split(db, fraction, train_scans), (train, test)):
+            assert read_back(view) == expected
+            assert view.tower_universe == db.tower_universe
+            assert np.array_equal(view.location_ids, db.location_ids)
+            assert np.array_equal(view.coordinates, db.coordinates)
+
+    @settings(max_examples=80, deadline=None)
+    @given(drawn=surveys_in_file_order(), data=st.data(),
+           extra=st.lists(st.text(min_size=1, max_size=4), max_size=3))
+    def test_vectorize_matches_reference(self, drawn, data, extra):
+        db = build(drawn)
+        # any column order, over a universe that may be wider than the heard towers
+        towers = data.draw(st.permutations(sorted(set(db.tower_universe) | set(extra))))
+        rows = [(loc_id, s) for loc_id, ss in grouped(drawn[0]).items() for s in ss]
+        x = np.zeros((len(rows), len(towers)))
+        heard = np.zeros(x.shape, dtype=bool)
+        for i, (_, s) in enumerate(rows):
+            for tower, asu in s.readings:
+                x[i, towers.index(tower)] = normalize_asu(asu)
+                heard[i, towers.index(tower)] = True
+        samples, mask = vectorize(db, towers)
+        assert samples.towers == tuple(towers)
+        assert samples.labels.tolist() == [loc_id for loc_id, _ in rows]
+        assert np.array_equal(samples.x, x)
+        assert np.array_equal(mask, heard)
+
+
+def heard_of(scans):
+    return from_locations([ReferenceLocation(0, (0, 0), tuple(scans))]).heard
+
 
 class TestHeardCountHistogram:
     def test_all_same_count(self):
         scans = [scan(t, [(f"T{i}", 10) for i in range(5)]) for t in range(10)]
-        loc = ReferenceLocation(0, (0, 0), tuple(scans))
-        assert heard_count_histogram(loc) == {5: 1.0}
+        assert heard_count_histogram(heard_of(scans)) == {5: 1.0}
 
     def test_hand_counts(self):
         scans = [
@@ -258,10 +391,9 @@ class TestHeardCountHistogram:
             scan(1, [("A", 1), ("B", 2), ("C", 3)]),
             scan(2, [("A", 1), ("B", 2), ("C", 3), ("D", 4)]),
         ]
-        loc = ReferenceLocation(0, (0, 0), tuple(scans))
-        hist = heard_count_histogram(loc)
+        hist = heard_count_histogram(heard_of(scans))
         assert hist == {3: pytest.approx(2 / 3), 4: pytest.approx(1 / 3)}
 
     def test_probabilities_sum_to_one(self, small_db):
-        for loc in small_db.locations:
-            assert sum(heard_count_histogram(loc).values()) == pytest.approx(1.0)
+        for _, _, heard in location_blocks(small_db):
+            assert sum(heard_count_histogram(heard).values()) == pytest.approx(1.0)

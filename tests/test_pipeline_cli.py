@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from cellaug.augment import AugmentConfig, augment_all
 from cellaug.cli import main
 from cellaug.core import (
-    FingerprintDatabase,
+    SCAN_ARRAYS,
     RawScan,
     ReferenceLocation,
     from_locations,
@@ -43,6 +44,11 @@ def tiny_db(scans_per_location=10, seed=3):
     return generate(spec)
 
 
+def scan_rows(db, rows):
+    """The database with only the scans at `rows`, in that order."""
+    return replace(db, **{name: getattr(db, name)[rows] for name in SCAN_ARRAYS})
+
+
 FAST_AUG = AugmentConfig(noise_per_scan=2, sampling_n_per_location=4,
                          drop_random_per_scan=2, vae_n_per_location=4,
                          vae_epochs=20, seed=0)
@@ -52,17 +58,18 @@ class TestTemporalSplit:
     def test_first_scans_train(self):
         db = tiny_db(scans_per_location=10)
         train_db, test_db = temporal_split(db, train_fraction=0.7)
-        for train_loc, test_loc, orig in zip(train_db.locations, test_db.locations, db.locations):
-            assert len(train_loc.scans) == 7
-            assert len(test_loc.scans) == 3
-            assert train_loc.scans == orig.scans[:7]
-            assert test_loc.scans == orig.scans[7:]
+        n_locations = len(db.location_ids)
+        assert train_db.scan_counts.tolist() == [7] * n_locations
+        assert test_db.scan_counts.tolist() == [3] * n_locations
+        rank = np.arange(len(db.timestamps)) % 10  # each location's scans, in file order
+        assert train_db == scan_rows(db, rank < 7)
+        assert test_db == scan_rows(db, rank >= 7)
 
     def test_fixed_count_override(self):
         db = tiny_db(scans_per_location=10)
         train_db, test_db = temporal_split(db, train_scans=2)
-        assert all(len(loc.scans) == 2 for loc in train_db.locations)
-        assert all(len(loc.scans) == 8 for loc in test_db.locations)
+        assert np.all(train_db.scan_counts == 2)
+        assert np.all(test_db.scan_counts == 8)
 
     def test_universe_shared(self):
         db = tiny_db()
@@ -79,19 +86,15 @@ class TestTemporalSplit:
 
     def test_orders_scans_by_timestamp(self, tmp_path):
         db = tiny_db(scans_per_location=10)
-        reversed_db = FingerprintDatabase(
-            tower_universe=db.tower_universe,
-            locations=tuple(ReferenceLocation(loc.location_id, loc.coordinates, loc.scans[::-1])
-                            for loc in db.locations),
-            testbed=db.testbed, grid_cell_m=db.grid_cell_m,
-        )
+        n = len(db.timestamps)
+        reversed_db = scan_rows(db, np.arange(n).reshape(-1, 10)[:, ::-1].ravel())
         path = tmp_path / "reversed.jsonl"
         save_database(reversed_db, path)
         train_db, test_db = temporal_split(load_database(path), train_scans=5)
-        for loc in train_db.locations:
-            assert [scan.timestamp for scan in loc.scans] == [0, 1, 2, 3, 4]
-        for loc in test_db.locations:
-            assert [scan.timestamp for scan in loc.scans] == [5, 6, 7, 8, 9]
+        for loc_ts in train_db.timestamps.reshape(-1, 5).tolist():
+            assert loc_ts == [0, 1, 2, 3, 4]
+        for loc_ts in test_db.timestamps.reshape(-1, 5).tolist():
+            assert loc_ts == [5, 6, 7, 8, 9]
 
 
 class TestRunComparison:
@@ -102,8 +105,8 @@ class TestRunComparison:
         w = result.with_augmentation.p50
         if w > 0:
             assert result.improvement_percent["p50"] == pytest.approx((wo - w) / w * 100)
-        assert result.n_train_scans == 4 * len(db.locations)
-        assert result.n_test_scans == 8 * len(db.locations)
+        assert result.n_train_scans == 4 * len(db.location_ids)
+        assert result.n_test_scans == 8 * len(db.location_ids)
         assert result.augmented_counts["original"] == result.n_train_scans
         payload = result.to_dict()
         assert set(payload) == {
@@ -121,7 +124,7 @@ class TestRunComparison:
         db = tiny_db(scans_per_location=6)
         train_db, _ = temporal_split(db, train_scans=2)
         vectors, counts = augment_all(train_db, AugmentConfig.none_enabled())
-        assert counts["original"] == 2 * len(db.locations)
+        assert counts["original"] == 2 * len(db.location_ids)
         assert vectors == vectorize_database(train_db)
 
 
@@ -147,7 +150,7 @@ class TestCliSynth:
         out = tmp_path / "db.jsonl"
         assert main(["synth", "--out", str(out)]) == 0
         db = load_database(out)
-        assert len(db.locations) == 36
+        assert len(db.location_ids) == 36
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["synth", "--config", str(tmp_path / "nope.cfg"),
@@ -181,7 +184,7 @@ class TestCliAugment:
         lines = out.read_text().strip().splitlines()
         header = json.loads(lines[0])
         assert header["towers"] == list(db.tower_universe)
-        assert len(lines) - 1 == 4 * len(db.locations)
+        assert len(lines) - 1 == 4 * len(db.location_ids)
         counts = json.loads(report_path.read_text())["counts"]
         assert counts["noise"] == 0 and counts["vae"] == 0
 
@@ -342,6 +345,27 @@ class TestCliExitCodes:
         assert len(errors) == 1
         assert re.search(r"VAE training \(locations? \d", errors[0])
 
+    def test_diverging_vae_prints_one_line_naming_the_network(self, tmp_path):
+        # numpy's overflow warnings must not come before the error line
+        db_path = tmp_path / "desk.jsonl"
+        assert main(["synth", "--out", str(db_path)]) == 0
+        cfg_path = tmp_path / "diverge.cfg"
+        cfg_path.write_text("noise.enabled = false\nsampling.enabled = false\n"
+                            "drop_random.enabled = false\ndrop_threshold.enabled = false\n"
+                            "vae.epochs = 5\nvae.learning_rate = 1e9\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "cellaug.cli", "augment", str(db_path), "--config",
+             str(cfg_path), "--train-scans", "5", "--out", str(tmp_path / "v.jsonl")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error:")
+        assert re.search(r"VAE training \(locations? \d.*\): (encoder|decoder) layer \d", lines[0])
+
 
 class TestCliEvaluateInputs:
     """evaluate refuses inputs that would otherwise give a wrong answer or a
@@ -374,6 +398,28 @@ class TestCliEvaluateInputs:
         code, errors = self.evaluate(model_path, renamed, tmp_path, capsys)
         assert code == 2
         assert len(errors) == 1 and "T9" in errors[0]
+
+    def test_renamed_location_exits_2(self, tmp_path, trained, capsys):
+        db_path, model_path = trained
+        renamed = tmp_path / "renamed.jsonl"
+        renamed.write_text(db_path.read_text().replace('"loc": 0,', '"loc": 99,'))
+        code, errors = self.evaluate(model_path, renamed, tmp_path, capsys)
+        assert code == 2
+        assert len(errors) == 1 and re.search(r"\b99$", errors[0])
+
+    def test_moved_location_exits_2(self, tmp_path, trained, capsys):
+        db_path, model_path = trained
+        lines = db_path.read_text().splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            scan = json.loads(line)
+            if scan["loc"] == 2:
+                scan["x"] += 100.0
+                lines[i] = json.dumps(scan)
+        moved = tmp_path / "moved.jsonl"
+        moved.write_text("\n".join(lines) + "\n")
+        code, errors = self.evaluate(model_path, moved, tmp_path, capsys)
+        assert code == 2
+        assert len(errors) == 1 and re.search(r"coordinates: 2$", errors[0])
 
     @pytest.mark.parametrize("damage", ["no_towers", "no_classes", "classes_not_list", "not_json"])
     def test_malformed_model_exits_2(self, tmp_path, trained, capsys, damage):

@@ -51,9 +51,9 @@ class TestPathLossArithmetic:
         far_silent = Tower("B", (1000.0, 1000.0), -50.0)  # all locations: below floor
         spec = spec_with([near, far_silent], points=((0.0, 0.0), (-4.0, 0.0)))
         db = generate(spec)
-        asu_at = {
-            loc.location_id: loc.scans[0].asu_of("A") for loc in db.locations
-        }
+        first = np.searchsorted(db.scan_location, np.arange(len(db.location_ids)))
+        column = db.tower_universe.index("A")
+        asu_at = dict(zip(db.location_ids.tolist(), db.asu[first, column].tolist()))
         assert asu_at[0] == dbm_to_asu(-50.0 - 20.0 * math.log10(4.0))
         assert asu_at[1] == dbm_to_asu(-50.0 - 20.0 * math.log10(8.0))
         assert asu_at[0] - asu_at[1] == 3
@@ -62,9 +62,7 @@ class TestPathLossArithmetic:
         near = Tower("A", (1.0, 0.0), -50.0)
         weak = Tower("B", (0.0, 8.0), -95.0)  # -95 - 20*log10(8) = -113.1 < -111
         db = generate(spec_with([near, weak], points=((0.0, 0.0),) * 1 + ((0.1, 0.0),)))
-        for loc in db.locations:
-            for scan in loc.scans:
-                assert scan.asu_of("B") is None
+        assert "B" not in db.tower_universe  # the universe is every tower any scan heard
 
     def test_coincident_tower_clamped_to_reference_distance(self):
         t = Tower("A", (0.0, 0.0), -60.0)
@@ -85,17 +83,14 @@ class TestGenerate:
     def test_scan_cap_and_asu_range(self):
         towers = [Tower(f"T{i:02d}", (float(i), 0.0), -50.0) for i in range(12)]
         db = generate(spec_with(towers, sigma=2.0, points=((0.0, 1.0), (3.0, 1.0))))
-        for loc in db.locations:
-            for scan in loc.scans:
-                assert len(scan.readings) == 7  # 12 strong towers, cap binds
-                for _, asu in scan.readings:
-                    assert 0 <= asu <= 31
+        assert np.all(db.heard.sum(axis=1) == 7)  # 12 strong towers, cap binds
+        assert np.all((0 <= db.asu) & (db.asu <= 31))
 
     def test_strongest_towers_kept_under_cap(self):
         # 8 towers at increasing distance, no shadowing: the nearest 7 survive
         towers = [Tower(f"T{i}", (float(i + 1), 0.0), -50.0) for i in range(8)]
         db = generate(spec_with(towers, points=((0.0, 0.0), (0.0, 0.1))))
-        heard = set(db.locations[0].scans[0].towers)
+        heard = {db.tower_universe[j] for j in np.flatnonzero(db.heard[0])}
         assert heard == {f"T{i}" for i in range(7)}  # T7 is the farthest
 
     def test_all_locations_hear_nothing_raises(self):
@@ -115,20 +110,19 @@ class TestGenerate:
         sigma = 3.0
         spec = spec_with(towers, sigma=sigma, scans=1000, points=((0.0, 0.0), (1.0, 0.0)))
         db = generate(spec)
-        loc = db.locations[0]
         hear_probs = []
         for tower in towers:
-            det = received_dbm(tower, loc.coordinates, spec.path_loss_exponent)
+            det = received_dbm(tower, tuple(db.coordinates[0]), spec.path_loss_exponent)
             z = (det - spec.sensitivity_dbm) / sigma
             hear_probs.append(0.5 * (1.0 + math.erf(z / math.sqrt(2.0))))
         oracle = poisson_binomial(hear_probs)
-        hist = heard_count_histogram(loc)
+        hist = heard_count_histogram(db.heard[db.scan_location == 0])
         for k, expected in enumerate(oracle):
             assert abs(hist.get(k, 0.0) - expected) < 0.05
 
     def test_histogram_non_degenerate_near_floor(self):
         db = generate(default_desk_spec())
-        hist = heard_count_histogram(db.locations[0])
+        hist = heard_count_histogram(db.heard[db.scan_location == 0])
         assert len(hist) >= 2
 
 
@@ -137,7 +131,7 @@ class TestDefaultDeskSpec:
         spec = default_desk_spec()
         assert len(spec.reference_points()) == 36
         db = generate(spec)
-        assert len(db.locations) == 36
+        assert len(db.location_ids) == 36
         assert db.grid_cell_m == 2.0
 
     def test_universe_within_ten_towers(self):
@@ -148,8 +142,8 @@ class TestDefaultDeskSpec:
         # construction through from_locations validates everything
         db = generate(default_desk_spec())
         assert db.tower_universe == tuple(sorted(db.tower_universe))
-        for loc in db.locations:
-            assert 1 <= len(loc.scans[0].readings) <= 7
+        heard_counts = db.heard.sum(axis=1)
+        assert np.all((1 <= heard_counts) & (heard_counts <= 7))
 
 
 class TestSpecValidation:
@@ -190,7 +184,7 @@ class TestSpecFromFile:
         assert len(spec.towers) == 2
         assert spec.towers[0].tower_id == "A"
         db = generate(spec)
-        assert len(db.locations) == len(spec.reference_points())
+        assert len(db.location_ids) == len(spec.reference_points())
 
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "tb.cfg"
