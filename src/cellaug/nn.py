@@ -8,11 +8,18 @@ head takes the fused cross-entropy gradient (probs - targets) / n.
 A network may carry a leading stack axis: weights (L, in, out), biases
 (L, out), inputs (L, n, in). Its L networks then run as one batched matmul
 per layer, each slice computing exactly what the unstacked network would.
+
+train() is the localizer's loop: the forward, loss, backward and update of
+a step fused into one straight-line loop over flat parameter and gradient
+buffers, bit-identical to the primitives forward_with_cache, backward and
+sgd_step, which serve the stacked VAE and the gradient checks. forward()
+is the eval-mode pass, holding one layer's activations at a time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,19 +150,28 @@ def parameter_count(net: DenseNetwork) -> int:
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of the pre-activations z, computed in z's own buffer."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        np.exp(np.negative(z, out=z), out=z)
+        z += 1.0
+        return np.divide(1.0, z, out=z)
     if kind == "linear":
         return z
     if kind == "softmax":
-        shifted = z - np.max(z, axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / np.sum(e, axis=-1, keepdims=True)
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=-1, keepdims=True)
+        return z
     raise ValueError(f"unknown activation: {kind}")
+
+
+def _check_input(net: DenseNetwork, x: np.ndarray) -> None:
+    if x.ndim < 2 or x.shape[-1] != net.input_dim:
+        raise ValueError(f"expected input shape (..., n, {net.input_dim}), got {x.shape}")
 
 
 def forward_with_cache(
@@ -171,8 +187,7 @@ def forward_with_cache(
     eval-mode pass needs no rescaling.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-1] != net.input_dim:
-        raise ValueError(f"expected input shape (..., n, {net.input_dim}), got {x.shape}")
+    _check_input(net, x)
     if train_mode and net.dropout_rate > 0.0 and rng is None:
         raise ValueError("train_mode with dropout requires an rng")
 
@@ -196,26 +211,35 @@ def forward_with_cache(
     return a, cache
 
 
-def forward(
-    net: DenseNetwork,
-    x: np.ndarray,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Forward pass accepting a single vector or a batch."""
+def forward(net: DenseNetwork, x: np.ndarray) -> np.ndarray:
+    """Eval-mode forward pass of a single vector or a batch (stacked as in
+    forward_with_cache). Holds one layer's activations at a time; a
+    non-finite one raises NonFiniteError."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    out, _ = forward_with_cache(net, x[None, :] if single else x, train_mode, rng)
-    return out[0] if single else out
+    a = x[None, :] if single else x
+    _check_input(net, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (spec, w, b) in enumerate(zip(net.layers, net.weights, net.biases)):
+            z = a @ w
+            z += b[..., None, :]
+            a = _activate(z, spec.activation)
+            if not np.isfinite(a).all():
+                raise _non_finite(f"layer {i} activation is non-finite", [a], a.ndim - 2)
+    return a[0] if single else a
 
 
-def _activation_grad(spec: LayerSpec, post: np.ndarray, d_post: np.ndarray) -> np.ndarray:
-    if spec.activation == "relu":
-        return d_post * (post > 0.0)
-    if spec.activation == "tanh":
-        return d_post * (1.0 - post**2)
-    if spec.activation == "sigmoid":
-        return d_post * post * (1.0 - post)
+def _activation_grad(
+    kind: str, post: np.ndarray, d_post: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """dLoss/dPre-activation from dLoss/dPost; out=d_post computes it in place."""
+    if kind == "relu":
+        return np.multiply(d_post, post > 0.0, out=out)
+    if kind == "tanh":
+        return np.multiply(d_post, 1.0 - post**2, out=out)
+    if kind == "sigmoid":
+        d = np.multiply(d_post, post, out=out)
+        return np.multiply(d, 1.0 - post, out=d)
     return d_post  # linear, or a softmax head fed dLoss/dLogits (see backward)
 
 
@@ -237,7 +261,7 @@ def backward(
     d_fed = loss_grad
     for i in range(len(net.layers) - 1, -1, -1):
         d_post = d_fed if cache.drop[i] is None else d_fed * cache.drop[i]
-        delta = _activation_grad(net.layers[i], cache.post[i], d_post)
+        delta = _activation_grad(net.layers[i].activation, cache.post[i], d_post)
         a_prev = cache.x if i == 0 else cache.fed[i - 1]
         d_weights[i] = a_prev.swapaxes(-1, -2) @ delta
         d_biases[i] = np.sum(delta, axis=-2)
@@ -265,8 +289,11 @@ def softmax_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> tuple[float
     the loss (690.8 for a row whose target probability underflows).
     """
     n = probs.shape[0]
-    loss = float(-np.sum(targets * np.log(np.maximum(probs, 1e-300))) / n)
-    return loss, (probs - targets) / n
+    log_probs = np.log(np.maximum(probs, 1e-300))
+    log_probs *= targets
+    grad = probs - targets
+    grad /= n
+    return float(-log_probs.sum() / n), grad
 
 
 def squared_error(outputs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -284,6 +311,13 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
+def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One flat buffer and, in order, a view of it shaped like each array."""
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    flat = np.empty(ends[-1])
+    return flat, [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
+
+
 def train(
     net: DenseNetwork,
     inputs: np.ndarray,
@@ -294,8 +328,13 @@ def train(
     """Epochs of mini-batch SGD in random order; returns the per-epoch loss trace.
 
     loss_fn(outputs, targets) must return (mean batch loss, loss_grad for backward()).
-    Deterministic for a fixed config seed; raises TrainingDiverged if the
-    loss goes non-finite.
+    Deterministic for a fixed config seed. Each step is forward_with_cache
+    in train mode, loss_fn, backward and sgd_step in one loop, with the same
+    arithmetic in the same order and the same draws, so the weights are
+    bit-identical to calling them in turn. The trained parameters live in
+    one flat buffer that net.weights and net.biases view. Raises
+    TrainingDiverged, with the trace so far, when the loss or the update
+    goes non-finite; a non-finite activation reaches one of the two.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -304,23 +343,62 @@ def train(
     if inputs.shape[0] != targets.shape[0]:
         raise ValueError("inputs and targets disagree on sample count")
 
+    kinds = [spec.activation for spec in net.layers]
+    last = len(kinds) - 1
+    drop = net.dropout_rate > 0.0
+    keep = 1.0 - net.dropout_rate
+    unkeep = 1.0 / keep
+    arrays = net.weights + net.biases
+    params, views = _packed(arrays)
+    for view, a in zip(views, arrays):
+        view[...] = a
+    net.weights, net.biases = views[: last + 1], views[last + 1 :]
+    grads, views = _packed(arrays)
+    d_weights, d_biases = views[: last + 1], views[last + 1 :]
+
     rng = as_rng(cfg.seed)
     n = inputs.shape[0]
     trace: list[float] = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            out, cache = forward_with_cache(net, inputs[idx], train_mode=True, rng=rng)
-            loss, d_out = loss_fn(out, targets[idx])
-            if not np.isfinite(loss):
-                trace.append(float(loss))
-                raise TrainingDiverged(f"loss diverged at epoch {len(trace)}", trace)
-            grads, _ = backward(net, cache, d_out)
-            sgd_step(net, grads, cfg.learning_rate)
-            total += loss * idx.size
-        trace.append(total / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                # fed[i] is layer i's input; post and masks as in ForwardCache.
+                a = inputs.take(idx, axis=0)
+                fed, post, masks = [a], [], []
+                for i, kind in enumerate(kinds):
+                    z = a @ net.weights[i]
+                    z += net.biases[i]
+                    a = _activate(z, kind)
+                    post.append(a)
+                    if drop and i != last:
+                        # the multipliers (u < keep) / keep, as 1.0 * (1 / keep) or 0.0
+                        mask = np.less(rng.random(a.shape), keep, out=np.empty(a.shape))
+                        mask *= unkeep
+                        masks.append(mask)
+                        a = a * mask
+                    fed.append(a)
+                loss, d = loss_fn(a, targets.take(idx, axis=0))
+                if not math.isfinite(loss):
+                    trace.append(float(loss))
+                    raise TrainingDiverged(f"loss diverged at epoch {len(trace)}", trace)
+                d = _activation_grad(kinds[last], post[last], np.asarray(d, dtype=np.float64))
+                for i in range(last, -1, -1):
+                    np.matmul(fed[i].T, d, out=d_weights[i])
+                    np.add.reduce(d, axis=0, out=d_biases[i])
+                    if i:
+                        d = d @ net.weights[i].T
+                        if drop:
+                            d *= masks[i - 1]
+                        _activation_grad(kinds[i - 1], post[i - 1], d, out=d)
+                grads *= cfg.learning_rate
+                if not np.isfinite(grads).all():
+                    raise TrainingDiverged(f"update diverged at epoch {len(trace) + 1}", trace)
+                params -= grads
+                total += loss * idx.size
+            trace.append(total / n)
     return net, trace
 
 

@@ -13,13 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    MAX_READINGS_PER_SCAN,
-    FingerprintDatabase,
-    RawScan,
-    ReferenceLocation,
-    from_locations,
-)
+from .core import MAX_READINGS_PER_SCAN, FingerprintDatabase
 from .util import ConfigError, derive_rng, read_kv_config
 
 REFERENCE_DISTANCE_M = 1.0
@@ -78,42 +72,56 @@ def received_dbm(
     return tower.tx_power_dbm - 10.0 * exponent * np.log10(d / d0)
 
 
-def dbm_to_asu(dbm: float) -> int:
-    """Inverse of the ASU-to-dBm relation, rounded and clipped to [0, 31]."""
-    return int(np.clip(np.round((dbm + 113.0) / 2.0), 0, 31))
+def dbm_to_asu(dbm):
+    """Inverse of the ASU-to-dBm relation, rounded and clipped to [0, 31];
+    elementwise for an array."""
+    asu = np.clip(np.round((np.asarray(dbm) + 113.0) / 2.0), 0, 31).astype(np.int8)
+    return asu if asu.ndim else int(asu)
 
 
 def generate(spec: TestbedSpec) -> FingerprintDatabase:
-    """Simulate the survey: every location gets scans_per_location scans."""
+    """Simulate the survey: every location gets scans_per_location scans.
+
+    A scan hears the towers at or above the sensitivity and keeps the seven
+    strongest, ordered by falling dBm and then tower id. Each location draws
+    its (scans, towers) shadowing block from its own stream, row by row.
+    """
     points = spec.reference_points()
-    locations = []
+    by_id = np.argsort([t.tower_id for t in spec.towers], kind="stable")
+    towers = [spec.towers[j] for j in by_id]
+    shape = (spec.scans_per_location, len(towers))
+    asu, position = [], []
     for loc_id, point in enumerate(points):
         rng = derive_rng(spec.seed, "testbed", loc_id)
-        base = {t.tower_id: received_dbm(t, point, spec.path_loss_exponent) for t in spec.towers}
-        scans = []
-        for s in range(spec.scans_per_location):
-            heard: list[tuple[str, float]] = []
-            for tower in spec.towers:
-                dbm = base[tower.tower_id]
-                if spec.shadow_sigma_db > 0:
-                    dbm += rng.normal(0.0, spec.shadow_sigma_db)
-                if dbm >= spec.sensitivity_dbm:
-                    heard.append((tower.tower_id, dbm))
-            if not heard:
-                raise ValueError(
-                    f"location {loc_id} at {point} hears no towers; "
-                    "spec geometry is degenerate"
-                )
-            heard.sort(key=lambda pair: (-pair[1], pair[0]))
-            readings = tuple(
-                (tower_id, dbm_to_asu(dbm)) for tower_id, dbm in heard[:MAX_READINGS_PER_SCAN]
+        dbm = np.array([received_dbm(t, point, spec.path_loss_exponent) for t in towers])
+        dbm = np.broadcast_to(dbm, shape)
+        if spec.shadow_sigma_db > 0:  # drawn in spec order, used in id order
+            dbm = dbm + rng.normal(0.0, spec.shadow_sigma_db, size=shape)[:, by_id]
+        heard = dbm >= spec.sensitivity_dbm
+        if not heard.any(axis=1).all():
+            raise ValueError(
+                f"location {loc_id} at {point} hears no towers; spec geometry is degenerate"
             )
-            scans.append(RawScan(timestamp=s, readings=readings))
-        locations.append(
-            ReferenceLocation(location_id=loc_id, coordinates=point, scans=tuple(scans))
-        )
-    grid = spec.grid_spacing_m if spec.grid_spacing_m else 1.0
-    return from_locations(locations, testbed=spec.name, grid_cell_m=grid)
+        # Each tower's place in its scan: heard ones first, by falling dBm; the
+        # stable sort leaves ties in id order.
+        place = np.lexsort((-dbm, ~heard)).argsort(axis=1)
+        kept = heard & (place < MAX_READINGS_PER_SCAN)
+        asu.append(np.where(kept, dbm_to_asu(dbm), 0))
+        position.append(np.where(kept, place, -1))
+    asu, position = np.concatenate(asu), np.concatenate(position)
+    heard_anywhere = (position >= 0).any(axis=0)
+    n_locations = len(points)
+    return FingerprintDatabase(
+        tuple(t.tower_id for t, heard in zip(towers, heard_anywhere) if heard),
+        np.arange(n_locations),
+        np.array(points, dtype=np.float64),
+        np.repeat(np.arange(n_locations), spec.scans_per_location),
+        np.tile(np.arange(spec.scans_per_location), n_locations),
+        asu[:, heard_anywhere],
+        position[:, heard_anywhere],
+        testbed=spec.name,
+        grid_cell_m=spec.grid_spacing_m if spec.grid_spacing_m else 1.0,
+    )
 
 
 def default_desk_spec() -> TestbedSpec:

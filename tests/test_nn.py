@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,25 @@ def finite_difference_check(net, x, targets, loss_fn, h=1e-5):
                 rel = abs(fd - grad[ix]) / max(abs(fd), abs(grad[ix]), 1e-8)
                 worst = max(worst, rel)
     return worst
+
+
+def reference_train(net, inputs, targets, loss_fn, cfg):
+    """nn.train as the calls of the primitives that it fuses, one step at a time."""
+    rng = np.random.default_rng(cfg.seed)
+    n = inputs.shape[0]
+    trace = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            out, cache = forward_with_cache(net, inputs[idx], train_mode=True, rng=rng)
+            loss, d_out = loss_fn(out, targets[idx])
+            grads, _ = backward(net, cache, d_out)
+            sgd_step(net, grads, cfg.learning_rate)
+            total += loss * idx.size
+        trace.append(total / n)
+    return net, trace
 
 
 class TestInit:
@@ -102,6 +123,15 @@ class TestForward:
         net = init_network([LayerSpec(3, 2, "linear")], 0)
         with pytest.raises(ValueError, match="input shape"):
             forward(net, np.zeros(4))
+
+    def test_softmax_shift_overflow_is_silent(self):
+        # logits of 1e308 and -1e308: the shift overflows to -inf, exp gives 0
+        net = DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[1e308, -1e308]])],
+                           [np.zeros(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = forward(net, np.array([1.0]))
+        assert out.tolist() == [1.0, 0.0]
 
     def test_non_finite_activation_detected(self):
         net = init_network([LayerSpec(2, 2, "linear")], 0)
@@ -299,6 +329,44 @@ class TestTrain:
             train(net, np.empty((0, 2)), np.empty((0, 2)), softmax_cross_entropy,
                   TrainConfig(0.1, 4, 1))
 
+    @pytest.mark.parametrize("hidden, head, dropout", [
+        ("relu", "softmax", 0.2),
+        ("relu", "softmax", 0.0),
+        ("tanh", "softmax", 0.2),
+        ("sigmoid", "sigmoid", 0.2),
+        ("tanh", "linear", 0.0),
+        ("relu", "linear", 0.2),
+    ])
+    def test_bit_identical_to_the_primitives(self, hidden, head, dropout):
+        # 23 rows in batches of 5: the last batch of each epoch has 3
+        rng = np.random.default_rng(11)
+        x = rng.normal(0, 1, (23, 4))
+        if head == "softmax":
+            y, loss_fn = one_hot(rng.integers(0, 3, 23), 3), softmax_cross_entropy
+        else:
+            y, loss_fn = rng.random((23, 3)), squared_error
+        specs = [LayerSpec(4, 6, hidden), LayerSpec(6, 5, hidden), LayerSpec(5, 3, head)]
+        cfg = TrainConfig(0.05, 5, 7, seed=3)
+        results = []
+        for run in (train, reference_train):
+            net = init_network(specs, 2, dropout_rate=dropout)
+            results.append(run(net, x, y, loss_fn, cfg))
+        (net, trace), (ref, ref_trace) = results
+        assert trace == ref_trace
+        for got, want in zip(net.weights + net.biases, ref.weights + ref.biases):
+            assert np.array_equal(got, want)
+
+    def test_non_finite_update_aborts_with_trace(self):
+        # the loss stays finite, but lr times the second step's bias gradient overflows
+        net = DenseNetwork([LayerSpec(1, 1, "linear")], [np.array([[0.0]])], [np.array([0.0])])
+        x, y = np.array([[0.0]]), np.array([[1e-60]])
+        cfg = TrainConfig(1e200, 1, 5, seed=0)
+        with pytest.raises(TrainingDiverged, match="update diverged at epoch 2") as excinfo:
+            train(net, x, y, squared_error, cfg)
+        ref = DenseNetwork([LayerSpec(1, 1, "linear")], [np.array([[0.0]])], [np.array([0.0])])
+        _, ref_trace = reference_train(ref, x, y, squared_error, TrainConfig(1e200, 1, 1, seed=0))
+        assert excinfo.value.trace == ref_trace
+
     def test_divergence_aborts_with_trace(self):
         net = DenseNetwork([LayerSpec(1, 1, "linear")], [np.array([[1.0]])], [np.array([0.0])])
         x = np.array([[1e80]])
@@ -329,7 +397,7 @@ class TestDropout:
         net = init_network([LayerSpec(3, 4, "tanh"), LayerSpec(4, 2, "linear")], 0,
                            dropout_rate=0.5)
         with pytest.raises(ValueError, match="rng"):
-            forward(net, np.ones((1, 3)), train_mode=True)
+            forward_with_cache(net, np.ones((1, 3)), train_mode=True)
 
     def test_output_layer_never_masked(self):
         net = init_network([LayerSpec(3, 4, "tanh"), LayerSpec(4, 2, "linear")], 0,

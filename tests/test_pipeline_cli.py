@@ -353,18 +353,36 @@ class TestCliExitCodes:
         cfg_path.write_text("noise.enabled = false\nsampling.enabled = false\n"
                             "drop_random.enabled = false\ndrop_threshold.enabled = false\n"
                             "vae.epochs = 5\nvae.learning_rate = 1e9\n")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "cellaug.cli", "augment", str(db_path), "--config",
-             str(cfg_path), "--train-scans", "5", "--out", str(tmp_path / "v.jsonl")],
-            env=env, capture_output=True, text=True, timeout=300)
+        result = self.run_subprocess(["augment", db_path, "--config", cfg_path,
+                                      "--train-scans", "5", "--out", tmp_path / "v.jsonl"])
         assert result.returncode == 1
         lines = result.stderr.splitlines()
         assert len(lines) == 1, result.stderr
         assert lines[0].startswith("error:")
         assert re.search(r"VAE training \(locations? \d.*\): (encoder|decoder) layer \d", lines[0])
+
+    def test_diverging_localizer_prints_one_line_naming_the_stage(self, tmp_path):
+        # numpy's overflow warnings must not come before the error line
+        db_path = tmp_path / "desk.jsonl"
+        assert main(["synth", "--seed", "1", "--out", str(db_path)]) == 0
+        cfg_path = tmp_path / "diverge.cfg"
+        cfg_path.write_text("vae.enabled = false\nprofile.learning_rate = 1e150\n"
+                            "profile.epochs = 3\n")
+        result = self.run_subprocess(["compare", db_path, "--config", cfg_path, "--seed", "1",
+                                      "--train-scans", "5", "--out", tmp_path / "c.json"])
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error: training stage failed: baseline training: ")
+
+    @staticmethod
+    def run_subprocess(argv):
+        """The CLI in a child process, so that all of its stderr is seen."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "cellaug.cli", *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=300)
 
 
 class TestCliEvaluateInputs:

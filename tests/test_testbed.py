@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cellaug.core import heard_count_histogram
+from cellaug.core import (
+    MAX_READINGS_PER_SCAN,
+    RawScan,
+    ReferenceLocation,
+    from_locations,
+    heard_count_histogram,
+)
 from cellaug.testbed import TestbedSpec as SurveySpec
 from cellaug.testbed import (
     Tower,
@@ -13,7 +19,7 @@ from cellaug.testbed import (
     received_dbm,
     spec_from_file,
 )
-from cellaug.util import ConfigError
+from cellaug.util import ConfigError, derive_rng
 
 
 def poisson_binomial(probabilities):
@@ -26,6 +32,29 @@ def poisson_binomial(probabilities):
     for p in probabilities:
         dist = np.convolve(dist, [1.0 - p, p])
     return dist
+
+
+def scalar_generate(spec):
+    """generate as one shadowing draw per tower per scan, with the readings
+    sorted, capped and converted one scan at a time."""
+    locations = []
+    for loc_id, point in enumerate(spec.reference_points()):
+        rng = derive_rng(spec.seed, "testbed", loc_id)
+        scans = []
+        for s in range(spec.scans_per_location):
+            heard = []
+            for tower in spec.towers:
+                dbm = received_dbm(tower, point, spec.path_loss_exponent)
+                if spec.shadow_sigma_db > 0:
+                    dbm += rng.normal(0.0, spec.shadow_sigma_db)
+                if dbm >= spec.sensitivity_dbm:
+                    heard.append((tower.tower_id, dbm))
+            heard.sort(key=lambda pair: (-pair[1], pair[0]))
+            readings = [(t, dbm_to_asu(dbm)) for t, dbm in heard[:MAX_READINGS_PER_SCAN]]
+            scans.append(RawScan(s, tuple(readings)))
+        locations.append(ReferenceLocation(loc_id, point, tuple(scans)))
+    grid = spec.grid_spacing_m if spec.grid_spacing_m else 1.0
+    return from_locations(locations, testbed=spec.name, grid_cell_m=grid)
 
 
 def spec_with(towers, sigma=0.0, scans=10, seed=1, points=((0.0, 0.0), (5.0, 0.0)), **kw):
@@ -92,6 +121,31 @@ class TestGenerate:
         db = generate(spec_with(towers, points=((0.0, 0.0), (0.0, 0.1))))
         heard = {db.tower_universe[j] for j in np.flatnonzero(db.heard[0])}
         assert heard == {f"T{i}" for i in range(7)}  # T7 is the farthest
+
+    def test_equals_scalar_reference(self):
+        # 8 towers, listed out of id order. T5 and T4 sit near the sensitivity
+        # floor, so they drop in and out, and the cap binds when both are heard
+        towers = [Tower(f"T{i}", (2.0 * i - 6.0, 1.0), -50.0) for i in (3, 0, 7, 1, 6, 2)]
+        towers += [Tower("T5", (0.0, 110.0), -70.0), Tower("T4", (110.0, 0.0), -70.0)]
+        spec = spec_with(towers, sigma=4.0, scans=40, points=((0.0, 0.0), (4.0, 2.0), (-3.0, 5.0)))
+        db = generate(spec)
+        heard_t5 = db.heard[:, db.tower_universe.index("T5")]
+        assert 0 < heard_t5.sum() < heard_t5.size
+        assert np.any(db.heard.sum(axis=1) == MAX_READINGS_PER_SCAN)
+        assert db == scalar_generate(spec)
+
+    def test_equals_scalar_reference_on_desk_spec(self):
+        # 60 scans x 10 towers per location: one block draw is the scalar draws
+        assert generate(default_desk_spec()) == scalar_generate(default_desk_spec())
+
+    def test_ties_break_by_tower_id_without_shadowing(self):
+        # mirror-image towers are heard at equal dBm; no draw is made at sigma 0
+        towers = [Tower(t, (x, 0.0), -50.0)
+                  for t, x in (("T3", 5.0), ("T1", 3.0), ("T2", -5.0), ("T0", -3.0))]
+        spec = spec_with(towers, points=((0.0, 0.0), (0.0, 1.0)))
+        db = generate(spec)
+        assert db == scalar_generate(spec)
+        assert db.position[0].tolist() == [0, 1, 2, 3]
 
     def test_all_locations_hear_nothing_raises(self):
         towers = [Tower("A", (500.0, 0.0), -80.0), Tower("B", (0.0, 500.0), -80.0)]
