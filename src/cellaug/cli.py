@@ -26,6 +26,7 @@ from .localize import (
     default_profile,
     desk_profile,
     evaluate,
+    json_text,
     load_model,
     save_model,
     train_localizer,
@@ -91,8 +92,8 @@ def _split_db(db: FingerprintDatabase, args):
         raise ConfigError(str(exc)) from exc
 
 
-def _write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def _write_json(path: str | Path, payload) -> None:
+    Path(path).write_text(json_text(payload), encoding="utf-8")
 
 
 def _write_vectors(path: str | Path, samples: SampleSet) -> None:
@@ -190,7 +191,7 @@ def cmd_evaluate(args) -> int:
                           f"coordinates: {', '.join(map(str, wrong.tolist()))}")
     _, db_test = _split_db(db, args)
     report = evaluate(model, vectorize_database(db_test, model.towers))
-    _write_json(args.out, report.to_dict())
+    _write_json(args.out, report)
     csv_path = Path(args.out).with_suffix(".cdf.csv")
     csv_path.write_text(report.cdf_csv(), encoding="utf-8")
     print(f"p50 = {report.p50:.3f} m over {report.errors.size} samples -> {args.out}")
@@ -213,7 +214,7 @@ def cmd_compare(args) -> int:
     t_run = time.monotonic()
 
     payload = {"seed": cfg.seed, "profile": dataclasses.asdict(profile)}
-    payload.update(result.to_dict())
+    payload.update(vars(result))  # as result.to_dict(), with the reports as objects
     _write_json(args.out, payload)
 
     out = Path(args.out)

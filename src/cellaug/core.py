@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -198,27 +199,64 @@ def _int64(value, key: str) -> int:
     return value
 
 
+# The JSON types of a scan record's fields. RawScan coerces, a file may not.
+_JSON_TYPES = (("loc", (int,), "integer"), ("x", (int, float), "number"),
+               ("y", (int, float), "number"), ("ts", (int,), "integer"))
+
+
+def _check_scan(rec) -> tuple[int, tuple[float, float]]:
+    """The location id and coordinates of one decoded scan record, after
+    checking every field. A record of the wrong shape raises KeyError,
+    TypeError or IndexError; a bad value raises ValueError or OverflowError
+    with its message. The JSON types come last, so that a value the
+    coercions already refuse keeps that message."""
+    loc_id = _int64(rec["loc"], "loc")
+    xy = (float(rec["x"]), float(rec["y"]))
+    if not all(map(math.isfinite, xy)):
+        raise ValueError(f"non-finite coordinates: {xy}")
+    _int64(rec["ts"], "ts")
+    _check_readings(rec["readings"])
+    for key, types, name in _JSON_TYPES:
+        if type(rec[key]) not in types:
+            raise ValueError(f"{key} must be a JSON {name}, got {rec[key]!r}")
+    for tower, asu in rec["readings"]:
+        if type(tower) is not str:
+            raise ValueError(f"tower id must be a JSON string, got {tower!r}")
+        if type(asu) is not int:
+            raise ValueError(f"ASU must be a JSON integer, got {asu!r} for tower {tower}")
+    return loc_id, xy
+
+
 def load_database(path: str | Path) -> FingerprintDatabase:
     """Load a JSON-lines fingerprint database.
 
     Line 1 is a header ``{"testbed": str, "grid_cell_m": number}``; every
-    further line is one scan ``{"loc", "x", "y", "ts", "readings"}``, with
-    ``loc`` and ``ts`` in int64. Each line is checked as it is parsed.
-    Locations come out sorted by id, scans in file order within each.
+    further non-blank line is one scan ``{"loc", "x", "y", "ts",
+    "readings"}``: ``loc``, ``ts`` and each ASU JSON integers, ``loc`` and
+    ``ts`` in int64, ``x`` and ``y`` finite JSON numbers, tower ids
+    non-empty JSON strings. A malformed file raises DatabaseFormatError
+    naming its first bad line. Locations come out sorted by id, scans in
+    file order within each.
     """
     path = Path(path)
-    with path.open(encoding="utf-8") as lines:
-        return _parse(path, lines)
+    with path.open(encoding="utf-8") as file:
+        lines = file.readlines()
+    return _parse(path, lines)
 
 
-def _parse(path: Path, lines) -> FingerprintDatabase:
-    """The database in `lines`, the open file at `path`, read line by line."""
-    first = next(lines, "")
-    if not first.strip():
+def _parse(path: Path, lines: list[str]) -> FingerprintDatabase:
+    """The database in `lines`, the lines of the file at `path`.
+
+    The scan lines are decoded and copied into flat columns, which are then
+    checked as arrays. Where a line does not copy or a column check fails,
+    _raise_first_error checks line by line and names the first bad line.
+    """
+    if not any(map(str.strip, lines)):
         raise DatabaseFormatError(f"{path}: no locations (empty file)")
-
     try:
-        header = json.loads(first)
+        if not lines[0].strip():
+            raise ValueError("blank line")
+        header = json.loads(lines[0])
         testbed = str(header["testbed"])
         grid_cell_m = float(header["grid_cell_m"])
         if not math.isfinite(grid_cell_m):
@@ -226,23 +264,86 @@ def _parse(path: Path, lines) -> FingerprintDatabase:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DatabaseFormatError(f"{path}: line 1: bad header: {exc}") from exc
 
+    try:
+        columns = _scan_columns(lines[1:])
+    except (ValueError, KeyError, TypeError, RecursionError):  # a line that is no scan record
+        columns = None
+    db = None if columns is None else _from_columns(*columns, testbed, grid_cell_m)
+    if db is None:
+        _raise_first_error(path, lines[1:])
+    return db
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+
+
+def _scan_columns(lines: list[str]) -> tuple[list, ...]:
+    """The fields of the non-blank `lines`, one flat list each: loc, x, y,
+    ts, then tower and ASU per reading and the reading count per scan.
+    Nothing is checked beyond what decoding and indexing raise. Records are
+    dropped as they are copied, so few containers stay alive for the
+    garbage collector to scan."""
+    loc, x, y, ts, towers, asus, counts = [], [], [], [], [], [], []
+    for raw in lines:
+        if raw.strip():
+            # json.loads(raw), less its Python-level overhead: one value,
+            # JSON whitespace around it, and anything else raises ValueError.
+            rec, end = _raw_decode(raw, len(raw) - len(raw.lstrip(_JSON_SPACE)))
+            if raw[end:].strip(_JSON_SPACE):
+                raise ValueError("extra data after the record")
+            loc.append(rec["loc"])
+            x.append(rec["x"])
+            y.append(rec["y"])
+            ts.append(rec["ts"])
+            readings = rec["readings"]
+            counts.append(len(readings))
+            for tower, asu in readings:
+                towers.append(tower)
+                asus.append(asu)
+    return loc, x, y, ts, towers, asus, counts
+
+
+def _typed(values: list, *types: type) -> bool:
+    # type(), not isinstance(): JSON true decodes to a bool, an int subclass
+    return set(map(type, values)) <= set(types)
+
+
+def _from_columns(loc, x, y, ts, towers, asus, counts,
+                  testbed: str, grid_cell_m: float) -> FingerprintDatabase | None:
+    """The database of the copied columns, or None if they fail any check
+    that _check_scan and _raise_first_error make line by line."""
+    if not (counts and _typed(loc, int) and _typed(ts, int) and _typed(x, int, float)
+            and _typed(y, int, float) and _typed(towers, str) and _typed(asus, int)):
+        return None
+    if not (INT64_MIN <= min(loc) and max(loc) <= INT64_MAX
+            and INT64_MIN <= min(ts) and max(ts) <= INT64_MAX
+            and 1 <= min(counts) and max(counts) <= MAX_READINGS_PER_SCAN
+            and ASU_MIN <= min(asus) and max(asus) <= ASU_MAX and "" not in towers):
+        return None
+    try:
+        xy = np.array([x, y], dtype=np.float64).T
+    except OverflowError:  # an integer beyond the float range
+        return None
+    # every scan at its location's first coordinates
+    ids, first, inverse = np.unique(loc, return_index=True, return_inverse=True)
+    if not (np.all(np.isfinite(xy)) and np.array_equal(xy[first][inverse], xy)):
+        return None
+    db = _assemble(ids, xy[first], loc, ts, towers, asus, counts, testbed, grid_cell_m)
+    if np.count_nonzero(db.heard) != len(towers):  # a tower repeated within a scan
+        return None
+    return db
+
+
+def _raise_first_error(path: Path, lines: list[str]) -> NoReturn:
+    """Check the scan `lines` (line 2 on) one at a time, in file order, and
+    raise DatabaseFormatError for the first bad one."""
     coords_by_loc: dict[int, tuple[float, float]] = {}
-    scan_ids: list[int] = []
-    timestamps: list[int] = []
-    towers: list[TowerId] = []
-    asus: list[int] = []
-    counts: list[int] = []
     for lineno, raw in enumerate(lines, start=2):
         if not raw.strip():
             continue
         try:
-            rec = json.loads(raw)
-            loc_id = _int64(rec["loc"], "loc")
-            xy = (float(rec["x"]), float(rec["y"]))
-            if not all(map(math.isfinite, xy)):
-                raise ValueError(f"non-finite coordinates: {xy}")
-            ts = _int64(rec["ts"], "ts")
-            readings = _check_readings(rec["readings"])
+            loc_id, xy = _check_scan(json.loads(raw))
         except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
             raise DatabaseFormatError(f"{path}: line {lineno}: malformed scan: {exc}") from exc
         except (ValueError, OverflowError) as exc:
@@ -251,16 +352,9 @@ def _parse(path: Path, lines) -> FingerprintDatabase:
             raise DatabaseFormatError(
                 f"{path}: line {lineno}: conflicting coordinates for location {loc_id}"
             )
-        scan_ids.append(loc_id)
-        timestamps.append(ts)
-        towers.extend(t for t, _ in readings)
-        asus.extend(a for _, a in readings)
-        counts.append(len(readings))
-
     if not coords_by_loc:
         raise DatabaseFormatError(f"{path}: no locations")
-    return _assemble(list(coords_by_loc), list(coords_by_loc.values()), scan_ids, timestamps,
-                     towers, asus, counts, testbed, grid_cell_m)
+    raise RuntimeError(f"{path}: the column checks reject a file that passes every line check")
 
 
 def save_database(db: FingerprintDatabase, path: str | Path) -> None:

@@ -1,11 +1,13 @@
 """Deep fingerprint localizer: softmax over reference locations, decoded as
 the probability-weighted average of all reference coordinates, plus the
-error evaluation (percentiles and CDF) and the improvement comparison."""
+error evaluation (percentiles and CDF), its JSON writer and the
+improvement comparison."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -109,16 +111,68 @@ class ErrorReport:
     cdf: tuple[tuple[float, float], ...]
 
     def to_dict(self) -> dict:
+        return self._dict([[e, f] for e, f in self.cdf])
+
+    def _dict(self, cdf) -> dict:
         return {
             "percentiles": {"p25": self.p25, "p50": self.p50, "p75": self.p75},
-            "cdf": [[e, f] for e, f in self.cdf],
+            "cdf": cdf,
             "n": int(self.errors.size),
         }
 
+    @cached_property
+    def _cdf_text(self) -> tuple[list[str], list[str]]:
+        """The CDF's errors and fractions, each formatted once with repr,
+        which is also what json writes for a finite float."""
+        errors, fractions = zip(*self.cdf) if self.cdf else ((), ())
+        return list(map(repr, errors)), list(map(repr, fractions))
+
     def cdf_csv(self) -> str:
-        lines = ["error_m,fraction"]
-        lines += [f"{e},{f}" for e, f in self.cdf]
-        return "\n".join(lines) + "\n"
+        errors, fractions = self._cdf_text
+        return "\n".join(["error_m,fraction", *map(",".join, zip(errors, fractions))]) + "\n"
+
+    def _cdf_json(self, indent: str) -> str:
+        """The CDF as json.dumps(..., indent=2) writes it where its key's line
+        starts with `indent`."""
+        if not self.cdf:
+            return "[]"
+        errors, fractions = (list(map(_JSON_NON_FINITE.get, column, column))
+                             for column in self._cdf_text)
+        row, value = indent + "  ", indent + "    "
+        pairs = map(f",\n{value}".join, zip(errors, fractions))
+        body = f"\n{row}],\n{row}[\n{value}".join(pairs)
+        return f"[\n{row}[\n{value}{body}\n{row}]\n{indent}]"
+
+
+# json's spelling of the floats whose repr is not JSON.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Stands in for a CDF in json's output until it is spliced in; json writes
+# the NUL as \u0000, which no other string of a report holds.
+_CDF_MARK = "\0cdf "
+
+
+def json_text(payload) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"``, where an ErrorReport (the
+    payload itself, or a dict value at any depth) stands for its to_dict().
+
+    json's indented encoder is pure Python, slow on a CDF of thousands of
+    rows, so each CDF is written from its formatted values and spliced in;
+    the rest of the payload goes through json.
+    """
+    reports = []
+
+    def stub(value, depth):
+        if isinstance(value, ErrorReport):
+            reports.append((value, "  " * (depth + 1)))
+            return value._dict(f"{_CDF_MARK}{len(reports) - 1}")
+        if isinstance(value, dict):
+            return {key: stub(v, depth + 1) for key, v in value.items()}
+        return value
+
+    text = json.dumps(stub(payload, 0), indent=2)
+    for i, (report, indent) in enumerate(reports):
+        text = text.replace(json.dumps(f"{_CDF_MARK}{i}"), report._cdf_json(indent), 1)
+    return text + "\n"
 
 
 def make_report(errors: np.ndarray) -> ErrorReport:
@@ -126,9 +180,9 @@ def make_report(errors: np.ndarray) -> ErrorReport:
     if errors.size == 0:
         raise ValueError("empty test set")
     p25, p50, p75 = (float(p) for p in np.percentile(errors, [25, 50, 75]))
-    sorted_errors = np.sort(errors)
     n = errors.size
-    cdf = tuple((float(e), (i + 1) / n) for i, e in enumerate(sorted_errors))
+    # float64 division of integers below 2**53 rounds as Python's int / int does.
+    cdf = tuple(zip(np.sort(errors).tolist(), (np.arange(1, n + 1) / n).tolist()))
     return ErrorReport(errors=errors, p25=p25, p50=p50, p75=p75, cdf=cdf)
 
 
@@ -194,8 +248,13 @@ def evaluate(model: LocalizerModel, samples: SampleSet) -> ErrorReport:
         raise ValueError("empty test set")
     if samples.towers != model.towers:
         raise ValueError("test samples are not aligned to the model's towers")
+    classes = np.asarray(model.classes)
+    order = np.argsort(classes)
+    index = order[np.searchsorted(classes, samples.labels, sorter=order).clip(max=len(order) - 1)]
+    if not np.array_equal(classes[index], samples.labels):
+        raise ValueError("test samples hold locations unknown to the model")
     estimates = estimate_location(model, samples.x)
-    truth = np.array([model.coords[int(l)] for l in samples.labels])
+    truth = model.coordinate_matrix[index]
     errors = np.linalg.norm(estimates - truth, axis=1)
     return make_report(errors)
 

@@ -57,14 +57,9 @@ class ComparisonResult:
     n_test_scans: int
 
     def to_dict(self) -> dict:
-        return {
-            "without_augmentation": self.without_augmentation.to_dict(),
-            "with_augmentation": self.with_augmentation.to_dict(),
-            "improvement_percent": self.improvement_percent,
-            "augmented_counts": self.augmented_counts,
-            "n_train_scans": self.n_train_scans,
-            "n_test_scans": self.n_test_scans,
-        }
+        """The fields in declaration order, each report as its to_dict()."""
+        return {name: value.to_dict() if isinstance(value, ErrorReport) else value
+                for name, value in vars(self).items()}
 
 
 def database_coordinates(db: FingerprintDatabase) -> dict[int, tuple[float, float]]:

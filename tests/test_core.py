@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -14,6 +15,9 @@ from cellaug.core import (
     RawScan,
     ReferenceLocation,
     from_locations,
+    _assemble,
+    _check_readings,
+    _int64,
     heard_count_histogram,
     load_database,
     save_database,
@@ -194,6 +198,35 @@ class TestSerialization:
             '{"loc": 0, "x": 0, "y": 0, "ts": 0, "readings": [["A", 1]]}\n'
         )
         with pytest.raises(DatabaseFormatError, match=r"grid\.jsonl: line 1: .*non-finite"):
+            load_database(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("loc", '"7"', "loc must be a JSON integer, got '7'"),
+        ("loc", "7.0", "loc must be a JSON integer, got 7.0"),
+        ("ts", "2.9", "ts must be a JSON integer, got 2.9"),
+        ("ts", "true", "ts must be a JSON integer, got True"),
+        ("x", '"1.5"', "x must be a JSON number, got '1.5'"),
+        ("y", "false", "y must be a JSON number, got False"),
+        ("readings", '[["A", 4.8]]', "ASU must be a JSON integer, got 4.8 for tower A"),
+        ("readings", '[["A", true]]', "ASU must be a JSON integer, got True for tower A"),
+        ("readings", "[[5, 3]]", "tower id must be a JSON string, got 5"),
+    ])
+    def test_loose_json_type_rejected(self, tmp_path, key, value, message):
+        # RawScan coerces these; a file must hold the JSON types themselves
+        fields = {"loc": "0", "x": "0", "y": "0", "ts": "0", "readings": '[["A", 1]]', key: value}
+        path = tmp_path / "types.jsonl"
+        path.write_text('{"testbed": "x", "grid_cell_m": 1}\n'
+                        '{"loc": 0, "x": 0, "y": 0, "ts": 0, "readings": [["A", 1]]}\n'
+                        + "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n")
+        with pytest.raises(DatabaseFormatError,
+                           match=rf"types\.jsonl: line 3: {re.escape(message)}$"):
+            load_database(path)
+
+    def test_blank_first_line_reports_bad_header(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text('\n{"testbed": "x", "grid_cell_m": 1}\n'
+                        '{"loc": 0, "x": 0, "y": 0, "ts": 0, "readings": [["A", 1]]}\n')
+        with pytest.raises(DatabaseFormatError, match=r"blank\.jsonl: line 1: bad header"):
             load_database(path)
 
     def test_unwritable_path_raises_io_error(self, small_db, tmp_path):
@@ -397,3 +430,178 @@ class TestHeardCountHistogram:
     def test_probabilities_sum_to_one(self, small_db):
         for _, _, heard in location_blocks(small_db):
             assert sum(heard_count_histogram(heard).values()) == pytest.approx(1.0)
+
+
+def reference_parse(path, lines):
+    """The loader as it was before its columns were checked as arrays: each
+    line decoded and checked on its own, in file order. The oracle for
+    load_database, which must return the same database or raise the same
+    message, except that it also refuses JSON types this one coerces."""
+    first = next(lines, "")
+    if not first.strip():
+        raise DatabaseFormatError(f"{path}: no locations (empty file)")
+
+    try:
+        header = json.loads(first)
+        testbed = str(header["testbed"])
+        grid_cell_m = float(header["grid_cell_m"])
+        if not math.isfinite(grid_cell_m):
+            raise ValueError(f"non-finite grid_cell_m: {grid_cell_m}")
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise DatabaseFormatError(f"{path}: line 1: bad header: {exc}") from exc
+
+    coords_by_loc = {}
+    scan_ids, timestamps, towers, asus, counts = [], [], [], [], []
+    for lineno, raw in enumerate(lines, start=2):
+        if not raw.strip():
+            continue
+        try:
+            rec = json.loads(raw)
+            loc_id = _int64(rec["loc"], "loc")
+            xy = (float(rec["x"]), float(rec["y"]))
+            if not all(map(math.isfinite, xy)):
+                raise ValueError(f"non-finite coordinates: {xy}")
+            ts = _int64(rec["ts"], "ts")
+            readings = _check_readings(rec["readings"])
+        except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
+            raise DatabaseFormatError(f"{path}: line {lineno}: malformed scan: {exc}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise DatabaseFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if coords_by_loc.setdefault(loc_id, xy) != xy:
+            raise DatabaseFormatError(
+                f"{path}: line {lineno}: conflicting coordinates for location {loc_id}"
+            )
+        scan_ids.append(loc_id)
+        timestamps.append(ts)
+        towers.extend(t for t, _ in readings)
+        asus.extend(a for _, a in readings)
+        counts.append(len(readings))
+
+    if not coords_by_loc:
+        raise DatabaseFormatError(f"{path}: no locations")
+    return _assemble(list(coords_by_loc), list(coords_by_loc.values()), scan_ids, timestamps,
+                     towers, asus, counts, testbed, grid_cell_m)
+
+
+def _set_reading(rec, index, value):
+    rec["readings"][0][index] = value
+
+
+def _pick(draw, *values):
+    return draw(st.sampled_from(values))
+
+
+def _split_line(rec, draw):
+    text = json.dumps(rec)
+    cut = draw(st.integers(1, len(text) - 1))
+    return text[:cut] + "\n" + text[cut:]
+
+
+def _padded_line(rec, draw):
+    pads = ("", " ", "\t ", "\x0c", "\xa0")  # JSON whitespace or not
+    return _pick(draw, *pads) + json.dumps(rec) + _pick(draw, *pads)
+
+
+BIG = (2**63, -(2**63) - 1)
+
+# Single-record mutations, each given the record (a dict) and a draw
+# function; one that returns a string replaces the record's line with it.
+BAD_RECORDS = {
+    "two objects": lambda rec, draw: json.dumps(rec) + _pick(draw, " ", "") + json.dumps(rec),
+    "split over two lines": _split_line,
+    "padded": _padded_line,
+    "outside int64": lambda rec, draw: rec.update(
+        {_pick(draw, "loc", "ts", "x", "y"): _pick(draw, *BIG, 10**400)}),
+    "outside int64 ASU": lambda rec, draw: _set_reading(rec, 1, _pick(draw, *BIG)),
+    "non-finite coordinate": lambda rec, draw: rec.update(
+        {_pick(draw, "x", "y"): _pick(draw, math.nan, math.inf, -math.inf)}),
+    "no readings": lambda rec, draw: rec.update(readings=[]),
+    "eight readings": lambda rec, draw: rec.update(readings=[[f"R{i}", 1] for i in range(8)]),
+    "repeated tower": lambda rec, draw: rec["readings"].append(
+        [rec["readings"][0][0], draw(st.integers(0, ASU_MAX))]),
+    "ASU out of range": lambda rec, draw: _set_reading(rec, 1, _pick(draw, -1, 32)),
+    "empty tower id": lambda rec, draw: _set_reading(rec, 0, ""),
+    "conflicting coordinates": lambda rec, draw: rec.update(x=rec["x"] + _pick(draw, 1.0, 1e300)),
+    "missing key": lambda rec, draw: rec.pop(_pick(draw, "loc", "x", "y", "ts", "readings")),
+    "not an object": lambda rec, draw: json.dumps(_pick(draw, [1, 2], "scan", 7, None)),
+    "readings not pairs": lambda rec, draw: rec.update(
+        readings=_pick(draw, [["A", 1, 2]], [["A"]], {"A": 1}, 5, "AB")),
+}
+
+# Values that RawScan coerces but a file may not hold.
+LOOSE_RECORDS = {
+    "loc as float": lambda rec, draw: rec.update(loc=float(rec["loc"])),
+    "loc as string": lambda rec, draw: rec.update(loc=str(rec["loc"])),
+    "ts as float": lambda rec, draw: rec.update(ts=rec["ts"] + 0.9),
+    "ts as bool": lambda rec, draw: rec.update(ts=draw(st.booleans())),
+    "x as string": lambda rec, draw: rec.update(x=str(rec["x"])),
+    "y as bool": lambda rec, draw: rec.update(y=draw(st.booleans())),
+    "ASU as float": lambda rec, draw: _set_reading(rec, 1, rec["readings"][0][1] + 0.5),
+    "ASU as bool": lambda rec, draw: _set_reading(rec, 1, draw(st.booleans())),
+    "tower id as int": lambda rec, draw: _set_reading(rec, 0, draw(st.integers(0, 99))),
+    "reading as a string": lambda rec, draw: rec.update(readings=["A5"]),
+}
+
+
+@st.composite
+def mutated_surveys(draw):
+    """(file text, 2-based line of the loose-typed record or None): a drawn
+    survey with up to two bad records or one loose-typed one, blank or
+    whitespace-only lines anywhere after the header, and LF, CRLF or CR
+    line ends."""
+    scans, coordinates, testbed, grid = draw(surveys_in_file_order())
+    records = [{"loc": loc_id, "x": coordinates[loc_id][0], "y": coordinates[loc_id][1],
+                "ts": s.timestamp, "readings": [list(r) for r in s.readings]}
+               for loc_id, s in scans]
+    loose_line = None
+    if draw(st.booleans()):
+        table = LOOSE_RECORDS
+        targets = [draw(st.integers(0, len(records) - 1))]
+        loose_line = targets[0] + 2
+    else:
+        table = BAD_RECORDS
+        targets = draw(st.lists(st.integers(0, len(records) - 1), max_size=2, unique=True))
+    lines = [json.dumps(rec) for rec in records]
+    for i in targets:
+        replaced = table[draw(st.sampled_from(sorted(table)))](records[i], draw)
+        lines[i] = replaced if isinstance(replaced, str) else json.dumps(records[i])
+    if loose_line is None:
+        for _ in range(draw(st.integers(0, 3))):
+            blank = draw(st.sampled_from(["", " ", "\t", "  \t ", "\x0c"]))
+            lines.insert(draw(st.integers(0, len(lines))), blank)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join([json.dumps({"testbed": testbed, "grid_cell_m": grid}), *lines])
+    return text + draw(st.sampled_from(["", newline])), loose_line
+
+
+def load_with(loader, path):
+    """(database, None) or (None, the DatabaseFormatError message)."""
+    try:
+        return loader(path), None
+    except DatabaseFormatError as exc:
+        return None, str(exc)
+
+
+def reference_load(path):
+    with path.open(encoding="utf-8") as lines:
+        return reference_parse(path, lines)
+
+
+class TestLoaderOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(drawn=mutated_surveys())
+    def test_matches_line_by_line_reference(self, tmp_path_factory, drawn):
+        text, loose_line = drawn
+        path = tmp_path_factory.mktemp("survey") / "db.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        db, message = load_with(load_database, path)
+        expected, expected_message = load_with(reference_load, path)
+        if loose_line is None:
+            assert message == expected_message
+            assert db == expected
+            return
+        assert re.fullmatch(rf".*db\.jsonl: line {loose_line}: "
+                            r"(loc|ts|x|y|ASU|tower id) must be a JSON (integer|number|string), .*",
+                            message, flags=re.DOTALL)
+        if expected_message is not None:  # the coerced value may clash with a later line
+            assert int(re.search(r"line (\d+)", expected_message).group(1)) >= loose_line

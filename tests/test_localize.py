@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellaug.localize import (
     ErrorReport,
@@ -13,6 +16,7 @@ from cellaug.localize import (
     estimate_location,
     evaluate,
     improvement,
+    json_text,
     load_model,
     make_report,
     model_from_dict,
@@ -189,6 +193,26 @@ class TestEvaluate:
         assert report.p50 < 1.0  # well under the 10 m grid scale
 
 
+class TestTruthLookup:
+    def test_classes_in_any_order(self):
+        # the same model with its output classes listed in reverse
+        vectors, coords = toy_square_vectors(n_per_loc=10)
+        model = train_localizer(vectors, FAST, coords, seed=3)
+        weights, biases = model.network.weights, model.network.biases
+        net = dataclasses.replace(model.network, weights=[*weights[:-1], weights[-1][:, ::-1]],
+                                  biases=[*biases[:-1], biases[-1][::-1]])
+        reversed_model = dataclasses.replace(model, network=net, classes=model.classes[::-1])
+        a, b = evaluate(model, vectors), evaluate(reversed_model, vectors)
+        assert np.allclose(a.errors, b.errors, rtol=0, atol=1e-12)
+
+    def test_unknown_location_rejected(self):
+        vectors, coords = toy_square_vectors(n_per_loc=5)
+        model = train_localizer(vectors, FAST, coords, seed=0)
+        stranger = SampleSet(vectors.x[:3], [0, 9, 1], TOWERS)
+        with pytest.raises(ValueError, match="unknown to the model"):
+            evaluate(model, stranger)
+
+
 class TestTowerContract:
     def test_evaluate_rejects_other_towers(self):
         vectors, coords = toy_square_vectors(n_per_loc=5)
@@ -271,3 +295,73 @@ class TestModelSerialization:
     def test_desk_profile_reasonable(self):
         p = desk_profile()
         assert p.epochs > 0 and 0 <= p.dropout_rate < 1
+
+
+# repr switches to exponent notation below 1e-4 and from 1e16 on.
+REPR_EDGES = [1e-05, 9.999999999999999e-06, 0.0001, 9.999999999999999e-05, 1e16,
+              9999999999999998.0, 1e15, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              0.0, -0.0, math.nan, math.inf, -math.inf]
+report_floats = st.floats() | st.sampled_from(REPR_EDGES + [-v for v in REPR_EDGES])
+
+
+@st.composite
+def reports(draw):
+    errors = draw(st.lists(report_floats, max_size=6))
+    cdf = draw(st.lists(st.tuples(report_floats, report_floats), max_size=12))
+    p25, p50, p75 = (draw(report_floats) for _ in range(3))
+    return ErrorReport(errors=np.array(errors), p25=p25, p50=p50, p75=p75, cdf=tuple(cdf))
+
+
+def reference_cdf_csv(report):
+    """ErrorReport.cdf_csv as it was: each value formatted by an f-string."""
+    lines = ["error_m,fraction"]
+    lines += [f"{e},{f}" for e, f in report.cdf]
+    return "\n".join(lines) + "\n"
+
+
+def as_dicts(payload):
+    """The payload with every ErrorReport replaced by its to_dict()."""
+    if isinstance(payload, ErrorReport):
+        return payload.to_dict()
+    if isinstance(payload, dict):
+        return {k: as_dicts(v) for k, v in payload.items()}
+    return payload
+
+
+class TestReportWriter:
+    """json_text and cdf_csv against json.dumps and the f-string CSV."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(report=reports())
+    def test_evaluate_report_bytes(self, report):
+        assert json_text(report) == json.dumps(report.to_dict(), indent=2) + "\n"
+        assert report.cdf_csv() == reference_cdf_csv(report)
+
+    @settings(max_examples=200, deadline=None)
+    @given(without=reports(), with_=reports(), data=st.data())
+    def test_compare_report_bytes(self, without, with_, data):
+        ints = st.integers(-2**70, 2**70)
+        payload = {
+            "seed": data.draw(ints),
+            "profile": {"learning_rate": data.draw(report_floats), "batch_size": data.draw(ints)},
+            "without_augmentation": without,
+            "with_augmentation": with_,
+            "improvement_percent": {k: data.draw(report_floats | st.just("exact"))
+                                    for k in ("p25", "p50", "p75")},
+            "augmented_counts": {"original": data.draw(ints), "vae": data.draw(ints)},
+            "n_train_scans": data.draw(ints),
+        }
+        for _ in range(data.draw(st.integers(0, 2))):  # reports nested deeper
+            payload = {"outer": payload, "after": [1, 2.5]}
+        assert json_text(payload) == json.dumps(as_dicts(payload), indent=2) + "\n"
+        assert with_.cdf_csv() == reference_cdf_csv(with_)
+
+    @settings(max_examples=30, deadline=None)
+    @given(errors=st.lists(st.floats(0, 1e6), min_size=1, max_size=40), n=st.integers(1, 100_000))
+    def test_cdf_matches_reference(self, errors, n):
+        """make_report's CDF against the row-by-row build it replaced."""
+        def reference(values):
+            ordered = np.sort(np.asarray(values, dtype=np.float64))
+            return tuple((float(e), (i + 1) / len(ordered)) for i, e in enumerate(ordered))
+        assert make_report(errors).cdf == reference(errors)
+        assert make_report(np.zeros(n)).cdf == reference(np.zeros(n))
