@@ -16,6 +16,7 @@ drops one (doing so would change no value).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -77,6 +78,15 @@ class AugmentConfig:
             raise ConfigError(f"threshold must be in [0,1]: {self.drop_threshold_value}")
         if self.drop_random_max_drop < 1:
             raise ConfigError("drop_random_max_drop must be >= 1")
+        for key, count in (("sampling.n_per_location", self.sampling_n_per_location),
+                           ("vae.n_per_location", self.vae_n_per_location)):
+            if count is not None and count < 1:
+                raise ConfigError(f"{key} must be >= 1 or auto, got {count}")
+        if self.vae_epochs < 1:
+            raise ConfigError(f"vae.epochs must be >= 1, got {self.vae_epochs}")
+        if not (math.isfinite(self.vae_learning_rate) and self.vae_learning_rate > 0):
+            raise ConfigError(
+                f"vae.learning_rate must be a finite number > 0, got {self.vae_learning_rate}")
 
     @staticmethod
     def none_enabled() -> "AugmentConfig":
@@ -300,7 +310,9 @@ def augment_all(
             fits = fit_database(db)
         for loc_id, _, heard in per_loc:
             rng = derive_rng(cfg.seed, "sampling", loc_id)
-            n = cfg.sampling_n_per_location or 10 * len(heard)
+            n = cfg.sampling_n_per_location
+            if n is None:
+                n = 10 * len(heard)
             rows = augment_sampling(heard, fits[loc_id], db.tower_universe, rng, n)
             blocks["sampling"].append((loc_id, rows))
 
@@ -324,7 +336,9 @@ def augment_all(
             if model is None:
                 continue
             rng = derive_rng(cfg.seed, "vae-generate", loc_id)
-            n = cfg.vae_n_per_location or 10 * len(x)
+            n = cfg.vae_n_per_location
+            if n is None:
+                n = 10 * len(x)
             blocks["vae"].append((loc_id, generate(model, rng, n)))
 
     counts = {name: sum(len(rows) for _, rows in bl) for name, bl in blocks.items()}

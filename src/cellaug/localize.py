@@ -100,7 +100,7 @@ class LocalizerModel:
         return np.array([self.coords[c] for c in self.classes])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorReport:
     """Per-sample localization errors in meters with their percentiles."""
 
@@ -109,6 +109,13 @@ class ErrorReport:
     p50: float
     p75: float
     cdf: tuple[tuple[float, float], ...]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ErrorReport):
+            return NotImplemented
+        return (np.array_equal(self.errors, other.errors)
+                and (self.p25, self.p50, self.p75, self.cdf)
+                == (other.p25, other.p50, other.p75, other.cdf))
 
     def to_dict(self) -> dict:
         return self._dict([[e, f] for e, f in self.cdf])

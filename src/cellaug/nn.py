@@ -12,8 +12,10 @@ per layer, each slice computing exactly what the unstacked network would.
 train() is the localizer's loop: the forward, loss, backward and update of
 a step fused into one straight-line loop over flat parameter and gradient
 buffers, bit-identical to the primitives forward_with_cache, backward and
-sgd_step, which serve the stacked VAE and the gradient checks. forward()
-is the eval-mode pass, holding one layer's activations at a time.
+sgd_step. The VAE's step (vae.py) is written out the same way and updates
+with sgd_step; forward_with_cache and backward remain the reference that
+train() and the gradient checks test against. forward() is the eval-mode
+pass, holding one layer's activations at a time.
 """
 
 from __future__ import annotations

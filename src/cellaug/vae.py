@@ -17,11 +17,16 @@ location up to 64 rows, else chunks of 32.
 
 Locations with the same row count train together as one stack: every
 parameter gains a leading location axis, (L, in, out), and each SGD step
-runs the forward, backward and update of all L models as one batched pass
-through the nn engine. Each location still draws from its own "vae-init"
-and "vae-train" streams, in the order a lone run would, so a model trained
-in a stack is bit-identical to the same location trained alone
-(train_vae is the L = 1 case).
+runs the forward, backward and update of all L models as one batched pass.
+The forward and the analytic gradient (_batch_loss, vae_grads) are
+straight-line array code, with the arithmetic of the engine's
+forward_with_cache and backward in the same order, so they give the same
+bits; nn.sgd_step does the update. Each location still draws from its own
+"vae-init" and "vae-train" streams, in the order a lone run would, so a
+model trained in a stack is bit-identical to the same location trained
+alone (train_vae is the L = 1 case). Each epoch's draws, per location a
+permutation of its rows and one (n, d) block of latent noise, are written
+into two buffers allocated once per training.
 """
 
 from __future__ import annotations
@@ -39,14 +44,16 @@ from .nn import (
     LayerSpec,
     NonFiniteError,
     TrainingDiverged,
-    backward,
+    _activate,
+    _non_finite,
     forward,
-    forward_with_cache,
     init_network,
     network_from_dict,
     network_to_dict,
     sgd_step,
 )
+# bench/trace.py wraps these on this module to time the VAE's engine calls.
+from .nn import backward, forward_with_cache  # noqa: F401
 from .util import as_rng, derive_rng
 
 LATENT_DIM = 5
@@ -85,6 +92,10 @@ class VaeModel:
     trace: list[float] = field(default_factory=list)
 
     def __post_init__(self):
+        # _batch_loss and vae_grads compute exactly build_vae's layers.
+        kinds = [[spec.activation for spec in net.layers] for net in (self.encoder, self.decoder)]
+        if kinds != [["tanh", "linear"], ["tanh", "sigmoid"]]:
+            raise ValueError(f"VAE layers must be tanh, linear and tanh, sigmoid; got {kinds}")
         if self.encoder.output_dim != 2 * self.latent_dim:
             raise ValueError(
                 f"encoder must emit mean and log-variance: output dim "
@@ -102,13 +113,19 @@ class VaeModel:
 
 @dataclass
 class VaeCache:
-    enc_cache: object
-    dec_cache: object
+    """The values of one forward pass that vae_grads reads: inputs, encoder
+    hidden layer, latent mean and log-variance, sigma = exp(log_var / 2),
+    the draws, the latent, decoder hidden layer and reconstruction."""
+
     x: np.ndarray
-    xhat: np.ndarray
+    h_enc: np.ndarray
     mu: np.ndarray
     log_var: np.ndarray
+    sigma: np.ndarray
     eps: np.ndarray
+    z: np.ndarray
+    h_dec: np.ndarray
+    xhat: np.ndarray
 
 
 def build_vae(
@@ -129,7 +146,7 @@ def build_vae(
 
 def _slice_sum(values: np.ndarray) -> np.ndarray:
     """Sum over the last two axes, one total per stacked slice."""
-    return np.sum(values.reshape(values.shape[:-2] + (-1,)), axis=-1)
+    return np.add.reduce(values.reshape(values.shape[:-2] + (-1,)), axis=-1)
 
 
 def kl_to_standard_normal(mu: np.ndarray, log_var: np.ndarray) -> float | np.ndarray:
@@ -149,34 +166,69 @@ def _network(name: str):
         raise NonFiniteError(f"{name} {exc}", exc.slices) from exc
 
 
+def _layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, kind: str, name: str) -> np.ndarray:
+    """One dense layer, a @ w + b then the activation in place, as the
+    engine's forward computes it; a non-finite activation raises
+    NonFiniteError naming `name` and the stacked slices that hold one."""
+    z = a @ w
+    z += b[..., None, :]
+    post = _activate(z, kind)
+    if not np.isfinite(post).all():
+        raise _non_finite(f"{name} activation is non-finite", [post], post.ndim - 2)
+    return post
+
+
 def _batch_loss(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> tuple[VaeLoss, VaeCache]:
-    with _network("encoder"):
-        enc_out, enc_cache = forward_with_cache(model.encoder, x)
-    d = model.latent_dim
-    mu, log_var = enc_out[..., :d], enc_out[..., d:]
-    z = mu + np.exp(0.5 * log_var) * eps
-    with _network("decoder"):
-        xhat, dec_cache = forward_with_cache(model.decoder, z)
+    """Forward pass and loss terms of the (..., n, m) rows x with the latent
+    draws eps, for build_vae's layers: encoder tanh then linear,
+    reparameterization, decoder tanh then sigmoid."""
+    enc, dec = model.encoder, model.decoder
+    h_enc = _layer(x, enc.weights[0], enc.biases[0], "tanh", "encoder layer 0")
+    enc_out = _layer(h_enc, enc.weights[1], enc.biases[1], "linear", "encoder layer 1")
+    d = eps.shape[-1]
+    # Contiguous copies: every use of mu and log_var is elementwise, and
+    # numpy runs those faster on contiguous operands.
+    mu, log_var = enc_out[..., :d].copy(), enc_out[..., d:].copy()
+    sigma = np.exp(0.5 * log_var)
+    z = mu + sigma * eps
+    h_dec = _layer(z, dec.weights[0], dec.biases[0], "tanh", "decoder layer 0")
+    xhat = _layer(h_dec, dec.weights[1], dec.biases[1], "sigmoid", "decoder layer 1")
     n = x.shape[-2]
     rec = 0.5 * _slice_sum((x - xhat) ** 2) / n
     kl = kl_to_standard_normal(mu, log_var) / n
-    return VaeLoss(rec, kl), VaeCache(enc_cache, dec_cache, x, xhat, mu, log_var, eps)
+    return VaeLoss(rec, kl), VaeCache(x, h_enc, mu, log_var, sigma, eps, z, h_dec, xhat)
 
 
 def vae_grads(
     model: VaeModel, cache: VaeCache, recon_weight: float = 1.0
 ) -> tuple[Gradients, Gradients]:
     """Analytic encoder/decoder gradients of recon_weight * rec + kl."""
-    n = cache.x.shape[-2]
-    d_xhat = recon_weight * (cache.xhat - cache.x) / n
-    dec_grads, d_z = backward(model.decoder, cache.dec_cache, d_xhat)
-    sigma = np.exp(0.5 * cache.log_var)
-    d_mu = d_z + cache.mu / n
-    d_log_var = d_z * cache.eps * 0.5 * sigma + 0.5 * (np.exp(cache.log_var) - 1.0) / n
-    enc_grads, _ = backward(
-        model.encoder, cache.enc_cache, np.concatenate([d_mu, d_log_var], axis=-1)
-    )
-    return enc_grads, dec_grads
+    c = cache
+    n = c.x.shape[-2]
+    # Decoder: sigmoid output, then the tanh hidden layer.
+    delta = recon_weight * (c.xhat - c.x)
+    delta /= n
+    delta *= c.xhat
+    delta *= 1.0 - c.xhat
+    dec_w1 = c.h_dec.swapaxes(-1, -2) @ delta
+    dec_b1 = np.add.reduce(delta, axis=-2)
+    delta = delta @ model.decoder.weights[1].swapaxes(-1, -2)
+    delta *= 1.0 - c.h_dec**2
+    dec_w0 = c.z.swapaxes(-1, -2) @ delta
+    dec_b0 = np.add.reduce(delta, axis=-2)
+    d_z = delta @ model.decoder.weights[0].swapaxes(-1, -2)
+    # Through the reparameterization into the encoder's linear output [mu, log_var].
+    d_mu = d_z + c.mu / n
+    d_log_var = d_z * c.eps * 0.5 * c.sigma + 0.5 * (np.exp(c.log_var) - 1.0) / n
+    delta = np.concatenate([d_mu, d_log_var], axis=-1)
+    enc_w1 = c.h_enc.swapaxes(-1, -2) @ delta
+    enc_b1 = np.add.reduce(delta, axis=-2)
+    delta = delta @ model.encoder.weights[1].swapaxes(-1, -2)
+    delta *= 1.0 - c.h_enc**2
+    enc_w0 = c.x.swapaxes(-1, -2) @ delta
+    enc_b0 = np.add.reduce(delta, axis=-2)
+    return (Gradients([enc_w0, enc_w1], [enc_b0, enc_b1]),
+            Gradients([dec_w0, dec_w1], [dec_b0, dec_b1]))
 
 
 def vae_loss(
@@ -229,6 +281,7 @@ def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> l
     Raises TrainingDiverged naming the locations whose slice went
     non-finite, with the trace of the first of them.
     """
+    x = np.asarray(x, dtype=np.float64)
     n_locations, n, _ = x.shape
     if n < 2:
         raise ValueError(f"too few samples to train a VAE: {n}")
@@ -241,24 +294,32 @@ def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> l
     stacked = stack_vaes(models)
     rngs = [derive_rng(cfg.seed, "vae-train", loc) for loc in location_ids]
     batch = n if n <= FULL_BATCH_LIMIT else MINI_BATCH
-    rows = np.arange(n_locations)[:, None]
+    # Batches are gathered from x's rows as one (L * n, m) matrix.
+    x_rows = x.reshape(n_locations * n, -1)
+    offsets = np.arange(0, n_locations * n, n)[:, None]
+    # Each epoch's draws, written in place: per location its permutation
+    # (rng.permutation(n) is arange(n) shuffled), then the eps of every batch
+    # in turn, which one (n, d) draw gives since the generator fills in order.
+    positions = np.arange(n)
+    order = np.empty((n_locations, n), dtype=positions.dtype)
+    eps = np.empty((n_locations, n, stacked.latent_dim))
+    draws = list(zip(rngs, order, eps))
 
     traces = np.empty((cfg.epochs, n_locations))
     # The finiteness checks name the network, layer and locations of an overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            # Per location: its permutation, then the eps of every batch in turn.
-            # One (n, d) draw is those per-batch draws: the generator fills in order.
-            draws = [(rng.permutation(n), rng.standard_normal((n, stacked.latent_dim)))
-                     for rng in rngs]
-            order = np.stack([perm for perm, _ in draws])
-            eps_epoch = np.stack([eps for _, eps in draws])
+            order[:] = positions
+            for rng, perm, eps_l in draws:
+                rng.shuffle(perm)
+                rng.standard_normal(out=eps_l)
+            rows = order + offsets
             total = np.zeros(n_locations)
             for start in range(0, n, batch):
-                idx = order[:, start : start + batch]
-                eps = eps_epoch[:, start : start + batch]
+                idx = rows[:, start : start + batch]
                 try:
-                    loss, cache = _batch_loss(stacked, x[rows, idx], eps)
+                    loss, cache = _batch_loss(stacked, x_rows.take(idx, axis=0),
+                                              eps[:, start : start + batch])
                     enc_grads, dec_grads = vae_grads(stacked, cache, RECON_WEIGHT)
                     with _network("encoder"):
                         sgd_step(stacked.encoder, enc_grads, cfg.learning_rate)

@@ -179,6 +179,18 @@ class TestEvaluate:
         assert csv[0] == "error_m,fraction"
         assert len(csv) == 4
 
+    def test_equal_reports_compare_equal(self):
+        a, b = make_report([1.0, 2.0]), make_report([1.0, 2.0])
+        assert a is not b and a.errors is not b.errors
+        assert a == b and not a != b
+
+    def test_unequal_reports_compare_unequal(self):
+        a = make_report([1.0, 2.0])
+        assert a != make_report([1.0, 2.5])
+        assert a != make_report([2.0, 1.0])  # same percentiles and CDF, other errors
+        assert a != make_report([1.0, 2.0, 2.0])
+        assert a != a.to_dict()
+
     def test_empty_test_set_rejected(self):
         vectors, coords = toy_square_vectors(n_per_loc=5)
         model = train_localizer(vectors, FAST, coords, seed=0)

@@ -330,6 +330,26 @@ class TestCliExitCodes:
         assert code == 2
         assert len(errors) == 1 and "positive" in errors[0]
 
+    @pytest.mark.parametrize("line", [
+        "vae.epochs = 0", "vae.epochs = -1",
+        "vae.learning_rate = -0.001", "vae.learning_rate = 0", "vae.learning_rate = nan",
+        "vae.learning_rate = inf",
+        "vae.n_per_location = 0", "vae.n_per_location = -2",
+        "sampling.n_per_location = 0", "sampling.n_per_location = -3",
+    ])
+    def test_out_of_range_vae_or_count_value_exits_2(self, line, tmp_path, capsys):
+        # before any training: no untrained VAE rows, no 0 read as auto
+        db_path = tmp_path / "db.jsonl"
+        save_database(tiny_db(), db_path)
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(line + "\n")
+        out = tmp_path / "v.jsonl"
+        code, errors = self.run(["augment", str(db_path), "--config", str(cfg_path),
+                                 "--train-scans", "4", "--out", str(out)], capsys)
+        assert code == 2
+        assert len(errors) == 1 and line.split(" = ")[0] in errors[0]
+        assert not out.exists()
+
     def test_diverging_vae_exits_1_naming_a_location(self, tmp_path, capsys):
         db_path = tmp_path / "db.jsonl"
         save_database(tiny_db(), db_path)

@@ -1,8 +1,15 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from cellaug.nn import TrainingDiverged
+from cellaug import vae as vae_module
+from cellaug.nn import NonFiniteError, TrainingDiverged, backward, forward_with_cache, sgd_step
+from cellaug.util import derive_rng
 from cellaug.vae import (
+    FULL_BATCH_LIMIT,
+    MINI_BATCH,
+    RECON_WEIGHT,
     VaeTrainConfig,
     _batch_loss,
     build_vae,
@@ -178,6 +185,153 @@ class TestStacked:
         assert len(excinfo.value.trace) >= 1 and np.all(np.isfinite(excinfo.value.trace))
 
 
+@contextmanager
+def prefixed(name):
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{name} {exc}", exc.slices) from exc
+
+
+def reference_batch_loss(model, x, eps):
+    """The VAE forward and loss built from the engine's forward_with_cache."""
+    with prefixed("encoder"):
+        enc_out, enc_cache = forward_with_cache(model.encoder, x)
+    d = model.latent_dim
+    mu, log_var = enc_out[..., :d], enc_out[..., d:]
+    z = mu + np.exp(0.5 * log_var) * eps
+    with prefixed("decoder"):
+        xhat, dec_cache = forward_with_cache(model.decoder, z)
+    n = x.shape[-2]
+    lead = x.shape[:-2] + (-1,)
+    rec = 0.5 * np.sum(((x - xhat) ** 2).reshape(lead), axis=-1) / n
+    kl = 0.5 * np.sum((np.exp(log_var) + mu**2 - 1.0 - log_var).reshape(lead), axis=-1) / n
+    return (rec, kl), (enc_cache, dec_cache, x, xhat, mu, log_var, eps)
+
+
+def reference_vae_grads(model, cache, recon_weight):
+    """The analytic VAE gradients built from the engine's backward."""
+    enc_cache, dec_cache, x, xhat, mu, log_var, eps = cache
+    n = x.shape[-2]
+    d_xhat = recon_weight * (xhat - x) / n
+    dec_grads, d_z = backward(model.decoder, dec_cache, d_xhat)
+    sigma = np.exp(0.5 * log_var)
+    d_mu = d_z + mu / n
+    d_log_var = d_z * eps * 0.5 * sigma + 0.5 * (np.exp(log_var) - 1.0) / n
+    enc_grads, _ = backward(model.encoder, enc_cache, np.concatenate([d_mu, d_log_var], axis=-1))
+    return enc_grads, dec_grads
+
+
+def reference_train_vaes(x, cfg, location_ids):
+    """train_vaes as a loop over the engine primitives, with each epoch's
+    draws built by rng.permutation and np.stack."""
+    n_locations, n, _ = x.shape
+    models = [
+        vae_module.build_vae(
+            x.shape[2], int(derive_rng(cfg.seed, "vae-init", loc).integers(0, 2**32)),
+            location_id=loc)
+        for loc in location_ids
+    ]
+    stacked = stack_vaes(models)
+    rngs = [derive_rng(cfg.seed, "vae-train", loc) for loc in location_ids]
+    batch = n if n <= FULL_BATCH_LIMIT else MINI_BATCH
+    rows = np.arange(n_locations)[:, None]
+    traces = np.empty((cfg.epochs, n_locations))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            draws = [(rng.permutation(n), rng.standard_normal((n, stacked.latent_dim)))
+                     for rng in rngs]
+            order = np.stack([perm for perm, _ in draws])
+            eps_epoch = np.stack([eps for _, eps in draws])
+            total = np.zeros(n_locations)
+            for start in range(0, n, batch):
+                idx = order[:, start : start + batch]
+                eps = eps_epoch[:, start : start + batch]
+                try:
+                    (rec, kl), cache = reference_batch_loss(stacked, x[rows, idx], eps)
+                    enc_grads, dec_grads = reference_vae_grads(stacked, cache, RECON_WEIGHT)
+                    with prefixed("encoder"):
+                        sgd_step(stacked.encoder, enc_grads, cfg.learning_rate)
+                    with prefixed("decoder"):
+                        sgd_step(stacked.decoder, dec_grads, cfg.learning_rate)
+                except NonFiniteError as exc:
+                    raise vae_module._diverged(location_ids, exc.slices, traces[:epoch],
+                                               f"{exc} at epoch {epoch + 1}") from exc
+                total += (RECON_WEIGHT * rec + kl) * idx.shape[1]
+            traces[epoch] = total / n
+            bad = np.flatnonzero(~np.isfinite(traces[epoch]))
+            if bad.size:
+                raise vae_module._diverged(location_ids, bad, traces[: epoch + 1],
+                                           f"loss diverged at epoch {epoch + 1}")
+    for i, model in enumerate(models):
+        for net, stack in ((model.encoder, stacked.encoder), (model.decoder, stacked.decoder)):
+            net.weights = [w[i] for w in stack.weights]
+            net.biases = [b[i] for b in stack.biases]
+        model.trace = traces[:, i].tolist()
+    return models
+
+
+def poisoned_build_vae(network, layer, location_ids):
+    """build_vae that puts a NaN into one weight of `network` layer `layer`
+    of the models of `location_ids`."""
+    build = vae_module.build_vae
+
+    def poisoned(*args, **kwargs):
+        model = build(*args, **kwargs)
+        if model.location_id in location_ids:
+            getattr(model, network).weights[layer][0, 0] = np.nan
+        return model
+
+    return poisoned
+
+
+class TestBitIdentity:
+    """train_vaes against the loop over forward_with_cache, backward and sgd_step."""
+
+    @pytest.mark.parametrize("n_locations, rows, epochs", [(3, 70, 12), (4, 5, 60)])
+    def test_trained_models_equal_the_engine_loop(self, n_locations, rows, epochs):
+        # 70 rows train in mini-batches of 32, 32 and 6; 5 rows as one batch
+        x = np.stack([correlated_vectors(rows, 0.6, seed) for seed in range(n_locations)])
+        x = np.concatenate([x, x[..., ::-1] ** 2], axis=-1)
+        ids = [7 + 3 * i for i in range(n_locations)]
+        cfg = VaeTrainConfig(epochs=epochs, learning_rate=0.01, seed=5)
+        got = train_vaes(x, cfg, ids)
+        want = reference_train_vaes(x, cfg, ids)
+        for model, ref in zip(got, want):
+            assert model.location_id == ref.location_id
+            assert model.trace == ref.trace and len(model.trace) == epochs
+            for net, ref_net in ((model.encoder, ref.encoder), (model.decoder, ref.decoder)):
+                for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
+                    assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("network, layer", [
+        ("encoder", 0), ("encoder", 1), ("decoder", 0), ("decoder", 1)])
+    def test_non_finite_activation_message(self, network, layer, monkeypatch):
+        x = np.stack([correlated_vectors(8, 0.5, seed) for seed in range(3)])
+        monkeypatch.setattr(vae_module, "build_vae", poisoned_build_vae(network, layer, {10, 12}))
+        cfg = VaeTrainConfig(epochs=3, seed=0)
+        with pytest.raises(TrainingDiverged) as want:
+            reference_train_vaes(x, cfg, [10, 11, 12])
+        with pytest.raises(TrainingDiverged) as got:
+            train_vaes(x, cfg, [10, 11, 12])
+        assert str(got.value) == str(want.value) == (
+            f"VAE training (locations 10, 12): {network} layer {layer} activation is "
+            "non-finite at epoch 1")
+        assert got.value.trace == want.value.trace == []
+
+    def test_non_finite_gradient_message(self):
+        x = np.stack([correlated_vectors(8, 0.5, seed) for seed in range(3)])
+        x[1, 3, 0] = 1e307  # finite activations, but 100 * (xhat - x) overflows
+        cfg = VaeTrainConfig(epochs=3, seed=0)
+        with pytest.raises(TrainingDiverged) as want:
+            reference_train_vaes(x, cfg, [10, 11, 12])
+        with pytest.raises(TrainingDiverged) as got:
+            train_vaes(x, cfg, [10, 11, 12])
+        assert str(got.value) == str(want.value) == (
+            "VAE training (location 11): encoder gradient is non-finite at epoch 1")
+        assert got.value.trace == want.value.trace == []
+
+
 class TestGenerate:
     def test_outputs_in_unit_cube_and_labeled(self):
         model = train_vae(correlated_vectors(30, 0.5, 1), VaeTrainConfig(epochs=100, seed=0),
@@ -218,6 +372,12 @@ class TestSerialization:
         for a, b in zip(model.encoder.weights + model.decoder.weights,
                         again.encoder.weights + again.decoder.weights):
             assert np.array_equal(a, b)
+
+    def test_other_activations_rejected(self):
+        data = vae_to_dict(build_vae(4, 0, location_id=0))
+        data["encoder"]["layers"][0]["activation"] = "relu"
+        with pytest.raises(ValueError, match="tanh, linear and tanh, sigmoid"):
+            vae_from_dict(data)
 
     def test_bundle_round_trip(self, tmp_path):
         models = {}
