@@ -41,9 +41,6 @@ class LocationStats:
     have all-zero statistics.
     """
 
-    location_id: int
-    min_values: np.ndarray
-    max_values: np.ndarray
     mean_values: np.ndarray
     noise_scale: np.ndarray  # (max - min) / 2 per tower
 
@@ -159,13 +156,7 @@ def compute_stats(db: FingerprintDatabase) -> dict[int, LocationStats]:
         for j in np.flatnonzero(np.any(heard, axis=0)):
             values = x[heard[:, j], j]
             mins[j], maxs[j], means[j] = values.min(), values.max(), values.mean()
-        out[loc_id] = LocationStats(
-            location_id=loc_id,
-            min_values=mins,
-            max_values=maxs,
-            mean_values=means,
-            noise_scale=(maxs - mins) / 2.0,
-        )
+        out[loc_id] = LocationStats(mean_values=means, noise_scale=(maxs - mins) / 2.0)
     return out
 
 

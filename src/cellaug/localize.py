@@ -1,11 +1,13 @@
 """Deep fingerprint localizer: softmax over reference locations, decoded as
 the probability-weighted average of all reference coordinates, plus the
 error evaluation (percentiles and CDF), its JSON writer and the
-improvement comparison."""
+improvement comparison. The classifier trains in nn.train on class
+indices, with the softmax cross-entropy fused into its step."""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -21,8 +23,6 @@ from .nn import (
     init_network,
     network_from_dict,
     network_to_dict,
-    one_hot,
-    softmax_cross_entropy,
     train,
 )
 from .preprocess import SampleSet
@@ -43,9 +43,10 @@ class HyperProfile:
     hidden_layers: int
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.epochs,
-               self.hidden_neurons, self.hidden_layers) <= 0:
-            raise ValueError("profile values must be positive")
+        if not math.isfinite(self.learning_rate) or min(
+                self.learning_rate, self.batch_size, self.epochs,
+                self.hidden_neurons, self.hidden_layers) <= 0:
+            raise ValueError("profile values must be positive and finite")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError(f"dropout must be in [0, 1): {self.dropout_rate}")
 
@@ -205,35 +206,29 @@ def train_localizer(
     in coords. The model keeps the samples' tower ids as its input
     contract. Deterministic for a fixed seed.
     """
-    x, labels = samples.x, samples.labels
-    classes = np.unique(labels).tolist()
+    classes, labels = np.unique(samples.labels, return_inverse=True)
+    classes = classes.tolist()
     if len(classes) < 2:
         raise ValueError(f"need at least 2 distinct labels, got {len(classes)}")
     missing = [c for c in classes if c not in coords]
     if missing:
         raise ValueError(f"no coordinates for location(s): {missing}")
 
-    m = x.shape[1]
-    dims = [m] + [profile.hidden_neurons] * profile.hidden_layers
+    dims = [samples.x.shape[1]] + [profile.hidden_neurons] * profile.hidden_layers
     specs = [LayerSpec(a, b, "relu") for a, b in zip(dims, dims[1:])]
     specs.append(LayerSpec(dims[-1], len(classes), "softmax"))
     net = init_network(specs, derive_rng(seed, "localizer-init"), dropout_rate=profile.dropout_rate)
 
-    targets = one_hot(np.searchsorted(classes, labels), len(classes))
     cfg = TrainConfig(
         learning_rate=profile.learning_rate,
         batch_size=profile.batch_size,
         epochs=profile.epochs,
-        seed=_train_seed(seed),
+        seed=int(derive_rng(seed, "localizer-train").integers(0, 2**31)),
     )
-    train(net, x, targets, softmax_cross_entropy, cfg)
+    train(net, samples.x, labels, cfg)
     return LocalizerModel(network=net, profile=profile, classes=classes,
                           coords={c: tuple(coords[c]) for c in classes},
                           towers=samples.towers)
-
-
-def _train_seed(seed: int) -> int:
-    return int(derive_rng(seed, "localizer-train").integers(0, 2**31))
 
 
 def weighted_centroid(probabilities: np.ndarray, coordinates: np.ndarray) -> np.ndarray:

@@ -9,13 +9,13 @@ A network may carry a leading stack axis: weights (L, in, out), biases
 (L, out), inputs (L, n, in). Its L networks then run as one batched matmul
 per layer, each slice computing exactly what the unstacked network would.
 
-train() is the localizer's loop: the forward, loss, backward and update of
-a step fused into one straight-line loop over flat parameter and gradient
-buffers, bit-identical to the primitives forward_with_cache, backward and
-sgd_step. The VAE's step (vae.py) is written out the same way and updates
-with sgd_step; forward_with_cache and backward remain the reference that
-train() and the gradient checks test against. forward() is the eval-mode
-pass, holding one layer's activations at a time.
+train() is the localizer's loop: a softmax classifier trained on class
+indices, each step's forward, fused cross-entropy, backward and update in
+one straight-line loop over flat buffers, bit-identical to the primitives
+forward_with_cache, softmax_cross_entropy on one_hot targets, backward and
+sgd_step. Those, with squared_error, remain the reference that train(),
+the VAE's step (vae.py) and the gradient checks test against. forward() is
+the eval-mode pass, holding one layer's activations at a time.
 """
 
 from __future__ import annotations
@@ -116,8 +116,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
-            raise ValueError("learning_rate and batch_size must be positive, epochs >= 0")
+        if not math.isfinite(self.learning_rate) or min(self.learning_rate, self.batch_size) <= 0:
+            raise ValueError("learning_rate must be finite and positive, batch_size positive")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
 def _validate_specs(specs: list[LayerSpec]) -> None:
@@ -223,12 +225,20 @@ def forward(net: DenseNetwork, x: np.ndarray) -> np.ndarray:
     _check_input(net, a)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (spec, w, b) in enumerate(zip(net.layers, net.weights, net.biases)):
-            z = a @ w
-            z += b[..., None, :]
-            a = _activate(z, spec.activation)
-            if not np.isfinite(a).all():
-                raise _non_finite(f"layer {i} activation is non-finite", [a], a.ndim - 2)
+            a = _layer(a, w, b, spec.activation, f"layer {i}")
     return a[0] if single else a
+
+
+def _layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, kind: str, name: str) -> np.ndarray:
+    """One dense layer, a @ w + b then the activation in place; a non-finite
+    activation raises NonFiniteError naming `name` and the stacked slices
+    that hold one."""
+    z = a @ w
+    z += b[..., None, :]
+    post = _activate(z, kind)
+    if not np.isfinite(post).all():
+        raise _non_finite(f"{name} activation is non-finite", [post], post.ndim - 2)
+    return post
 
 
 def _activation_grad(
@@ -323,27 +333,33 @@ def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
 def train(
     net: DenseNetwork,
     inputs: np.ndarray,
-    targets: np.ndarray,
-    loss_fn,
+    labels: np.ndarray,
     cfg: TrainConfig,
 ) -> tuple[DenseNetwork, list[float]]:
-    """Epochs of mini-batch SGD in random order; returns the per-epoch loss trace.
+    """Epochs of mini-batch SGD in random order on the softmax head's mean
+    cross-entropy against the (n,) class indices `labels`; returns the
+    per-epoch loss trace.
 
-    loss_fn(outputs, targets) must return (mean batch loss, loss_grad for backward()).
-    Deterministic for a fixed config seed. Each step is forward_with_cache
-    in train mode, loss_fn, backward and sgd_step in one loop, with the same
-    arithmetic in the same order and the same draws, so the weights are
-    bit-identical to calling them in turn. The trained parameters live in
-    one flat buffer that net.weights and net.biases view. Raises
-    TrainingDiverged, with the trace so far, when the loss or the update
-    goes non-finite; a non-finite activation reaches one of the two.
+    Deterministic for a fixed config seed. Each step computes the loss and
+    the logits gradient (p - t) / n in place from the target probabilities;
+    its arithmetic and draws are those of forward_with_cache in train mode,
+    softmax_cross_entropy on one_hot(labels), backward and sgd_step, so the
+    weights are bit-identical to calling them in turn (only the loss sums in
+    another order). The trained parameters live in one flat buffer that
+    net.weights and net.biases view. Raises TrainingDiverged, with the trace
+    so far, when the loss or the update goes non-finite; a non-finite
+    activation reaches one of the two.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    labels = np.asarray(labels)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ValueError("empty dataset")
-    if inputs.shape[0] != targets.shape[0]:
-        raise ValueError("inputs and targets disagree on sample count")
+    if labels.shape != inputs.shape[:1]:
+        raise ValueError("inputs and labels disagree on sample count")
+    if net.layers[-1].activation != "softmax":
+        raise ValueError("train needs a softmax head")
+    if labels.min() < 0 or labels.max() >= net.output_dim:
+        raise ValueError(f"labels must be class indices in [0, {net.output_dim})")
 
     kinds = [spec.activation for spec in net.layers]
     last = len(kinds) - 1
@@ -382,11 +398,17 @@ def train(
                         masks.append(mask)
                         a = a * mask
                     fed.append(a)
-                loss, d = loss_fn(a, targets.take(idx, axis=0))
+                # a non-finite softmax row is NaN throughout, its target included
+                b = idx.size
+                rows, y = np.arange(b), labels.take(idx)
+                loss = float(-np.log(np.maximum(a[rows, y], 1e-300)).sum() / b)
                 if not math.isfinite(loss):
-                    trace.append(float(loss))
+                    trace.append(loss)
                     raise TrainingDiverged(f"loss diverged at epoch {len(trace)}", trace)
-                d = _activation_grad(kinds[last], post[last], np.asarray(d, dtype=np.float64))
+                # (p - t) / b in place: p - 0.0 is p, so only the targets change
+                a[rows, y] -= 1.0
+                a /= b
+                d = a
                 for i in range(last, -1, -1):
                     np.matmul(fed[i].T, d, out=d_weights[i])
                     np.add.reduce(d, axis=0, out=d_biases[i])
@@ -399,7 +421,7 @@ def train(
                 if not np.isfinite(grads).all():
                     raise TrainingDiverged(f"update diverged at epoch {len(trace) + 1}", trace)
                 params -= grads
-                total += loss * idx.size
+                total += loss * b
             trace.append(total / n)
     return net, trace
 

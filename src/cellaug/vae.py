@@ -32,6 +32,7 @@ into two buffers allocated once per training.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,8 +45,7 @@ from .nn import (
     LayerSpec,
     NonFiniteError,
     TrainingDiverged,
-    _activate,
-    _non_finite,
+    _layer,
     forward,
     init_network,
     network_from_dict,
@@ -70,6 +70,12 @@ class VaeTrainConfig:
     epochs: int = 3000
     learning_rate: float = 0.001
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -128,17 +134,16 @@ class VaeCache:
     xhat: np.ndarray
 
 
-def build_vae(
-    n_features: int, seed: int, latent_dim: int = LATENT_DIM, hidden: int = HIDDEN_UNITS,
-    location_id: int = -1,
-) -> VaeModel:
+def build_vae(n_features: int, seed: int, location_id: int = -1) -> VaeModel:
     """Fresh encoder/decoder pair with the 10-5-10 bottleneck structure."""
     enc = init_network(
-        [LayerSpec(n_features, hidden, "tanh"), LayerSpec(hidden, 2 * latent_dim, "linear")],
+        [LayerSpec(n_features, HIDDEN_UNITS, "tanh"),
+         LayerSpec(HIDDEN_UNITS, 2 * LATENT_DIM, "linear")],
         derive_rng(seed, "vae-encoder"),
     )
     dec = init_network(
-        [LayerSpec(latent_dim, hidden, "tanh"), LayerSpec(hidden, n_features, "sigmoid")],
+        [LayerSpec(LATENT_DIM, HIDDEN_UNITS, "tanh"),
+         LayerSpec(HIDDEN_UNITS, n_features, "sigmoid")],
         derive_rng(seed, "vae-decoder"),
     )
     return VaeModel(enc, dec, location_id)
@@ -164,18 +169,6 @@ def _network(name: str):
         yield
     except NonFiniteError as exc:
         raise NonFiniteError(f"{name} {exc}", exc.slices) from exc
-
-
-def _layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, kind: str, name: str) -> np.ndarray:
-    """One dense layer, a @ w + b then the activation in place, as the
-    engine's forward computes it; a non-finite activation raises
-    NonFiniteError naming `name` and the stacked slices that hold one."""
-    z = a @ w
-    z += b[..., None, :]
-    post = _activate(z, kind)
-    if not np.isfinite(post).all():
-        raise _non_finite(f"{name} activation is non-finite", [post], post.ndim - 2)
-    return post
 
 
 def _batch_loss(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> tuple[VaeLoss, VaeCache]:
@@ -344,14 +337,10 @@ def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> l
 
 
 def train_vae(
-    x: np.ndarray,
-    cfg: VaeTrainConfig | None = None,
-    location_id: int | None = None,
+    x: np.ndarray, cfg: VaeTrainConfig | None = None, *, location_id: int
 ) -> VaeModel:
-    """Train one VAE on the (n, m) rows of one location; returns the model
-    with its loss trace."""
-    if location_id is None:
-        raise ValueError("location_id required: it seeds and names the model")
+    """Train one VAE on the (n, m) rows of one location, which location_id
+    seeds and names; returns the model with its loss trace."""
     x = np.asarray(x, dtype=np.float64)
     return train_vaes(x[None], cfg or VaeTrainConfig(), [location_id])[0]
 

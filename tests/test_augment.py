@@ -24,16 +24,10 @@ def rows(values, n=1):
     return np.tile(np.array(values, dtype=float), (n, 1))
 
 
-def stats_for(noise_scale, mean_values=None, location_id=0):
+def stats_for(noise_scale, mean_values=None):
     m = len(noise_scale)
     mean = np.array(mean_values if mean_values is not None else [0.5] * m)
-    return LocationStats(
-        location_id=location_id,
-        min_values=np.clip(mean - np.array(noise_scale), 0, 1),
-        max_values=np.clip(mean + np.array(noise_scale), 0, 1),
-        mean_values=mean,
-        noise_scale=np.array(noise_scale, dtype=float),
-    )
+    return LocationStats(mean_values=mean, noise_scale=np.array(noise_scale, dtype=float))
 
 
 @pytest.fixture
@@ -58,8 +52,6 @@ class TestComputeStats:
         # tower A at location 0 heard at 10/31 and 20/31
         expected = (normalize_asu(20) - normalize_asu(10)) / 2
         assert stats[0].noise_scale[0] == pytest.approx(expected)
-        assert stats[0].min_values[0] == pytest.approx(normalize_asu(10))
-        assert stats[0].max_values[0] == pytest.approx(normalize_asu(20))
         assert stats[0].mean_values[0] == pytest.approx(normalize_asu(15))
 
     def test_constant_tower_has_zero_scale(self, two_tower_db):
@@ -260,8 +252,7 @@ class TestHeardAsuZero:
 
     def test_counted_by_stats(self, db):
         stats = compute_stats(db)[0]
-        assert stats.min_values[0] == 0.0
-        assert stats.max_values[0] == normalize_asu(10)
+        assert stats.noise_scale[0] == (normalize_asu(10) - 0.0) / 2.0  # heard at ASU 0 and 10
         assert stats.mean_values[0] == pytest.approx(normalize_asu(5))
 
     def test_not_a_threshold_candidate(self, db):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellaug.nn import (
     DenseNetwork,
@@ -290,24 +292,21 @@ class TestTrain:
         rng = np.random.default_rng(4)
         a = rng.normal((-2, -2), 0.3, (10, 2))
         b = rng.normal((2, 2), 0.3, (10, 2))
-        x = np.vstack([a, b])
-        y = one_hot(np.array([0] * 10 + [1] * 10), 2)
-        return x, y
+        return np.vstack([a, b]), np.array([0] * 10 + [1] * 10)
 
     def test_linearly_separable_reaches_full_accuracy(self):
         x, y = self._separable()
         net = init_network([LayerSpec(2, 8, "relu"), LayerSpec(8, 2, "softmax")], 0)
-        net, trace = train(net, x, y, softmax_cross_entropy,
-                           TrainConfig(0.1, 4, 200, seed=0))
+        net, trace = train(net, x, y, TrainConfig(0.1, 4, 200, seed=0))
         pred = forward(net, x).argmax(axis=1)
-        assert np.mean(pred == y.argmax(axis=1)) == 1.0
+        assert np.mean(pred == y) == 1.0
         assert len(trace) == 200
 
     def test_zero_epochs_no_change(self):
         x, y = self._separable()
         net = init_network([LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "softmax")], 0)
         before = [w.copy() for w in net.weights]
-        net, trace = train(net, x, y, softmax_cross_entropy, TrainConfig(0.1, 4, 0))
+        net, trace = train(net, x, y, TrainConfig(0.1, 4, 0))
         assert trace == []
         assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
 
@@ -317,7 +316,7 @@ class TestTrain:
         for _ in range(2):
             net = init_network([LayerSpec(2, 6, "relu"), LayerSpec(6, 2, "softmax")], 7,
                                dropout_rate=0.2)
-            net, trace = train(net, x, y, softmax_cross_entropy, TrainConfig(0.05, 4, 30, seed=9))
+            net, trace = train(net, x, y, TrainConfig(0.05, 4, 30, seed=9))
             results.append((net, trace))
         (n1, t1), (n2, t2) = results
         assert t1 == t2
@@ -326,55 +325,87 @@ class TestTrain:
     def test_empty_dataset(self):
         net = init_network([LayerSpec(2, 2, "softmax")], 0)
         with pytest.raises(ValueError, match="empty dataset"):
-            train(net, np.empty((0, 2)), np.empty((0, 2)), softmax_cross_entropy,
-                  TrainConfig(0.1, 4, 1))
+            train(net, np.empty((0, 2)), np.empty(0, dtype=int), TrainConfig(0.1, 4, 1))
+
+    @pytest.mark.parametrize("head", ["linear", "sigmoid"])
+    def test_non_softmax_head_rejected(self, head):
+        x, y = self._separable()
+        net = init_network([LayerSpec(2, 3, "relu"), LayerSpec(3, 2, head)], 0)
+        with pytest.raises(ValueError, match="softmax head"):
+            train(net, x, y, TrainConfig(0.1, 4, 1))
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_label_outside_the_classes_rejected(self, bad):
+        x, y = self._separable()
+        y[3] = bad
+        net = init_network([LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "softmax")], 0)
+        with pytest.raises(ValueError, match=r"class indices in \[0, 2\)"):
+            train(net, x, y, TrainConfig(0.1, 4, 1))
 
     @pytest.mark.parametrize("hidden, head, dropout", [
         ("relu", "softmax", 0.2),
         ("relu", "softmax", 0.0),
         ("tanh", "softmax", 0.2),
-        ("sigmoid", "sigmoid", 0.2),
-        ("tanh", "linear", 0.0),
-        ("relu", "linear", 0.2),
     ])
     def test_bit_identical_to_the_primitives(self, hidden, head, dropout):
         # 23 rows in batches of 5: the last batch of each epoch has 3
         rng = np.random.default_rng(11)
         x = rng.normal(0, 1, (23, 4))
-        if head == "softmax":
-            y, loss_fn = one_hot(rng.integers(0, 3, 23), 3), softmax_cross_entropy
-        else:
-            y, loss_fn = rng.random((23, 3)), squared_error
+        y = rng.integers(0, 3, 23)
         specs = [LayerSpec(4, 6, hidden), LayerSpec(6, 5, hidden), LayerSpec(5, 3, head)]
         cfg = TrainConfig(0.05, 5, 7, seed=3)
-        results = []
-        for run in (train, reference_train):
-            net = init_network(specs, 2, dropout_rate=dropout)
-            results.append(run(net, x, y, loss_fn, cfg))
-        (net, trace), (ref, ref_trace) = results
-        assert trace == ref_trace
+        net, trace = train(init_network(specs, 2, dropout_rate=dropout), x, y, cfg)
+        ref, ref_trace = reference_train(init_network(specs, 2, dropout_rate=dropout), x,
+                                         one_hot(y, 3), softmax_cross_entropy, cfg)
+        # only the loss is summed in another order
+        np.testing.assert_allclose(trace, ref_trace, rtol=1e-15, atol=0)
+        for got, want in zip(net.weights + net.biases, ref.weights + ref.biases):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_the_primitives_on_drawn_data(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        batch = data.draw(st.integers(1, n + 3), label="batch")
+        classes = data.draw(st.integers(2, 5), label="classes")
+        y = np.array(data.draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n),
+                               label="labels"))
+        dropout = data.draw(st.sampled_from([0.0, 0.2]), label="dropout")
+        hidden = data.draw(st.sampled_from(["relu", "tanh"]), label="hidden")
+        depth = data.draw(st.integers(0, 2), label="hidden layers")
+        x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(0, 1, (n, 3))
+        dims = [3] + [4] * depth
+        specs = [LayerSpec(a, b, hidden) for a, b in zip(dims, dims[1:])]
+        specs.append(LayerSpec(dims[-1], classes, "softmax"))
+        cfg = TrainConfig(0.1, batch, 3, seed=5)
+        net, _ = train(init_network(specs, 1, dropout_rate=dropout), x, y, cfg)
+        ref, _ = reference_train(init_network(specs, 1, dropout_rate=dropout), x,
+                                 one_hot(y, classes), softmax_cross_entropy, cfg)
         for got, want in zip(net.weights + net.biases, ref.weights + ref.biases):
             assert np.array_equal(got, want)
 
     def test_non_finite_update_aborts_with_trace(self):
-        # the loss stays finite, but lr times the second step's bias gradient overflows
-        net = DenseNetwork([LayerSpec(1, 1, "linear")], [np.array([[0.0]])], [np.array([0.0])])
-        x, y = np.array([[0.0]]), np.array([[1e-60]])
-        cfg = TrainConfig(1e200, 1, 5, seed=0)
+        # Row 0 (x = 0, class 0) is uncertain, row 1 (x = 1e10, class 1) is
+        # sure. The first step's bias update flips row 1 to class 0, so the
+        # second step's weight gradient is 1e10 * 0.5 and lr times it overflows,
+        # while every loss stays finite.
+        def net():
+            return DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[0.0, 1e-8]])],
+                                [np.zeros(2)])
+        x, y = np.array([[0.0], [1e10]]), np.array([0, 1])
         with pytest.raises(TrainingDiverged, match="update diverged at epoch 2") as excinfo:
-            train(net, x, y, squared_error, cfg)
-        ref = DenseNetwork([LayerSpec(1, 1, "linear")], [np.array([[0.0]])], [np.array([0.0])])
-        _, ref_trace = reference_train(ref, x, y, squared_error, TrainConfig(1e200, 1, 1, seed=0))
-        assert excinfo.value.trace == ref_trace
+            train(net(), x, y, TrainConfig(1e300, 2, 5, seed=0))
+        _, ref_trace = reference_train(net(), x, one_hot(y, 2), softmax_cross_entropy,
+                                       TrainConfig(1e300, 2, 1, seed=0))
+        np.testing.assert_allclose(excinfo.value.trace, ref_trace, rtol=1e-15, atol=0)
 
     def test_divergence_aborts_with_trace(self):
-        net = DenseNetwork([LayerSpec(1, 1, "linear")], [np.array([[1.0]])], [np.array([0.0])])
-        x = np.array([[1e80]])
-        y = np.array([[0.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged) as excinfo:
-                train(net, x, y, squared_error, TrainConfig(1.0, 1, 10, seed=0))
-        assert len(excinfo.value.trace) >= 1
+        # the logits 1e80 and 1e80 * 1e300 overflow: the softmax row is NaN
+        net = DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[1.0, 1e300]])],
+                           [np.zeros(2)])
+        with pytest.raises(TrainingDiverged, match="loss diverged at epoch 1") as excinfo:
+            train(net, np.array([[1e80]]), np.array([0]), TrainConfig(1.0, 1, 10, seed=0))
+        assert len(excinfo.value.trace) == 1 and np.isnan(excinfo.value.trace[0])
 
 
 class TestDropout:

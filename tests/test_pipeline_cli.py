@@ -330,6 +330,19 @@ class TestCliExitCodes:
         assert code == 2
         assert len(errors) == 1 and "positive" in errors[0]
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_profile_learning_rate_exits_2(self, value, tmp_path, capsys):
+        # before training: a NaN rate would otherwise fail as a diverged update
+        db_path = tmp_path / "db.jsonl"
+        save_database(tiny_db(), db_path)
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"profile.learning_rate = {value}\n")
+        code, errors = self.run(["train", str(db_path), "--config", str(cfg_path),
+                                 "--no-augment", "--train-scans", "4",
+                                 "--out", str(tmp_path / "m.json")], capsys)
+        assert code == 2
+        assert len(errors) == 1 and "finite" in errors[0]
+
     @pytest.mark.parametrize("line", [
         "vae.epochs = 0", "vae.epochs = -1",
         "vae.learning_rate = -0.001", "vae.learning_rate = 0", "vae.learning_rate = nan",

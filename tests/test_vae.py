@@ -143,8 +143,20 @@ class TestTrainVae:
         assert m1.trace == m2.trace
 
     def test_array_input_needs_location_id(self):
-        with pytest.raises(ValueError, match="location_id"):
+        with pytest.raises(TypeError, match="location_id"):
             train_vae(np.zeros((5, 2)), VaeTrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"epochs": 0}, "epochs must be >= 1"),
+        ({"epochs": -1}, "epochs must be >= 1"),
+        ({"learning_rate": -0.5}, "learning_rate must be a finite number > 0"),
+        ({"learning_rate": 0.0}, "learning_rate must be a finite number > 0"),
+        ({"learning_rate": float("nan")}, "learning_rate must be a finite number > 0"),
+        ({"learning_rate": float("inf")}, "learning_rate must be a finite number > 0"),
+    ])
+    def test_config_refuses_empty_or_non_finite_training(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            VaeTrainConfig(**kwargs)
 
 
 class TestStacked:
