@@ -11,11 +11,14 @@ per layer, each slice computing exactly what the unstacked network would.
 
 train() is the localizer's loop: a softmax classifier trained on class
 indices, each step's forward, fused cross-entropy, backward and update in
-one straight-line loop over flat buffers, bit-identical to the primitives
-forward_with_cache, softmax_cross_entropy on one_hot targets, backward and
-sgd_step. Those, with squared_error, remain the reference that train(),
-the VAE's step (vae.py) and the gradient checks test against. forward() is
-the eval-mode pass, holding one layer's activations at a time.
+one straight-line loop over flat float32 buffers. Its batches and dropout
+draws are those of float64 training; its weights are bit-identical to the
+primitives forward_with_cache, softmax_cross_entropy on one_hot targets,
+backward and sgd_step run on a float32 copy of the network (the primitives
+compute in the network's dtype). In float64 those, with squared_error,
+remain the reference that the VAE's step (vae.py) and the gradient checks
+test against. forward() is the eval-mode pass, in float64, holding one
+layer's activations at a time.
 """
 
 from __future__ import annotations
@@ -184,13 +187,13 @@ def forward_with_cache(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Batched forward pass. x is (n, input_dim), or (L, n, input_dim) for a
-    stacked network; returns (..., n, output_dim).
+    """Batched forward pass in the network's dtype. x is (n, input_dim), or
+    (L, n, input_dim) for a stacked network; returns (..., n, output_dim).
 
     In train mode, hidden activations are masked by inverted dropout so the
     eval-mode pass needs no rescaling.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=net.weights[0].dtype)
     _check_input(net, x)
     if train_mode and net.dropout_rate > 0.0 and rng is None:
         raise ValueError("train_mode with dropout requires an rng")
@@ -206,7 +209,7 @@ def forward_with_cache(
         fed = post
         if train_mode and net.dropout_rate > 0.0 and i != last:
             keep = 1.0 - net.dropout_rate
-            mask = (rng.random(post.shape) < keep) / keep
+            mask = ((rng.random(post.shape) < keep) / keep).astype(post.dtype, copy=False)
             fed = post * mask
         cache.post.append(post)
         cache.fed.append(fed)
@@ -264,7 +267,7 @@ def backward(
     softmax head, dLoss/dLogits as softmax_cross_entropy returns it. Returns
     parameter gradients and dLoss/dInput for chaining through sub-networks.
     """
-    loss_grad = np.asarray(loss_grad, dtype=np.float64)
+    loss_grad = np.asarray(loss_grad, dtype=cache.x.dtype)
     if loss_grad.shape != cache.fed[-1].shape:
         raise ValueError(f"loss_grad shape {loss_grad.shape} != output shape {cache.fed[-1].shape}")
 
@@ -324,9 +327,9 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One flat buffer and, in order, a view of it shaped like each array."""
+    """One flat float32 buffer and, in order, a view of it shaped like each array."""
     ends = np.cumsum([a.size for a in arrays]).tolist()
-    flat = np.empty(ends[-1])
+    flat = np.empty(ends[-1], dtype=np.float32)
     return flat, [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
 
@@ -340,17 +343,23 @@ def train(
     cross-entropy against the (n,) class indices `labels`; returns the
     per-epoch loss trace.
 
-    Deterministic for a fixed config seed. Each step computes the loss and
-    the logits gradient (p - t) / n in place from the target probabilities;
-    its arithmetic and draws are those of forward_with_cache in train mode,
-    softmax_cross_entropy on one_hot(labels), backward and sgd_step, so the
-    weights are bit-identical to calling them in turn (only the loss sums in
-    another order). The trained parameters live in one flat buffer that
-    net.weights and net.biases view. Raises TrainingDiverged, with the trace
-    so far, when the loss or the update goes non-finite; a non-finite
-    activation reaches one of the two.
+    Deterministic for a fixed config seed. The inputs, learning rate,
+    activations, parameters and gradients are float32; the batch order, the
+    float64 dropout draws compared to the keep rate and the float64 loss of
+    the target probabilities are those of float64 training. Each step
+    computes the loss and the logits gradient (p - t) / n in place from the
+    target probabilities; its arithmetic and draws are those of
+    forward_with_cache in train mode, softmax_cross_entropy on
+    one_hot(labels), backward and sgd_step on a float32 copy of the network,
+    so the weights are bit-identical to calling them in turn (only the loss
+    differs, as softmax_cross_entropy takes float32 logs). The parameters
+    train in one flat float32 buffer; on return, net.weights and net.biases
+    are float64 arrays holding its values exactly. Raises TrainingDiverged,
+    with the trace so far and net left as it was, when the loss or the
+    update goes non-finite; a non-finite activation, or a value beyond
+    float32's range, reaches one of the two.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = np.asarray(inputs)
     labels = np.asarray(labels)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ValueError("empty dataset")
@@ -368,9 +377,7 @@ def train(
     unkeep = 1.0 / keep
     arrays = net.weights + net.biases
     params, views = _packed(arrays)
-    for view, a in zip(views, arrays):
-        view[...] = a
-    net.weights, net.biases = views[: last + 1], views[last + 1 :]
+    weights, biases = views[: last + 1], views[last + 1 :]
     grads, views = _packed(arrays)
     d_weights, d_biases = views[: last + 1], views[last + 1 :]
 
@@ -378,6 +385,11 @@ def train(
     n = inputs.shape[0]
     trace: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
+        # a value beyond float32's range casts to inf and diverges below
+        for view, a in zip(weights + biases, arrays):
+            view[...] = a
+        inputs = inputs.astype(np.float32)
+        lr = np.float32(cfg.learning_rate)
         for _ in range(cfg.epochs):
             order = rng.permutation(n)
             total = 0.0
@@ -387,21 +399,24 @@ def train(
                 a = inputs.take(idx, axis=0)
                 fed, post, masks = [a], [], []
                 for i, kind in enumerate(kinds):
-                    z = a @ net.weights[i]
-                    z += net.biases[i]
+                    z = a @ weights[i]
+                    z += biases[i]
                     a = _activate(z, kind)
                     post.append(a)
                     if drop and i != last:
                         # the multipliers (u < keep) / keep, as 1.0 * (1 / keep) or 0.0
-                        mask = np.less(rng.random(a.shape), keep, out=np.empty(a.shape))
+                        mask = np.less(rng.random(a.shape), keep,
+                                       out=np.empty(a.shape, dtype=np.float32))
                         mask *= unkeep
                         masks.append(mask)
                         a = a * mask
                     fed.append(a)
-                # a non-finite softmax row is NaN throughout, its target included
+                # a non-finite softmax row is NaN throughout, its target included;
+                # the floor is applied in float64, where 1e-300 is not 0
                 b = idx.size
                 rows, y = np.arange(b), labels.take(idx)
-                loss = float(-np.log(np.maximum(a[rows, y], 1e-300)).sum() / b)
+                p = a[rows, y].astype(np.float64)
+                loss = float(-np.log(np.maximum(p, 1e-300)).sum() / b)
                 if not math.isfinite(loss):
                     trace.append(loss)
                     raise TrainingDiverged(f"loss diverged at epoch {len(trace)}", trace)
@@ -413,16 +428,19 @@ def train(
                     np.matmul(fed[i].T, d, out=d_weights[i])
                     np.add.reduce(d, axis=0, out=d_biases[i])
                     if i:
-                        d = d @ net.weights[i].T
+                        d = d @ weights[i].T
                         if drop:
                             d *= masks[i - 1]
                         _activation_grad(kinds[i - 1], post[i - 1], d, out=d)
-                grads *= cfg.learning_rate
+                grads *= lr
                 if not np.isfinite(grads).all():
                     raise TrainingDiverged(f"update diverged at epoch {len(trace) + 1}", trace)
                 params -= grads
                 total += loss * b
             trace.append(total / n)
+    # float32 to float64 is exact
+    net.weights = [w.astype(np.float64) for w in weights]
+    net.biases = [b.astype(np.float64) for b in biases]
     return net, trace
 
 

@@ -44,8 +44,22 @@ class TestbedSpec:
     def __post_init__(self):
         if len(self.towers) < 2:
             raise ConfigError("need at least 2 towers")
+        for t in self.towers:
+            if not np.isfinite([*t.position, t.tx_power_dbm]).all():
+                raise ConfigError(f"tower {t.tower_id}: position and power must be finite")
+        for name in ("area", "path_loss_exponent", "shadow_sigma_db", "sensitivity_dbm",
+                     "grid_spacing_m", "points"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite")
         if self.area[0] <= 0 or self.area[1] <= 0:
             raise ConfigError("area dimensions must be positive")
+        if self.grid_spacing_m is not None and self.grid_spacing_m <= 0:
+            raise ConfigError("grid_spacing_m must be positive")
+        if self.path_loss_exponent <= 0:
+            raise ConfigError("path_loss_exponent must be positive")
+        if self.shadow_sigma_db < 0:
+            raise ConfigError("shadow_sigma_db must be >= 0")
         if self.grid_spacing_m is None and not self.points:
             raise ConfigError("either grid_spacing_m or explicit points required")
         if self.scans_per_location < 1:

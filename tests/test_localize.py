@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,42 @@ class TestTrainLocalizer:
         m2 = train_localizer(vectors, FAST, coords, seed=3)
         for a, b in zip(m1.network.weights, m2.network.weights):
             assert np.array_equal(a, b)
+
+    def test_trained_parameters_are_float32_values_in_float64(self, tmp_path):
+        vectors, coords = toy_square_vectors(n_per_loc=5)
+        model = train_localizer(vectors, FAST, coords, seed=3)
+        for a in model.network.weights + model.network.biases:
+            assert a.dtype == np.float64
+            assert np.array_equal(a, a.astype(np.float32))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert evaluate(load_model(path), vectors) == evaluate(model, vectors)
+
+    def test_saved_model_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 128 x 128 x 128 products, past OpenBLAS's threshold for splitting
+        # a matrix product over threads
+        script = (
+            "import sys, numpy as np\n"
+            "from cellaug.localize import HyperProfile, save_model, train_localizer\n"
+            "from cellaug.preprocess import SampleSet\n"
+            "rng = np.random.default_rng(0)\n"
+            "x, labels = rng.uniform(0, 1, (512, 10)), np.arange(512) % 36\n"
+            "samples = SampleSet(x, labels, tuple(f'T{j}' for j in range(10)))\n"
+            "coords = {c: (float(c % 6), float(c // 6)) for c in range(36)}\n"
+            "profile = HyperProfile(learning_rate=0.01, batch_size=128, dropout_rate=0.1,\n"
+            "                       epochs=3, hidden_neurons=128, hidden_layers=2)\n"
+            "save_model(train_localizer(samples, profile, coords, seed=1), sys.argv[1])\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        saved = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"model-{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True,
+                           timeout=120)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
 
 
 class TestEstimateLocation:

@@ -53,7 +53,8 @@ def finite_difference_check(net, x, targets, loss_fn, h=1e-5):
 
 
 def reference_train(net, inputs, targets, loss_fn, cfg):
-    """nn.train as the calls of the primitives that it fuses, one step at a time."""
+    """nn.train as the calls of the primitives that it fuses, one step at a time,
+    in the dtype of net and inputs."""
     rng = np.random.default_rng(cfg.seed)
     n = inputs.shape[0]
     trace = []
@@ -69,6 +70,22 @@ def reference_train(net, inputs, targets, loss_fn, cfg):
             total += loss * idx.size
         trace.append(total / n)
     return net, trace
+
+
+def float32_reference_train(net, inputs, labels, cfg):
+    """reference_train on a float32 copy of net, inputs and one-hot targets,
+    as nn.train computes."""
+    net32 = DenseNetwork(net.layers, [w.astype(np.float32) for w in net.weights],
+                         [b.astype(np.float32) for b in net.biases], net.dropout_rate)
+    targets = one_hot(labels, net.output_dim).astype(np.float32)
+    return reference_train(net32, inputs.astype(np.float32), targets, softmax_cross_entropy, cfg)
+
+
+def assert_same_parameters(got, want):
+    """The float64 parameters of `got` hold exactly the values of `want`'s."""
+    for g, w in zip(got.weights + got.biases, want.weights + want.biases):
+        assert g.dtype == np.float64
+        assert np.array_equal(g, w)
 
 
 class TestInit:
@@ -303,12 +320,14 @@ class TestTrain:
         assert len(trace) == 200
 
     def test_zero_epochs_no_change(self):
+        # beyond the float32 rounding that training starts from
         x, y = self._separable()
         net = init_network([LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "softmax")], 0)
-        before = [w.copy() for w in net.weights]
+        before = [w.astype(np.float32) for w in net.weights + net.biases]
         net, trace = train(net, x, y, TrainConfig(0.1, 4, 0))
         assert trace == []
-        assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
+        for got, want in zip(net.weights + net.biases, before):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
 
     def test_deterministic(self):
         x, y = self._separable()
@@ -355,12 +374,11 @@ class TestTrain:
         specs = [LayerSpec(4, 6, hidden), LayerSpec(6, 5, hidden), LayerSpec(5, 3, head)]
         cfg = TrainConfig(0.05, 5, 7, seed=3)
         net, trace = train(init_network(specs, 2, dropout_rate=dropout), x, y, cfg)
-        ref, ref_trace = reference_train(init_network(specs, 2, dropout_rate=dropout), x,
-                                         one_hot(y, 3), softmax_cross_entropy, cfg)
-        # only the loss is summed in another order
-        np.testing.assert_allclose(trace, ref_trace, rtol=1e-15, atol=0)
-        for got, want in zip(net.weights + net.biases, ref.weights + ref.biases):
-            assert np.array_equal(got, want)
+        ref, ref_trace = float32_reference_train(init_network(specs, 2, dropout_rate=dropout),
+                                                 x, y, cfg)
+        # only the loss differs: train takes its logs in float64
+        np.testing.assert_allclose(trace, ref_trace, rtol=1e-6, atol=0)
+        assert_same_parameters(net, ref)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -379,28 +397,48 @@ class TestTrain:
         specs.append(LayerSpec(dims[-1], classes, "softmax"))
         cfg = TrainConfig(0.1, batch, 3, seed=5)
         net, _ = train(init_network(specs, 1, dropout_rate=dropout), x, y, cfg)
-        ref, _ = reference_train(init_network(specs, 1, dropout_rate=dropout), x,
-                                 one_hot(y, classes), softmax_cross_entropy, cfg)
-        for got, want in zip(net.weights + net.biases, ref.weights + ref.biases):
-            assert np.array_equal(got, want)
+        ref, _ = float32_reference_train(init_network(specs, 1, dropout_rate=dropout), x, y, cfg)
+        assert_same_parameters(net, ref)
 
     def test_non_finite_update_aborts_with_trace(self):
         # Row 0 (x = 0, class 0) is uncertain, row 1 (x = 1e10, class 1) is
-        # sure. The first step's bias update flips row 1 to class 0, so the
-        # second step's weight gradient is 1e10 * 0.5 and lr times it overflows,
-        # while every loss stays finite.
+        # sure. The first step's bias update (lr * 0.25) flips row 1 to class
+        # 0, so the second step's weight gradient is 1e10 * 0.5 and lr times it
+        # overflows float32 (5e39 > 3.4e38), while every loss stays finite.
         def net():
             return DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[0.0, 1e-8]])],
                                 [np.zeros(2)])
         x, y = np.array([[0.0], [1e10]]), np.array([0, 1])
         with pytest.raises(TrainingDiverged, match="update diverged at epoch 2") as excinfo:
-            train(net(), x, y, TrainConfig(1e300, 2, 5, seed=0))
-        _, ref_trace = reference_train(net(), x, one_hot(y, 2), softmax_cross_entropy,
-                                       TrainConfig(1e300, 2, 1, seed=0))
-        np.testing.assert_allclose(excinfo.value.trace, ref_trace, rtol=1e-15, atol=0)
+            train(net(), x, y, TrainConfig(1e30, 2, 5, seed=0))
+        _, ref_trace = float32_reference_train(net(), x, y, TrainConfig(1e30, 2, 1, seed=0))
+        np.testing.assert_allclose(excinfo.value.trace, ref_trace, rtol=1e-6, atol=0)
+
+    def test_target_probability_underflowing_float32_floors_the_loss(self):
+        # exp(-200) is 0 in float32 but the 1e-300 floor is not, in float64
+        net = DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[0.0, 200.0]])],
+                           [np.zeros(2)])
+        _, trace = train(net, np.array([[1.0]]), np.array([0]), TrainConfig(1e-3, 1, 1, seed=0))
+        assert trace == [pytest.approx(-np.log(1e-300), rel=1e-15)]
+
+    def test_learning_rate_beyond_float32_diverges_silently(self):
+        # 1e150 is a finite float64 but casts to float32 inf: the first update
+        # is non-finite, and numpy's cast warning stays quiet
+        x, y = self._separable()
+        net = init_network([LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "softmax")], 0)
+        before = [w.copy() for w in net.weights + net.biases]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged, match="update diverged at epoch 1") as excinfo:
+                train(net, x, y, TrainConfig(1e150, 4, 3, seed=0))
+        assert excinfo.value.trace == []
+        # a failed run leaves the network as it was
+        for got, want in zip(net.weights + net.biases, before):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
 
     def test_divergence_aborts_with_trace(self):
-        # the logits 1e80 and 1e80 * 1e300 overflow: the softmax row is NaN
+        # 1e80 and 1e300 are inf in float32, so the logits inf and inf * inf
+        # overflow: the softmax row is NaN
         net = DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[1.0, 1e300]])],
                            [np.zeros(2)])
         with pytest.raises(TrainingDiverged, match="loss diverged at epoch 1") as excinfo:

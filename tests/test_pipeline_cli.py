@@ -319,6 +319,39 @@ class TestCliExitCodes:
                   if line.startswith("error:")]
         return code, errors
 
+    TESTBED = {"area.width": "12", "area.height": "12", "grid.spacing": "6",
+               "path_loss_exponent": "3", "shadow_sigma_db": "4", "sensitivity_dbm": "-111",
+               "scans_per_location": "4", "seed": "1", "tower.T00": "2, 3, -45",
+               "tower.T01": "10, 2, -45", "tower.T02": "6, 11, -47"}
+
+    def synth(self, cfg, tmp_path, capsys):
+        """synth on a testbed file holding `cfg`: (exit code, error lines, survey path)."""
+        cfg_path = tmp_path / "testbed.cfg"
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        out = tmp_path / "db.jsonl"
+        code, errors = self.run(["synth", "--config", str(cfg_path), "--out", str(out)], capsys)
+        return code, errors, out
+
+    def test_valid_testbed_config_exits_0(self, tmp_path, capsys):
+        code, errors, out = self.synth(self.TESTBED, tmp_path, capsys)
+        assert (code, errors) == (0, [])
+        assert load_database(out).n_towers == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid.spacing", "0"), ("grid.spacing", "-2"), ("grid.spacing", "nan"),
+        ("shadow_sigma_db", "nan"), ("shadow_sigma_db", "-4"), ("shadow_sigma_db", "inf"),
+        ("path_loss_exponent", "nan"), ("path_loss_exponent", "0"),
+        ("path_loss_exponent", "-3"),
+        ("area.width", "nan"), ("sensitivity_dbm", "-inf"),
+        ("tower.T02", "nan, 0, -45"), ("tower.T02", "0, inf, -45"), ("tower.T02", "0, 0, nan"),
+    ])
+    def test_out_of_range_testbed_value_exits_2(self, key, value, tmp_path, capsys):
+        # no traceback, no survey written without shadowing or without a tower
+        code, errors, out = self.synth({**self.TESTBED, key: value}, tmp_path, capsys)
+        assert code == 2
+        assert len(errors) == 1
+        assert not out.exists()
+
     def test_out_of_range_profile_value_exits_2(self, tmp_path, capsys):
         db_path = tmp_path / "db.jsonl"
         save_database(tiny_db(), db_path)
