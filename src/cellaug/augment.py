@@ -16,7 +16,6 @@ drops one (doing so would change no value).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -25,7 +24,7 @@ import numpy as np
 from .core import FingerprintDatabase, TowerId
 from .distfit import FittedDistribution, fit_database, sample_from
 from .preprocess import SampleSet, location_blocks
-from .util import ConfigError, derive_rng, parse_bool
+from .util import ConfigError, apply_config, derive_rng
 from .vae import VaeModel, VaeTrainConfig, generate, train_vaes
 
 MAX_THRESHOLD_CANDIDATES = 12  # 2^12 - 1 variants caps the combinatorial path
@@ -69,21 +68,26 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_per_scan < 1 or self.drop_random_per_scan < 1:
-            raise ConfigError("per-scan multipliers must be >= 1")
-        if not (0.0 <= self.drop_threshold_value <= 1.0):
-            raise ConfigError(f"threshold must be in [0,1]: {self.drop_threshold_value}")
-        if self.drop_random_max_drop < 1:
-            raise ConfigError("drop_random_max_drop must be >= 1")
-        for key, count in (("sampling.n_per_location", self.sampling_n_per_location),
-                           ("vae.n_per_location", self.vae_n_per_location)):
+        for key in ("noise.per_scan", "drop_random.per_scan", "drop_random.max_drop"):
+            count = getattr(self, CONFIG_KEYS[key])
+            if count < 1:
+                raise ConfigError(f"{key} must be >= 1, got {count}")
+        for key in ("sampling.n_per_location", "vae.n_per_location"):
+            count = getattr(self, CONFIG_KEYS[key])
             if count is not None and count < 1:
                 raise ConfigError(f"{key} must be >= 1 or auto, got {count}")
-        if self.vae_epochs < 1:
-            raise ConfigError(f"vae.epochs must be >= 1, got {self.vae_epochs}")
-        if not (math.isfinite(self.vae_learning_rate) and self.vae_learning_rate > 0):
-            raise ConfigError(
-                f"vae.learning_rate must be a finite number > 0, got {self.vae_learning_rate}")
+        if not (0.0 <= self.drop_threshold_value <= 1.0):
+            raise ConfigError(f"drop_threshold.value must be in [0, 1], got "
+                              f"{self.drop_threshold_value}")
+        try:
+            self.vae_train_config
+        except ValueError as exc:  # VaeTrainConfig's rules, named by config key
+            raise ConfigError(f"vae.{exc}") from exc
+
+    @property
+    def vae_train_config(self) -> VaeTrainConfig:
+        return VaeTrainConfig(epochs=self.vae_epochs, learning_rate=self.vae_learning_rate,
+                              seed=self.seed)
 
     @staticmethod
     def none_enabled() -> "AugmentConfig":
@@ -97,54 +101,28 @@ class AugmentConfig:
 
     @staticmethod
     def from_dict(raw: dict[str, str]) -> "AugmentConfig":
-        kwargs = {}
-        for key, value in raw.items():
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"unknown augmentation config key: {key}")
-            name, parser = CONFIG_KEYS[key]
-            kwargs[name] = parser(value, key)
-        return AugmentConfig(**kwargs)
+        return apply_config(AugmentConfig(), CONFIG_KEYS, raw, "augmentation")
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, name) for key, (name, _) in CONFIG_KEYS.items()}
+        return {key: getattr(self, name) for key, name in CONFIG_KEYS.items()}
 
 
-def _parse_int(value: str, key: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from exc
-
-
-def _parse_optional_int(value: str, key: str) -> int | None:
-    if value.strip().lower() == "auto":
-        return None
-    return _parse_int(value, key)
-
-
-def _parse_float(value: str, key: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
-
-
-# Config-file key -> (AugmentConfig field, parser); also the key order of to_dict.
+# Config-file key -> AugmentConfig field; also the key order of to_dict.
 CONFIG_KEYS = {
-    "noise.enabled": ("noise_enabled", parse_bool),
-    "noise.per_scan": ("noise_per_scan", _parse_int),
-    "sampling.enabled": ("sampling_enabled", parse_bool),
-    "sampling.n_per_location": ("sampling_n_per_location", _parse_optional_int),
-    "drop_random.enabled": ("drop_random_enabled", parse_bool),
-    "drop_random.per_scan": ("drop_random_per_scan", _parse_int),
-    "drop_random.max_drop": ("drop_random_max_drop", _parse_int),
-    "drop_threshold.enabled": ("drop_threshold_enabled", parse_bool),
-    "drop_threshold.value": ("drop_threshold_value", _parse_float),
-    "vae.enabled": ("vae_enabled", parse_bool),
-    "vae.n_per_location": ("vae_n_per_location", _parse_optional_int),
-    "vae.epochs": ("vae_epochs", _parse_int),
-    "vae.learning_rate": ("vae_learning_rate", _parse_float),
-    "seed": ("seed", _parse_int),
+    "noise.enabled": "noise_enabled",
+    "noise.per_scan": "noise_per_scan",
+    "sampling.enabled": "sampling_enabled",
+    "sampling.n_per_location": "sampling_n_per_location",
+    "drop_random.enabled": "drop_random_enabled",
+    "drop_random.per_scan": "drop_random_per_scan",
+    "drop_random.max_drop": "drop_random_max_drop",
+    "drop_threshold.enabled": "drop_threshold_enabled",
+    "drop_threshold.value": "drop_threshold_value",
+    "vae.enabled": "vae_enabled",
+    "vae.n_per_location": "vae_n_per_location",
+    "vae.epochs": "vae_epochs",
+    "vae.learning_rate": "vae_learning_rate",
+    "seed": "seed",
 }
 
 
@@ -248,9 +226,7 @@ def train_location_vaes(
     """Train one VAE per location, all locations with the same scan count
     in one stacked run; locations with fewer than 2 scans are skipped with
     a warning. Returns the models in location order."""
-    vae_cfg = VaeTrainConfig(
-        epochs=cfg.vae_epochs, learning_rate=cfg.vae_learning_rate, seed=cfg.seed
-    )
+    vae_cfg = cfg.vae_train_config
     groups: dict[int, list[tuple[int, np.ndarray]]] = {}  # scan count -> (id, rows)
     kept: list[int] = []
     for loc_id, x, _ in location_blocks(db):

@@ -35,53 +35,32 @@ from .nn import TrainingDiverged
 from .pipeline import database_coordinates, run_comparison, temporal_split
 from .preprocess import SampleSet, vectorize_database
 from .testbed import default_desk_spec, generate, spec_from_file
-from .util import ConfigError, read_kv_config
+from .util import ConfigError, apply_config, read_kv_config
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-def _split_config(path: str | None) -> tuple[dict[str, str], dict[str, str]]:
-    """Separate profile.* keys from augmentation keys in one config file."""
-    if path is None:
-        return {}, {}
-    raw = read_kv_config(path)
+def _read_config(args) -> tuple[AugmentConfig, dict[str, str]]:
+    """The augmentation config of --config, with --seed applied, and its
+    profile.* keys, which only train and compare read."""
+    raw = read_kv_config(args.config) if args.config else {}
     profile_raw = {k: v for k, v in raw.items() if k.startswith("profile.")}
-    aug_raw = {k: v for k, v in raw.items() if not k.startswith("profile.")}
-    return aug_raw, profile_raw
+    cfg = AugmentConfig.from_dict({k: v for k, v in raw.items() if k not in profile_raw})
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    return cfg, profile_raw
 
 
 def _resolve_profile(kind: str, profile_raw: dict[str, str]) -> HyperProfile:
-    if kind in ("indoor", "outdoor"):
+    if kind != "custom":
         if profile_raw:
             raise ConfigError("profile.* overrides require --profile custom")
         return default_profile(kind)
-    if kind != "custom":
-        raise ConfigError(f"unknown profile: {kind}")
-    # profile.<field> overrides a HyperProfile field, parsed as the desk value's type
-    base = desk_profile()
-    names = {f.name for f in dataclasses.fields(HyperProfile)}
-    overrides = {}
-    for key, value in profile_raw.items():
-        name = key.removeprefix("profile.")
-        if name not in names:
-            raise ConfigError(f"unknown profile config key: {key}")
-        try:
-            overrides[name] = type(getattr(base, name))(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-    try:
-        return dataclasses.replace(base, **overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _resolve_aug_config(aug_raw: dict[str, str], seed: int | None) -> AugmentConfig:
-    cfg = AugmentConfig.from_dict(aug_raw)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg
+    # profile.<field> overrides a HyperProfile field of the desk profile
+    keys = {f"profile.{f.name}": f.name for f in dataclasses.fields(HyperProfile)}
+    return apply_config(desk_profile(), keys, profile_raw, "profile")
 
 
 def _split_db(db: FingerprintDatabase, args):
@@ -148,8 +127,7 @@ def cmd_fit_dist(args) -> int:
 
 def cmd_augment(args) -> int:
     db = load_database(args.database)
-    aug_raw, _ = _split_config(args.config)  # profile.* keys belong to train/compare
-    cfg = _resolve_aug_config(aug_raw, args.seed)
+    cfg, _ = _read_config(args)
     db_train, _ = _split_db(db, args)
     samples, counts = augment_all(db_train, cfg)
     _write_vectors(args.out, samples)
@@ -162,9 +140,8 @@ def cmd_augment(args) -> int:
 
 def cmd_train(args) -> int:
     db = load_database(args.database)
-    aug_raw, profile_raw = _split_config(args.config)
+    cfg, profile_raw = _read_config(args)
     profile = _resolve_profile(args.profile, profile_raw)
-    cfg = _resolve_aug_config(aug_raw, args.seed)
     seed = cfg.seed
     db_train, _ = _split_db(db, args)
     if args.no_augment:
@@ -201,9 +178,8 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     t0 = time.monotonic()
     db = load_database(args.database)
-    aug_raw, profile_raw = _split_config(args.config)
+    cfg, profile_raw = _read_config(args)
     profile = _resolve_profile(args.profile, profile_raw)
-    cfg = _resolve_aug_config(aug_raw, args.seed)
     _split_db(db, args)  # validate split flags before the heavy stages
     t_load = time.monotonic()
 

@@ -95,6 +95,13 @@ class LocalizerModel:
             raise ValueError("output dim disagrees with class count")
         if self.network.input_dim != len(self.towers):
             raise ValueError("input dim disagrees with tower count")
+        if self.network.layers[-1].activation != "softmax":
+            raise ValueError("output layer is not softmax")
+        if len(set(self.classes)) != len(self.classes):
+            raise ValueError("repeated class")
+        missing = [c for c in self.classes if c not in self.coords]
+        if missing:
+            raise ValueError(f"no coordinates for class(es): {missing}")
 
     @property
     def coordinate_matrix(self) -> np.ndarray:
@@ -290,10 +297,13 @@ def model_from_dict(data: dict) -> LocalizerModel:
     coords = {int(k): (float(v[0]), float(v[1])) for k, v in data["coords"].items()}
     if not np.all(np.isfinite(list(coords.values()))):
         raise ValueError("non-finite coordinates")
+    classes = data["classes"]
+    if not all(type(c) is int for c in classes):  # a JSON integer, not 0.5 or true
+        raise ValueError(f"classes must be integers, got {classes}")
     return LocalizerModel(
         network=network_from_dict(data["network"]),
         profile=profile,
-        classes=[int(c) for c in data["classes"]],
+        classes=list(classes),
         coords=coords,
         towers=tuple(str(t) for t in data["towers"]),
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import MAX_READINGS_PER_SCAN, FingerprintDatabase
-from .util import ConfigError, derive_rng, read_kv_config
+from .util import ConfigError, config_value, derive_rng, read_kv_config
 
 REFERENCE_DISTANCE_M = 1.0
 
@@ -45,6 +45,8 @@ class TestbedSpec:
         if len(self.towers) < 2:
             raise ConfigError("need at least 2 towers")
         for t in self.towers:
+            if not t.tower_id:
+                raise ConfigError("tower id must not be empty")
             if not np.isfinite([*t.position, t.tx_power_dbm]).all():
                 raise ConfigError(f"tower {t.tower_id}: position and power must be finite")
         for name in ("area", "path_loss_exponent", "shadow_sigma_db", "sensitivity_dbm",
@@ -64,7 +66,11 @@ class TestbedSpec:
             raise ConfigError("either grid_spacing_m or explicit points required")
         if self.scans_per_location < 1:
             raise ConfigError("scans_per_location must be >= 1")
-        if len(self.reference_points()) < 2:
+        try:
+            n_points = len(self.reference_points())
+        except ValueError as exc:  # numpy refuses a grid too large to index
+            raise ConfigError(f"grid_spacing_m is too small for the area: {exc}") from exc
+        if n_points < 2:
             raise ConfigError("need at least 2 reference locations")
 
     def reference_points(self) -> list[tuple[float, float]]:
@@ -179,44 +185,37 @@ def spec_from_file(path: str | Path) -> TestbedSpec:
     ``tower.<id> = x, y, tx_power_dbm`` entry per tower.
     """
     raw = read_kv_config(path)
-    towers = []
-    plain: dict[str, str] = {}
-    for key, value in raw.items():
-        if key.startswith("tower."):
-            tower_id = key[len("tower."):]
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"{key}: expected 'x, y, tx_power_dbm', got {value!r}")
-            try:
-                towers.append(Tower(tower_id, (float(parts[0]), float(parts[1])), float(parts[2])))
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-        else:
-            plain[key] = value
-
+    plain = {k: v for k, v in raw.items() if not k.startswith("tower.")}
     required = ("area.width", "area.height", "path_loss_exponent", "shadow_sigma_db",
                 "sensitivity_dbm", "scans_per_location", "seed")
     missing = [k for k in required if k not in plain]
     if missing:
         raise ConfigError(f"missing testbed config keys: {', '.join(missing)}")
-    known = set(required) | {"name", "grid.spacing"}
-    unknown = [k for k in plain if k not in known]
+    unknown = [k for k in plain if k not in (*required, "name", "grid.spacing")]
     if unknown:
         raise ConfigError(f"unknown testbed config key(s): {', '.join(unknown)}")
+    towers = []
+    for key, value in raw.items():
+        if key.startswith("tower."):
+            parts = value.split(",")
+            if len(parts) != 3:
+                raise ConfigError(f"{key}: expected 'x, y, tx_power_dbm', got {value!r}")
+            x, y, power = (config_value(part, key, 0.0) for part in parts)
+            towers.append(Tower(key.removeprefix("tower."), (x, y), power))
     if not towers:
         raise ConfigError("no towers configured (add tower.<id> entries)")
 
-    try:
-        return TestbedSpec(
-            name=plain.get("name", "custom"),
-            area=(float(plain["area.width"]), float(plain["area.height"])),
-            towers=tuple(sorted(towers, key=lambda t: t.tower_id)),
-            path_loss_exponent=float(plain["path_loss_exponent"]),
-            shadow_sigma_db=float(plain["shadow_sigma_db"]),
-            sensitivity_dbm=float(plain["sensitivity_dbm"]),
-            scans_per_location=int(plain["scans_per_location"]),
-            seed=int(plain["seed"]),
-            grid_spacing_m=float(plain["grid.spacing"]) if "grid.spacing" in plain else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad testbed config value: {exc}") from exc
+    def number(key: str, default: float | int = 0.0):
+        return config_value(plain[key], key, default)
+
+    return TestbedSpec(
+        name=plain.get("name", "custom"),
+        area=(number("area.width"), number("area.height")),
+        towers=tuple(sorted(towers, key=lambda t: t.tower_id)),
+        path_loss_exponent=number("path_loss_exponent"),
+        shadow_sigma_db=number("shadow_sigma_db"),
+        sensitivity_dbm=number("sensitivity_dbm"),
+        scans_per_location=number("scans_per_location", 0),
+        seed=number("seed", 0),
+        grid_spacing_m=number("grid.spacing") if "grid.spacing" in plain else None,
+    )

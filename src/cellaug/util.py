@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 from pathlib import Path
 
@@ -15,8 +16,7 @@ class ConfigError(ValueError):
 def read_kv_config(path: str | Path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file.
 
-    Blank lines and lines starting with ``#`` are ignored. Keys may repeat
-    only for list-style entries (``tower.*``); plain keys must be unique.
+    Blank lines and lines starting with ``#`` are ignored; keys must be unique.
     """
     out: dict[str, str] = {}
     path = Path(path)
@@ -39,13 +39,49 @@ def read_kv_config(path: str | Path) -> dict[str, str]:
     return out
 
 
-def parse_bool(value: str, key: str) -> bool:
-    low = value.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+
+
+def config_value(value: str, key: str, default):
+    """``value`` read as the type of its field's ``default``: a boolean
+    (true/yes/on/1 or false/no/off/0), a float, an integer within int64, or,
+    for a None default, such an integer or auto (read as None). Any case is
+    accepted; anything else raises ConfigError naming the key."""
+    text = value.strip()
+    if isinstance(default, bool):
+        if text.lower() in _BOOLEANS:
+            return _BOOLEANS[text.lower()]
+        expected = "a boolean"
+    elif isinstance(default, float):
+        try:
+            return float(text)
+        except ValueError:
+            expected = "a number"
+    elif default is None and text.lower() == "auto":
+        return None
+    else:
+        try:
+            if -(2**63) <= int(text) < 2**63:
+                return int(text)
+        except ValueError:
+            pass
+        expected = "a 64-bit integer" + (" or auto" if default is None else "")
+    raise ConfigError(f"{key}: expected {expected}, got {text!r}")
+
+
+def apply_config(base, fields: dict[str, str], raw: dict[str, str], what: str):
+    """The dataclass ``base`` with each ``raw`` key's value read into the field
+    that ``fields`` maps it to; a value the dataclass refuses is a ConfigError."""
+    overrides = {}
+    for key, value in raw.items():
+        if key not in fields:
+            raise ConfigError(f"unknown {what} config key: {key}")
+        overrides[fields[key]] = config_value(value, key, getattr(base, fields[key]))
+    try:
+        return dataclasses.replace(base, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def derive_rng(master_seed: int, *labels: object) -> np.random.Generator:

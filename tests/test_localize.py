@@ -344,6 +344,31 @@ class TestModelSerialization:
         with pytest.raises(ModelFormatError, match="model.json.*non-finite"):
             load_model(path)
 
+    @pytest.mark.parametrize("damage, message", [
+        ("class_without_coords", r"no coordinates for class\(es\): \[99\]"),
+        ("relu_head", "output layer is not softmax"),
+        ("repeated_class", "repeated class"),
+        ("fractional_class", "classes must be integers"),
+        ("boolean_class", "classes must be integers"),
+    ])
+    def test_model_evaluate_cannot_use_rejected(self, tmp_path, damage, message):
+        vectors, coords = toy_square_vectors(n_per_loc=3)
+        data = model_to_dict(train_localizer(vectors, FAST, coords, seed=5))
+        if damage == "class_without_coords":
+            data["classes"][0] = 99
+        elif damage == "relu_head":
+            data["network"]["layers"][-1]["activation"] = "relu"
+        elif damage == "repeated_class":
+            data["classes"][1] = data["classes"][0]
+        elif damage == "fractional_class":
+            data["classes"][0] = 0.5
+        else:
+            data["classes"][1] = True
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelFormatError, match=f"model.json: malformed model: .*{message}"):
+            load_model(path)
+
     def test_desk_profile_reasonable(self):
         p = desk_profile()
         assert p.epochs > 0 and 0 <= p.dropout_rate < 1

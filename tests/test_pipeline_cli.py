@@ -344,6 +344,7 @@ class TestCliExitCodes:
         ("path_loss_exponent", "-3"),
         ("area.width", "nan"), ("sensitivity_dbm", "-inf"),
         ("tower.T02", "nan, 0, -45"), ("tower.T02", "0, inf, -45"), ("tower.T02", "0, 0, nan"),
+        ("tower.", "1, 2, -45"),
     ])
     def test_out_of_range_testbed_value_exits_2(self, key, value, tmp_path, capsys):
         # no traceback, no survey written without shadowing or without a tower
@@ -382,6 +383,7 @@ class TestCliExitCodes:
         "vae.learning_rate = inf",
         "vae.n_per_location = 0", "vae.n_per_location = -2",
         "sampling.n_per_location = 0", "sampling.n_per_location = -3",
+        "noise.per_scan = 100000000000000000000",
     ])
     def test_out_of_range_vae_or_count_value_exits_2(self, line, tmp_path, capsys):
         # before any training: no untrained VAE rows, no 0 read as auto
@@ -520,6 +522,24 @@ class TestCliEvaluateInputs:
         code, errors = self.evaluate(model_path, db_path, tmp_path, capsys)
         assert code == 2
         assert len(errors) == 1
+
+    @pytest.mark.parametrize("damage", ["class_without_coords", "relu_head", "repeated_class",
+                                        "fractional_class"])
+    def test_model_evaluate_cannot_use_exits_2(self, tmp_path, trained, capsys, damage):
+        db_path, model_path = trained
+        data = json.loads(model_path.read_text())
+        if damage == "class_without_coords":
+            data["classes"][0] = 99
+        elif damage == "relu_head":
+            data["network"]["layers"][-1]["activation"] = "relu"
+        elif damage == "repeated_class":
+            data["classes"][1] = data["classes"][0]
+        else:
+            data["classes"][0] += 0.5
+        model_path.write_text(json.dumps(data))
+        code, errors = self.evaluate(model_path, db_path, tmp_path, capsys)
+        assert code == 2
+        assert len(errors) == 1 and str(model_path) in errors[0]
 
     def test_non_finite_model_coordinates_exit_2(self, tmp_path, trained, capsys):
         db_path, model_path = trained
