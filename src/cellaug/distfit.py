@@ -3,13 +3,15 @@
 For each (location, tower) pair the normalized RSS samples are fitted with
 Beta, Gamma and Gaussian models; the family with the highest log-likelihood
 wins. Constant data falls back to a point mass. The Gamma and Beta solvers
-are Newton iterations on the score equations, using digamma/trigamma.
-scipy.special is imported inside the functions that use it, so a command
-that fits nothing never loads scipy.
+are Newton iterations on the score equations. Every special function they
+need takes one float at a time, so the module computes them itself with
+plain Python floats: log-gamma is ``math.lgamma``, and digamma and trigamma
+are the recurrence up to ``_SERIES_FROM`` followed by the asymptotic series.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,48 @@ BETA = "beta"
 GAMMA = "gamma"
 GAUSSIAN = "gaussian"
 DEGENERATE = "degenerate"
+
+
+_SERIES_FROM = 10.0   # digamma/trigamma switch from recurrence to series here
+
+
+def _digamma(x: float) -> float:
+    """digamma(x) for x > 0 (nan otherwise), within 1e-13 * max(1, |digamma(x)|).
+
+    Steps x up with digamma(x) = digamma(x + 1) - 1/x, then adds the
+    asymptotic series, whose first omitted term is below 1e-16 at x >= 10.
+    """
+    if not x > 0.0:
+        return math.nan
+    shift = 0.0
+    while x < _SERIES_FROM:
+        shift += 1.0 / x
+        x += 1.0
+    r = 1.0 / (x * x)
+    # sum of B_2k / (2k x^2k) for k = 1..7, by Horner from k = 7 as cephes' psi does
+    series = r * ((((((r / 12 - 691 / 32760) * r + 1 / 132) * r - 1 / 240) * r + 1 / 252) * r
+                   - 1 / 120) * r + 1 / 12)
+    return math.log(x) - 0.5 / x - series - shift
+
+
+def _trigamma(x: float) -> float:
+    """trigamma(x) for x > 0 (nan otherwise), within 1e-13 * max(1, trigamma(x)).
+
+    Steps x up with trigamma(x) = trigamma(x + 1) + 1/x^2, then adds the
+    asymptotic series, whose first omitted term is below 2e-15 at x >= 10.
+    """
+    if not x > 0.0:
+        return math.nan
+    shift = 0.0
+    while x < _SERIES_FROM:
+        shift += 1.0 / (x * x)
+        x += 1.0
+    q = 1.0 / x
+    r = q * q
+    # 1/x + 1/(2x^2) + sum of B_2k / x^(2k+1) for k = 1..6
+    series = q + 0.5 * r + q * r * (1 / 6 - r * (1 / 30 - r * (1 / 42 - r * (
+        1 / 30 - r * (5 / 66 - r * (691 / 2730))))))
+    return series + shift
 
 
 class FitError(ValueError):
@@ -73,12 +117,10 @@ def fit_gaussian(samples) -> FittedDistribution:
 
 
 def _gamma_log_likelihood(x: np.ndarray, shape: float, scale: float) -> float:
-    from scipy.special import gammaln
-
     return float(
         (shape - 1.0) * np.sum(np.log(x))
         - np.sum(x) / scale
-        - x.size * (shape * np.log(scale) + gammaln(shape))
+        - x.size * (shape * np.log(scale) + math.lgamma(shape))
     )
 
 
@@ -88,8 +130,6 @@ def fit_gamma(samples) -> FittedDistribution:
     With scale profiled out (scale = mean / shape), the shape k solves
     log(k) - digamma(k) = log(mean) - mean(log x).
     """
-    from scipy.special import polygamma, psi
-
     x = _as_samples(samples)
     if x.size < 2:
         raise FitError(f"too few samples: {x.size}")
@@ -107,10 +147,10 @@ def fit_gamma(samples) -> FittedDistribution:
     # Minka's closed-form approximation as the starting point.
     k = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     for _ in range(MAX_NEWTON_ITER):
-        score = np.log(k) - psi(k) - s
+        score = np.log(k) - _digamma(k) - s
         if abs(score) < SCORE_TOL:
             break
-        k_new = k - score / (1.0 / k - polygamma(1, k))
+        k_new = k - score / (1.0 / k - _trigamma(k))
         if k_new <= 0.0 or not np.isfinite(k_new):
             k_new = k / 2.0
         k = k_new
@@ -129,16 +169,12 @@ def beta_method_of_moments(mean: float, var: float) -> tuple[float, float]:
 
 
 def _beta_log_likelihood(a: float, b: float, n: int, mean_log: float, mean_log1m: float) -> float:
-    from scipy.special import gammaln
-
     return float(n * ((a - 1.0) * mean_log + (b - 1.0) * mean_log1m
-                      - (gammaln(a) + gammaln(b) - gammaln(a + b))))
+                      - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))))
 
 
 def fit_beta(samples) -> FittedDistribution:
     """Beta MLE by two-dimensional Newton on the score, moments-initialized."""
-    from scipy.special import polygamma, psi
-
     x = _as_samples(samples)
     if x.size < 2:
         raise FitError(f"too few samples: {x.size}")
@@ -152,13 +188,14 @@ def fit_beta(samples) -> FittedDistribution:
     a, b = beta_method_of_moments(float(np.mean(x)), float(np.var(x)))
 
     for iteration in range(1, MAX_NEWTON_ITER + 1):
-        ga = psi(a + b) - psi(a) + mean_log
-        gb = psi(a + b) - psi(b) + mean_log1m
+        digamma_ab = _digamma(a + b)
+        ga = digamma_ab - _digamma(a) + mean_log
+        gb = digamma_ab - _digamma(b) + mean_log1m
         if max(abs(ga), abs(gb)) < SCORE_TOL:
             break
-        tri_ab = polygamma(1, a + b)
-        haa = tri_ab - polygamma(1, a)
-        hbb = tri_ab - polygamma(1, b)
+        tri_ab = _trigamma(a + b)
+        haa = tri_ab - _trigamma(a)
+        hbb = tri_ab - _trigamma(b)
         det = haa * hbb - tri_ab * tri_ab
         if det == 0.0 or not np.isfinite(det):
             raise FitError(f"beta fit: singular Hessian at iteration {iteration}")
@@ -235,8 +272,6 @@ def score_norm(dist: FittedDistribution, samples) -> float:
 
     Diagnostic for the Newton solvers; near-zero at a true MLE.
     """
-    from scipy.special import psi
-
     x = _as_samples(samples)
     n = x.size
     if dist.family == GAUSSIAN:
@@ -246,13 +281,13 @@ def score_norm(dist: FittedDistribution, samples) -> float:
         return float(max(abs(d_mu), abs(d_sigma)))
     if dist.family == GAMMA:
         k, theta = dist.params
-        d_k = np.mean(np.log(x)) - np.log(theta) - psi(k)
+        d_k = np.mean(np.log(x)) - np.log(theta) - _digamma(k)
         d_theta = np.mean(x) / theta**2 - k / theta
         return float(max(abs(d_k), abs(d_theta)))
     if dist.family == BETA:
         a, b = dist.params
-        d_a = psi(a + b) - psi(a) + np.mean(np.log(x))
-        d_b = psi(a + b) - psi(b) + np.mean(np.log1p(-x))
+        d_a = _digamma(a + b) - _digamma(a) + np.mean(np.log(x))
+        d_b = _digamma(a + b) - _digamma(b) + np.mean(np.log1p(-x))
         return float(max(abs(d_a), abs(d_b)))
     raise ValueError(f"no score for family: {dist.family}")
 

@@ -17,6 +17,7 @@ from .core import MAX_READINGS_PER_SCAN, FingerprintDatabase
 from .util import ConfigError, config_value, derive_rng, read_kv_config
 
 REFERENCE_DISTANCE_M = 1.0
+MAX_REFERENCE_POINTS = 100_000  # a grid finer than this is refused before it is built
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,23 @@ class TestbedSpec:
             raise ConfigError("either grid_spacing_m or explicit points required")
         if self.scans_per_location < 1:
             raise ConfigError("scans_per_location must be >= 1")
-        try:
-            n_points = len(self.reference_points())
-        except ValueError as exc:  # numpy refuses a grid too large to index
-            raise ConfigError(f"grid_spacing_m is too small for the area: {exc}") from exc
+        if self.points:
+            n_points = len(self.points)
+        else:
+            n_points = self._grid_point_count()
+            if n_points > MAX_REFERENCE_POINTS:
+                raise ConfigError(f"grid_spacing_m {self.grid_spacing_m:g} is too small for the "
+                                  f"{self.area[0]:g} x {self.area[1]:g} m area: more than "
+                                  f"{MAX_REFERENCE_POINTS} reference points")
         if n_points < 2:
             raise ConfigError("need at least 2 reference locations")
+
+    def _grid_point_count(self) -> int:
+        """len(reference_points()) of the grid, by np.arange's length rule, with
+        each axis capped at MAX_REFERENCE_POINTS + 1 so nothing overflows."""
+        spacing = self.grid_spacing_m
+        per_axis = np.ceil([(extent - spacing / 2.0) / spacing for extent in self.area])
+        return int(np.prod(np.clip(per_axis, 0, MAX_REFERENCE_POINTS + 1)))
 
     def reference_points(self) -> list[tuple[float, float]]:
         """Grid-cell centers row by row, or the explicit points."""

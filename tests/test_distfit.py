@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellaug.core import RawScan, ReferenceLocation, from_locations
 from cellaug.distfit import (
+    _SERIES_FROM,
     BETA,
     DEGENERATE,
     GAMMA,
@@ -17,7 +22,49 @@ from cellaug.distfit import (
     fit_gaussian,
     sample_from,
     score_norm,
+    _digamma,
+    _trigamma,
 )
+
+EULER_GAMMA = 0.57721566490153286061
+
+
+class TestSpecialFunctions:
+    def test_known_values(self):
+        assert _digamma(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-15)
+        assert _digamma(0.5) == pytest.approx(-EULER_GAMMA - 2 * math.log(2), rel=1e-15)
+        assert _trigamma(1.0) == pytest.approx(math.pi**2 / 6, rel=1e-15)
+        assert _trigamma(0.5) == pytest.approx(math.pi**2 / 2, rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(1e-4, 1e5))
+    def test_recurrences(self, x):
+        assert _digamma(x + 1.0) - _digamma(x) == pytest.approx(1.0 / x, rel=1e-12, abs=1e-12)
+        assert _trigamma(x) - _trigamma(x + 1.0) == pytest.approx(1.0 / x**2, rel=1e-9,
+                                                                abs=1e-15)
+
+    def test_continuous_at_series_switch(self):
+        # one ulp below the switch is recurrence, at it the series; across it
+        # the recurrence ties the two branches together
+        below = math.nextafter(_SERIES_FROM, 0.0)
+        for kernel in (_digamma, _trigamma):
+            assert kernel(below) == pytest.approx(kernel(_SERIES_FROM), rel=1e-14)
+        for x in np.linspace(_SERIES_FROM - 1.0, below, 9):
+            assert _digamma(x + 1.0) - _digamma(x) == pytest.approx(1.0 / x, rel=1e-13)
+            assert _trigamma(x) - _trigamma(x + 1.0) == pytest.approx(1.0 / x**2, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -math.inf, math.nan])
+    def test_outside_domain_is_nan(self, x):
+        assert math.isnan(_digamma(x)) and math.isnan(_trigamma(x))
+
+    def test_agree_with_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        xs = np.logspace(-4, 6, 2001)
+        for ours, reference in ((math.lgamma, special.gammaln), (_digamma, special.psi),
+                                (_trigamma, lambda x: special.polygamma(1, x))):
+            expected = reference(xs)
+            got = np.array([ours(float(x)) for x in xs])
+            assert np.all(np.abs(got - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
 
 
 class TestGaussian:

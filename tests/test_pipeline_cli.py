@@ -298,16 +298,29 @@ class TestCliTrainEvaluateCompare:
                      "--out", str(tmp_path / "x.json")]) == 2
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is needed only to fit distributions; evaluate and synth never load it
+def test_fitting_commands_leave_scipy_unloaded(tmp_path):
+    # distfit computes its own special functions, so fitting and a whole
+    # compare run load no scipy module
+    survey = tmp_path / "db.jsonl"
+    save_database(tiny_db(), survey)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("profile.epochs = 2\nvae.epochs = 2\n")
+    runs = [["fit-dist", str(survey), "--out", str(tmp_path / "fits.json")],
+            ["compare", str(survey), "--config", str(cfg), "--train-scans", "4",
+             "--out", str(tmp_path / "compare.json")]]
+    code = ("import json, sys\n"
+            "from cellaug.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, cellaug.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                            capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "fits.json").read_text())["locations"]
 
 
 class TestCliExitCodes:
@@ -339,6 +352,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("key, value", [
         ("grid.spacing", "0"), ("grid.spacing", "-2"), ("grid.spacing", "nan"),
+        ("grid.spacing", "0.001"), ("grid.spacing", "1e-9"),
         ("shadow_sigma_db", "nan"), ("shadow_sigma_db", "-4"), ("shadow_sigma_db", "inf"),
         ("path_loss_exponent", "nan"), ("path_loss_exponent", "0"),
         ("path_loss_exponent", "-3"),

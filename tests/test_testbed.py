@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellaug.core import (
     MAX_READINGS_PER_SCAN,
@@ -12,6 +14,7 @@ from cellaug.core import (
 )
 from cellaug.testbed import TestbedSpec as SurveySpec
 from cellaug.testbed import (
+    MAX_REFERENCE_POINTS,
     Tower,
     dbm_to_asu,
     default_desk_spec,
@@ -214,6 +217,33 @@ class TestSpecValidation:
         towers = [Tower("A", (0.0, 0.0), -50.0), Tower("B", (1.0, 0.0), -50.0)]
         with pytest.raises(ConfigError, match="at least 2 reference locations"):
             spec_with(towers, points=((0.0, 0.0),))
+
+    @pytest.mark.parametrize("spacing", [0.001, 1e-9, 5e-324])
+    def test_too_fine_grid_refused_before_it_is_built(self, spacing):
+        towers = [Tower("A", (0.0, 0.0), -50.0), Tower("B", (1.0, 0.0), -50.0)]
+        with pytest.raises(ConfigError, match=f"grid_spacing_m .* more than {MAX_REFERENCE_POINTS}"):
+            spec_with(towers, points=None, area=(12.0, 12.0), grid_spacing_m=spacing)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spacing=st.floats(0.05, 20.0),
+           cells=st.lists(st.one_of(st.floats(0.2, 40.0),
+                                    st.integers(0, 40).map(lambda k: k + 0.5)),
+                          min_size=2, max_size=2))
+    def test_grid_size_check_counts_the_points_built(self, spacing, cells):
+        # the bound is checked on a count computed before the grid exists;
+        # half-integer cell counts sit on np.arange's rounding edge
+        towers = [Tower("A", (0.0, 0.0), -50.0), Tower("B", (1.0, 0.0), -50.0)]
+        width, height = spacing * cells[0], spacing * cells[1]
+        try:
+            spec = spec_with(towers, points=None, area=(width, height), grid_spacing_m=spacing)
+        except ConfigError as exc:
+            assert "at least 2 reference locations" in str(exc)
+            spec = None
+        n_built = len(np.arange(spacing / 2.0, width, spacing)) * len(
+            np.arange(spacing / 2.0, height, spacing))
+        assert (spec is None) == (n_built < 2)
+        if spec is not None:
+            assert len(spec.reference_points()) == n_built
 
 
 class TestSpecFromFile:
