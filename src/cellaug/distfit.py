@@ -116,14 +116,6 @@ def fit_gaussian(samples) -> FittedDistribution:
     return FittedDistribution(GAUSSIAN, (mu, sigma), float(ll), n)
 
 
-def _gamma_log_likelihood(x: np.ndarray, shape: float, scale: float) -> float:
-    return float(
-        (shape - 1.0) * np.sum(np.log(x))
-        - np.sum(x) / scale
-        - x.size * (shape * np.log(scale) + math.lgamma(shape))
-    )
-
-
 def fit_gamma(samples) -> FittedDistribution:
     """Gamma MLE by Newton iteration on the profile score.
 
@@ -137,10 +129,15 @@ def fit_gamma(samples) -> FittedDistribution:
         raise FitError("non-positive sample")
     if np.all(x == x[0]):
         raise FitError("constant samples")
+    return _fit_gamma(x, float(np.sum(x)), float(np.sum(np.log(x))))
 
-    mean = float(np.mean(x))
-    mean_log = float(np.mean(np.log(x)))
-    s = np.log(mean) - mean_log
+
+def _fit_gamma(x: np.ndarray, total: float, total_log: float) -> FittedDistribution:
+    """fit_gamma of the checked samples x, given their sum and the sum of
+    their logs, on which alone the fit depends."""
+    n = x.size
+    mean = total / n
+    s = np.log(mean) - total_log / n
     if s <= 0.0:
         raise FitError("degenerate input: zero log-spread")
 
@@ -158,7 +155,8 @@ def fit_gamma(samples) -> FittedDistribution:
         raise FitError(f"gamma fit did not converge in {MAX_NEWTON_ITER} iterations")
 
     scale = mean / k
-    return FittedDistribution(GAMMA, (float(k), float(scale)), _gamma_log_likelihood(x, k, scale), x.size)
+    ll = (k - 1.0) * total_log - total / scale - n * (k * np.log(scale) + math.lgamma(k))
+    return FittedDistribution(GAMMA, (float(k), float(scale)), float(ll), n)
 
 
 def beta_method_of_moments(mean: float, var: float) -> tuple[float, float]:
@@ -182,10 +180,14 @@ def fit_beta(samples) -> FittedDistribution:
         raise FitError("sample outside (0,1)")
     if np.all(x == x[0]):
         raise FitError("constant samples")
+    return _fit_beta(x, float(np.sum(x)), float(np.sum(np.log(x))))
 
-    mean_log = float(np.mean(np.log(x)))
+
+def _fit_beta(x: np.ndarray, total: float, total_log: float) -> FittedDistribution:
+    """fit_beta of the checked samples x, given their sum and the sum of their logs."""
+    mean_log = total_log / x.size
     mean_log1m = float(np.mean(np.log1p(-x)))
-    a, b = beta_method_of_moments(float(np.mean(x)), float(np.var(x)))
+    a, b = beta_method_of_moments(total / x.size, float(np.var(x)))
 
     for iteration in range(1, MAX_NEWTON_ITER + 1):
         digamma_ab = _digamma(a + b)
@@ -232,9 +234,11 @@ def fit_best(samples) -> FittedDistribution:
         pass
     clamped = clamp_to_open_unit(x)
     if not np.all(clamped == clamped[0]):
-        for fitter in (fit_gamma, fit_beta):
+        # in (0, 1) and not constant: what fit_gamma and fit_beta check
+        total, total_log = float(np.sum(clamped)), float(np.sum(np.log(clamped)))
+        for fit in (_fit_gamma, _fit_beta):
             try:
-                candidates.append(fitter(clamped))
+                candidates.append(fit(clamped, total, total_log))
             except FitError:
                 pass
     if not candidates:

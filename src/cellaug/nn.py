@@ -12,7 +12,9 @@ per layer, each slice computing exactly what the unstacked network would.
 train() is the localizer's loop: a softmax classifier trained on class
 indices, each step's forward, fused cross-entropy, backward and update in
 one straight-line loop over flat float32 buffers. Its batches and dropout
-draws are those of float64 training; its weights are bit-identical to the
+draws are those of float64 training; _train_draws makes them, and
+drawahead.draw_ahead runs it ahead in a forked child on a second core, so
+the steps read them from a shared ring. Its weights are bit-identical to the
 primitives forward_with_cache, softmax_cross_entropy on one_hot targets,
 backward and sgd_step run on a float32 copy of the network (the primitives
 compute in the network's dtype). In float64 those, with squared_error,
@@ -30,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .drawahead import draw_ahead
 from .util import as_rng
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear", "softmax")
@@ -333,6 +336,25 @@ def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
 
+def _train_draws(rng, n: int, batch: int, epochs: int, widths: list[int], keep: float):
+    """train's draws, in its order: each epoch's permutation of the n rows,
+    then per step its batch of that order and, for each hidden layer of
+    width in `widths`, the float32 dropout multipliers (u < keep) / keep,
+    as 1.0 * (1 / keep) or 0.0, of float64 uniforms u."""
+    unkeep = 1.0 / keep
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            masks = []
+            for width in widths:
+                shape = (idx.size, width)
+                mask = np.less(rng.random(shape), keep, out=np.empty(shape, dtype=np.float32))
+                mask *= unkeep
+                masks.append(mask)
+            yield (idx, *masks)
+
+
 def train(
     net: DenseNetwork,
     inputs: np.ndarray,
@@ -374,46 +396,43 @@ def train(
     last = len(kinds) - 1
     drop = net.dropout_rate > 0.0
     keep = 1.0 - net.dropout_rate
-    unkeep = 1.0 / keep
     arrays = net.weights + net.biases
     params, views = _packed(arrays)
     weights, biases = views[: last + 1], views[last + 1 :]
     grads, views = _packed(arrays)
     d_weights, d_biases = views[: last + 1], views[last + 1 :]
 
-    rng = as_rng(cfg.seed)
     n = inputs.shape[0]
+    batch = min(cfg.batch_size, n)
+    widths = [spec.output_dim for spec in net.layers[:last]] if drop else []
+    layout = [((batch,), np.intp)] + [((batch, width), np.float32) for width in widths]
+    producer = _train_draws(as_rng(cfg.seed), n, batch, cfg.epochs, widths, keep)
     trace: list[float] = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    with draw_ahead(producer, layout, cfg.epochs * -(-n // batch)) as draws, \
+            np.errstate(over="ignore", invalid="ignore"):
         # a value beyond float32's range casts to inf and diverges below
         for view, a in zip(weights + biases, arrays):
             view[...] = a
         inputs = inputs.astype(np.float32)
         lr = np.float32(cfg.learning_rate)
         for _ in range(cfg.epochs):
-            order = rng.permutation(n)
             total = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
+            for start in range(0, n, batch):
+                b = min(batch, n - start)
+                idx, *masks = [draw[:b] for draw in next(draws)]
                 # fed[i] is layer i's input; post and masks as in ForwardCache.
                 a = inputs.take(idx, axis=0)
-                fed, post, masks = [a], [], []
+                fed, post = [a], []
                 for i, kind in enumerate(kinds):
                     z = a @ weights[i]
                     z += biases[i]
                     a = _activate(z, kind)
                     post.append(a)
                     if drop and i != last:
-                        # the multipliers (u < keep) / keep, as 1.0 * (1 / keep) or 0.0
-                        mask = np.less(rng.random(a.shape), keep,
-                                       out=np.empty(a.shape, dtype=np.float32))
-                        mask *= unkeep
-                        masks.append(mask)
-                        a = a * mask
+                        a = a * masks[i]
                     fed.append(a)
                 # a non-finite softmax row is NaN throughout, its target included;
                 # the floor is applied in float64, where 1e-300 is not 0
-                b = idx.size
                 rows, y = np.arange(b), labels.take(idx)
                 p = a[rows, y].astype(np.float64)
                 loss = float(-np.log(np.maximum(p, 1e-300)).sum() / b)

@@ -25,8 +25,9 @@ bits; nn.sgd_step does the update. Each location still draws from its own
 "vae-init" and "vae-train" streams, in the order a lone run would, so a
 model trained in a stack is bit-identical to the same location trained
 alone (train_vae is the L = 1 case). Each epoch's draws, per location a
-permutation of its rows and one (n, d) block of latent noise, are written
-into two buffers allocated once per training.
+permutation of its rows and one (n, d) block of latent noise, come from
+_train_draws through drawahead.draw_ahead: a forked child makes them
+ahead on a second core, and the steps read them from a shared ring.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .nn import (
 )
 # bench/trace.py wraps these on this module to time the VAE's engine calls.
 from .nn import backward, forward_with_cache  # noqa: F401
+from .drawahead import draw_ahead
 from .util import as_rng, derive_rng
 
 LATENT_DIM = 5
@@ -266,6 +268,22 @@ def _diverged(location_ids: list[int], slices, traces: np.ndarray, what: str) ->
     )
 
 
+def _train_draws(rngs: list[np.random.Generator], n: int, d: int, epochs: int):
+    """train_vaes' draws, in its order: per epoch, for each location in
+    turn, a permutation of its n rows (rng.permutation(n) is arange(n)
+    shuffled), then the (n, d) latent noise of every batch in turn, which
+    one draw gives since the generator fills in order."""
+    positions = np.arange(n)
+    order = np.empty((len(rngs), n), dtype=positions.dtype)
+    eps = np.empty((len(rngs), n, d))
+    for _ in range(epochs):
+        order[:] = positions
+        for rng, perm, eps_l in zip(rngs, order, eps):
+            rng.shuffle(perm)
+            rng.standard_normal(out=eps_l)
+        yield order, eps
+
+
 def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> list[VaeModel]:
     """Train one VAE per slice of the (L, n, m) stack x in one stacked pass.
 
@@ -290,22 +308,15 @@ def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> l
     # Batches are gathered from x's rows as one (L * n, m) matrix.
     x_rows = x.reshape(n_locations * n, -1)
     offsets = np.arange(0, n_locations * n, n)[:, None]
-    # Each epoch's draws, written in place: per location its permutation
-    # (rng.permutation(n) is arange(n) shuffled), then the eps of every batch
-    # in turn, which one (n, d) draw gives since the generator fills in order.
-    positions = np.arange(n)
-    order = np.empty((n_locations, n), dtype=positions.dtype)
-    eps = np.empty((n_locations, n, stacked.latent_dim))
-    draws = list(zip(rngs, order, eps))
+    d = stacked.latent_dim
+    layout = [((n_locations, n), np.intp), ((n_locations, n, d), np.float64)]
 
     traces = np.empty((cfg.epochs, n_locations))
     # The finiteness checks name the network, layer and locations of an overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with draw_ahead(_train_draws(rngs, n, d, cfg.epochs), layout, cfg.epochs) as draws, \
+            np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            order[:] = positions
-            for rng, perm, eps_l in draws:
-                rng.shuffle(perm)
-                rng.standard_normal(out=eps_l)
+            order, eps = next(draws)
             rows = order + offsets
             total = np.zeros(n_locations)
             for start in range(0, n, batch):

@@ -170,6 +170,21 @@ class TestFitBest:
         for fitter, data in ((fit_gaussian, x), (fit_gamma, clamped), (fit_beta, clamped)):
             assert best.log_likelihood >= fitter(data).log_likelihood
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(0, 31), min_size=2, max_size=40).map(lambda asu: np.array(asu) / 31),
+        st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40).map(np.array),
+    ))
+    def test_winner_is_its_family_fitters_fit(self, x):
+        # fit_best hands the Gamma and Beta fitters the sums it takes once;
+        # the winner is bit for bit what its family's own fitter returns
+        best = fit_best(x)
+        fitters = {GAUSSIAN: (fit_gaussian, x), GAMMA: (fit_gamma, clamp_to_open_unit(x)),
+                   BETA: (fit_beta, clamp_to_open_unit(x))}
+        if best.family != DEGENERATE:
+            fitter, data = fitters[best.family]
+            assert best == fitter(data)
+
     def test_boundary_values_handled(self):
         # exact zeros and ones go through the clamp, not an error
         rng = np.random.default_rng(9)
