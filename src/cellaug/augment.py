@@ -24,7 +24,7 @@ import numpy as np
 from .core import FingerprintDatabase, TowerId
 from .distfit import FittedDistribution, fit_database, sample_from
 from .preprocess import SampleSet, location_blocks
-from .util import ConfigError, apply_config, derive_rng
+from .util import ConfigError, apply_config, checked_seed, derive_rng
 from .vae import VaeModel, VaeTrainConfig, generate, train_vaes
 
 MAX_THRESHOLD_CANDIDATES = 12  # 2^12 - 1 variants caps the combinatorial path
@@ -79,6 +79,7 @@ class AugmentConfig:
         if not (0.0 <= self.drop_threshold_value <= 1.0):
             raise ConfigError(f"drop_threshold.value must be in [0, 1], got "
                               f"{self.drop_threshold_value}")
+        checked_seed(self.seed)
         try:
             self.vae_train_config
         except ValueError as exc:  # VaeTrainConfig's rules, named by config key

@@ -3,7 +3,8 @@ evaluate, compare.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error. All
 randomness flows from one master seed (--seed overrides the config seed),
-so reports are byte-reproducible.
+so reports are byte-reproducible. Each command imports the modules it
+runs when it runs, so that `synth`, say, loads no training code.
 """
 
 from __future__ import annotations
@@ -14,28 +15,17 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .augment import AugmentConfig, augment_all
 from .core import DatabaseFormatError, FingerprintDatabase, load_database, save_database
-from .distfit import fit_database
-from .localize import (
-    HyperProfile,
-    ModelFormatError,
-    default_profile,
-    desk_profile,
-    evaluate,
-    json_text,
-    load_model,
-    save_model,
-    train_localizer,
-)
-from .nn import TrainingDiverged
-from .pipeline import database_coordinates, run_comparison, temporal_split
-from .preprocess import SampleSet, vectorize_database
-from .testbed import default_desk_spec, generate, spec_from_file
-from .util import ConfigError, apply_config, read_kv_config
+from .util import ConfigError, ModelFormatError, TrainingDiverged, apply_config, read_kv_config
+
+if TYPE_CHECKING:
+    from .augment import AugmentConfig
+    from .localize import HyperProfile
+    from .preprocess import SampleSet
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -45,6 +35,8 @@ EXIT_CONFIG = 2
 def _read_config(args) -> tuple[AugmentConfig, dict[str, str]]:
     """The augmentation config of --config, with --seed applied, and its
     profile.* keys, which only train and compare read."""
+    from .augment import AugmentConfig
+
     raw = read_kv_config(args.config) if args.config else {}
     profile_raw = {k: v for k, v in raw.items() if k.startswith("profile.")}
     cfg = AugmentConfig.from_dict({k: v for k, v in raw.items() if k not in profile_raw})
@@ -54,6 +46,8 @@ def _read_config(args) -> tuple[AugmentConfig, dict[str, str]]:
 
 
 def _resolve_profile(kind: str, profile_raw: dict[str, str]) -> HyperProfile:
+    from .localize import HyperProfile, default_profile, desk_profile
+
     if kind != "custom":
         if profile_raw:
             raise ConfigError("profile.* overrides require --profile custom")
@@ -65,6 +59,8 @@ def _resolve_profile(kind: str, profile_raw: dict[str, str]) -> HyperProfile:
 
 def _split_db(db: FingerprintDatabase, args):
     """Split per the CLI flags; bad split parameters are config errors."""
+    from .pipeline import temporal_split
+
     try:
         return temporal_split(db, args.train_fraction, args.train_scans)
     except ValueError as exc:
@@ -72,7 +68,9 @@ def _split_db(db: FingerprintDatabase, args):
 
 
 def _write_json(path: str | Path, payload) -> None:
-    Path(path).write_text(json_text(payload), encoding="utf-8")
+    """Write payload as indented JSON; an ErrorReport in it needs
+    localize.json_text instead."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_vectors(path: str | Path, samples: SampleSet) -> None:
@@ -85,6 +83,8 @@ def _write_vectors(path: str | Path, samples: SampleSet) -> None:
 
 
 def cmd_synth(args) -> int:
+    from .testbed import default_desk_spec, generate, spec_from_file
+
     spec = spec_from_file(args.config) if args.config else default_desk_spec()
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -95,6 +95,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    from .preprocess import vectorize_database
+
     db = load_database(args.database)
     samples = vectorize_database(db)
     _write_vectors(args.out, samples)
@@ -103,6 +105,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_fit_dist(args) -> int:
+    from .distfit import fit_database
+
     db = load_database(args.database)
     fits = fit_database(db)
     payload = {
@@ -126,6 +130,8 @@ def cmd_fit_dist(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    from .augment import augment_all
+
     db = load_database(args.database)
     cfg, _ = _read_config(args)
     db_train, _ = _split_db(db, args)
@@ -139,6 +145,11 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .augment import augment_all
+    from .localize import save_model, train_localizer
+    from .pipeline import database_coordinates
+    from .preprocess import vectorize_database
+
     db = load_database(args.database)
     cfg, profile_raw = _read_config(args)
     profile = _resolve_profile(args.profile, profile_raw)
@@ -156,6 +167,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .localize import evaluate, json_text, load_model
+    from .preprocess import vectorize_database
+
     model = load_model(args.model)
     db = load_database(args.database)
     unknown = sorted(set(db.tower_universe) - set(model.towers))
@@ -168,7 +182,7 @@ def cmd_evaluate(args) -> int:
                           f"coordinates: {', '.join(map(str, wrong.tolist()))}")
     _, db_test = _split_db(db, args)
     report = evaluate(model, vectorize_database(db_test, model.towers))
-    _write_json(args.out, report)
+    Path(args.out).write_text(json_text(report), encoding="utf-8")
     csv_path = Path(args.out).with_suffix(".cdf.csv")
     csv_path.write_text(report.cdf_csv(), encoding="utf-8")
     print(f"p50 = {report.p50:.3f} m over {report.errors.size} samples -> {args.out}")
@@ -176,6 +190,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .localize import json_text
+    from .pipeline import run_comparison
+
     t0 = time.monotonic()
     db = load_database(args.database)
     cfg, profile_raw = _read_config(args)
@@ -191,7 +208,7 @@ def cmd_compare(args) -> int:
 
     payload = {"seed": cfg.seed, "profile": dataclasses.asdict(profile)}
     payload.update(vars(result))  # as result.to_dict(), with the reports as objects
-    _write_json(args.out, payload)
+    Path(args.out).write_text(json_text(payload), encoding="utf-8")
 
     out = Path(args.out)
     csv_without = out.with_name(out.stem + "_without.cdf.csv")

@@ -117,15 +117,19 @@ class FingerprintDatabase:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if list(self.tower_universe) != sorted(set(self.tower_universe)):
             raise ValueError("tower_universe must be sorted and duplicate-free")
-        if np.any(np.diff(self.location_ids) <= 0):
+        ids = self.location_ids  # compared, not subtracted, which could wrap
+        if np.any(ids[1:] <= ids[:-1]):
             raise ValueError("location ids must ascend, with no duplicate location_id")
         n, m, n_locations = len(self.timestamps), self.n_towers, len(self.location_ids)
         for name, shape in (("coordinates", (n_locations, 2)), ("scan_location", (n,)),
                             ("asu", (n, m)), ("position", (n, m))):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
-        if np.any(np.diff(self.scan_location) < 0) or not np.array_equal(
-                np.unique(self.scan_location), np.arange(n_locations)):
+        # Grouped in order with every location present: the indices run from
+        # 0 to L - 1 in steps of 0 or 1. (np.unique would load numpy.ma.)
+        steps = np.diff(self.scan_location)
+        ends = self.scan_location[[0, -1]].tolist() if n else [0, -1]
+        if ends != [0, n_locations - 1] or np.any((steps < 0) | (steps > 1)):
             raise ValueError("scans must be grouped by location in location order, each with one")
 
     def __eq__(self, other) -> bool:
@@ -362,16 +366,23 @@ def save_database(db: FingerprintDatabase, path: str | Path) -> None:
     their original order. load(save(db)) == db."""
     path = Path(path)
     lines = [json.dumps({"testbed": db.testbed, "grid_cell_m": db.grid_cell_m})]
-    ids, coords = db.location_ids.tolist(), db.coordinates.tolist()
+    # Each line is json.dumps of {"loc", "x", "y", "ts", "readings"}, put
+    # together from strings dumped once: each location's head and each
+    # (tower, ASU) reading, the latter indexed by code = column * span + ASU - lo.
+    heads = [f'{{"loc": {json.dumps(loc)}, "x": {json.dumps(x)}, "y": {json.dumps(y)}, "ts": '
+             for loc, (x, y) in zip(db.location_ids.tolist(), db.coordinates.tolist())]
+    lo, hi = int(db.asu.min(initial=0)), int(db.asu.max(initial=0))
+    readings = [f"[{json.dumps(tower)}, {asu}]"
+                for tower in db.tower_universe for asu in range(lo, hi + 1)]
     m = db.n_towers
+    codes = np.arange(m) * (hi - lo + 1) + db.asu.astype(np.intp) - lo
     # Unheard columns (position -1) sort first; a scan's k readings are the last k.
-    by_position = np.argsort(db.position, axis=1).tolist()
-    rows = zip(db.scan_location.tolist(), db.timestamps.tolist(), db.asu.tolist(),
-               by_position, np.sum(db.heard, axis=1).tolist())
-    for loc, ts, asu, order, k in rows:
-        x, y = coords[loc]
-        readings = [[db.tower_universe[j], asu[j]] for j in order[m - k:]]
-        lines.append(json.dumps({"loc": ids[loc], "x": x, "y": y, "ts": ts, "readings": readings}))
+    codes = np.take_along_axis(codes, np.argsort(db.position, axis=1), axis=1).tolist()
+    rows = zip(db.scan_location.tolist(), db.timestamps.tolist(), codes,
+               np.sum(db.heard, axis=1).tolist())
+    for loc, ts, row, k in rows:
+        scan = ", ".join([readings[code] for code in row[m - k:]])
+        lines.append(f'{heads[loc]}{ts}, "readings": [{scan}]}}')
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

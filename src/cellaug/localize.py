@@ -26,11 +26,7 @@ from .nn import (
     train,
 )
 from .preprocess import SampleSet
-from .util import derive_rng
-
-
-class ModelFormatError(ValueError):
-    """Raised when a saved localizer model cannot be parsed or validated."""
+from .util import ModelFormatError, derive_rng
 
 
 @dataclass(frozen=True)

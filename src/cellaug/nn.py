@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .drawahead import draw_ahead
-from .util import as_rng
+from .util import TrainingDiverged, as_rng
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear", "softmax")
 
@@ -57,14 +57,6 @@ def _non_finite(message: str, arrays: list[np.ndarray], lead: int) -> NonFiniteE
     for a in arrays:
         bad |= ~np.isfinite(a.reshape(a.shape[:lead] + (-1,))).all(axis=-1)
     return NonFiniteError(message, np.flatnonzero(bad).tolist())
-
-
-class TrainingDiverged(RuntimeError):
-    """Non-finite loss during training; carries the loss trace so far."""
-
-    def __init__(self, message: str, trace: list[float]):
-        super().__init__(message)
-        self.trace = trace
 
 
 @dataclass(frozen=True)

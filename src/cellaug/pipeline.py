@@ -1,18 +1,22 @@
 """End-to-end orchestration: split, augment, train with and without
 augmentation on identical splits and seeds, evaluate on the identical test
-set, and report the improvement."""
+set, and report the improvement. The augmenters and the localizer load on
+first use, so that a split alone loads neither."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .augment import AugmentConfig, augment_all
 from .core import SCAN_ARRAYS, FingerprintDatabase
-from .localize import ErrorReport, HyperProfile, evaluate, improvement, train_localizer
-from .nn import TrainingDiverged
 from .preprocess import vectorize_database
+from .util import TrainingDiverged
+
+if TYPE_CHECKING:
+    from .augment import AugmentConfig
+    from .localize import ErrorReport, HyperProfile
 
 
 def temporal_split(
@@ -58,6 +62,8 @@ class ComparisonResult:
 
     def to_dict(self) -> dict:
         """The fields in declaration order, each report as its to_dict()."""
+        from .localize import ErrorReport
+
         return {name: value.to_dict() if isinstance(value, ErrorReport) else value
                 for name, value in vars(self).items()}
 
@@ -67,6 +73,8 @@ def database_coordinates(db: FingerprintDatabase) -> dict[int, tuple[float, floa
 
 
 def _train_stage(stage, samples, profile, coords, seed):
+    from .localize import train_localizer
+
     try:
         return train_localizer(samples, profile, coords, seed=seed)
     except TrainingDiverged as exc:
@@ -86,6 +94,9 @@ def run_comparison(
     The augmenters run on the training split only; both models are
     evaluated on the identical held-out scans.
     """
+    from .augment import augment_all
+    from .localize import evaluate, improvement
+
     db_train, db_test = temporal_split(db, train_fraction, train_scans)
     coords = database_coordinates(db)
     test_set = vectorize_database(db_test)

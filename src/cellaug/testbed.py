@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import MAX_READINGS_PER_SCAN, FingerprintDatabase
-from .util import ConfigError, config_value, derive_rng, read_kv_config
+from .util import ConfigError, checked_seed, config_value, derive_rng, read_kv_config
 
 REFERENCE_DISTANCE_M = 1.0
 MAX_REFERENCE_POINTS = 100_000  # a grid finer than this is refused before it is built
@@ -67,6 +67,7 @@ class TestbedSpec:
             raise ConfigError("either grid_spacing_m or explicit points required")
         if self.scans_per_location < 1:
             raise ConfigError("scans_per_location must be >= 1")
+        checked_seed(self.seed)
         if self.points:
             n_points = len(self.points)
         else:

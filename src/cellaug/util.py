@@ -1,4 +1,5 @@
-"""Shared helpers: key-value config files and reproducible RNG streams."""
+"""Shared helpers: key-value config files, reproducible RNG streams and the
+errors that the CLI maps to exit codes."""
 
 from __future__ import annotations
 
@@ -11,6 +12,18 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
+
+
+class ModelFormatError(ValueError):
+    """Raised when a saved localizer model cannot be parsed or validated."""
+
+
+class TrainingDiverged(RuntimeError):
+    """Non-finite loss during training; carries the loss trace so far."""
+
+    def __init__(self, message: str, trace: list[float]):
+        super().__init__(message)
+        self.trace = trace
 
 
 def read_kv_config(path: str | Path) -> dict[str, str]:
@@ -84,15 +97,24 @@ def apply_config(base, fields: dict[str, str], raw: dict[str, str], what: str):
         raise ConfigError(str(exc)) from exc
 
 
+def checked_seed(seed: int) -> int:
+    """``seed`` if it is in [0, 2**32), the range of a master seed; else a
+    ConfigError (a ValueError), so that no two seeds name one stream."""
+    if not 0 <= seed < 2**32:
+        raise ConfigError(f"seed must be in [0, 2**32), got {seed}")
+    return seed
+
+
 def derive_rng(master_seed: int, *labels: object) -> np.random.Generator:
     """Named deterministic RNG stream.
 
     Every source of randomness in the pipeline draws from a stream derived
-    from one master seed plus stable labels (stage name, location id), so
-    results are reproducible and independent of evaluation order.
+    from one master seed, in [0, 2**32), plus stable labels (stage name,
+    location id), so results are reproducible and independent of
+    evaluation order.
     """
     keys = [zlib.crc32(str(label).encode("utf-8")) for label in labels]
-    return np.random.default_rng([int(master_seed) & 0xFFFFFFFF, *keys])
+    return np.random.default_rng([checked_seed(int(master_seed)), *keys])
 
 
 def as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:

@@ -52,7 +52,7 @@ TESTBED = {
     "shadow_sigma_db": ("4", "float", lambda x: x >= 0),
     "sensitivity_dbm": ("-111", "float", anything),
     "scans_per_location": ("4", "int", at_least_1),
-    "seed": ("1", "int", anything),
+    "seed": ("1", "int", lambda x: 0 <= x < 2**32),
 }
 TOWERS = {"tower.T00": ("2", "3", "-45"), "tower.T01": ("10", "2", "-45"),
           "tower.T02": ("6", "11", "-47")}
@@ -70,7 +70,7 @@ AUGMENT = {
     "vae.n_per_location": ("3", "auto", at_least_1),
     "vae.epochs": ("2", "int", at_least_1),
     "vae.learning_rate": ("0.001", "float", positive),
-    "seed": ("1", "int", anything),
+    "seed": ("1", "int", lambda x: 0 <= x < 2**32),
 }
 PROFILE = {
     "profile.learning_rate": ("0.01", "float", positive),

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from cellaug.core import (
     ASU_MAX,
+    INT64_MAX,
+    INT64_MIN,
     MAX_READINGS_PER_SCAN,
     DatabaseFormatError,
     FingerprintDatabase,
@@ -108,6 +110,21 @@ class TestDatabaseInvariants:
         )
         with pytest.raises(ValueError, match="duplicate location_id"):
             from_locations(locs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_location=st.lists(st.integers(-1, 4), max_size=6), n_locations=st.integers(0, 4))
+    def test_scan_grouping_check_matches_its_unique_form(self, scan_location, n_locations):
+        # accepted exactly when sorted and holding each location index
+        want = (sorted(scan_location) == scan_location
+                and np.array_equal(np.unique(scan_location), np.arange(n_locations)))
+        n = len(scan_location)
+        try:
+            FingerprintDatabase(("A",), range(n_locations), np.zeros((n_locations, 2)),
+                                scan_location, range(n), np.ones((n, 1)), np.zeros((n, 1)))
+        except ValueError as exc:
+            assert not want and "grouped by location" in str(exc)
+        else:
+            assert want
 
     def test_location_requires_scans(self):
         with pytest.raises(ValueError, match="no scans"):
@@ -357,6 +374,45 @@ class TestRoundTripProperty:
         db = load_database(path)
         assert db == build(drawn)
         assert read_back(db) == [(loc_id, s) for loc_id, ss in grouped(scans).items() for s in ss]
+
+
+# Text that json escapes: quotes, backslashes, control and non-ASCII characters.
+escaped_text = st.text(st.sampled_from('"\\\x00\n\r\x1f\x7fé€ 😀a'), min_size=1, max_size=4)
+int64_ends = st.sampled_from([INT64_MIN, INT64_MAX]) | st.integers(INT64_MIN, INT64_MAX)
+edge_floats = st.sampled_from([-0.0, 1e16, 5e-324, 0.1 + 0.2]) | finite
+
+
+@st.composite
+def edge_surveys(draw):
+    """Surveys whose every field json writes in its own way: escaped tower
+    ids and testbed names, loc and ts at the int64 ends, signed zeros,
+    subnormals, large and inexact coordinates."""
+    tower_ids = escaped_text | st.text(min_size=1, max_size=4)
+    towers = draw(st.lists(tower_ids, min_size=1, max_size=9, unique=True))
+    locations = []
+    for loc_id in draw(st.lists(int64_ends, min_size=1, max_size=3, unique=True)):
+        scans = []
+        for _ in range(draw(st.integers(1, 3))):
+            heard = draw(st.lists(st.sampled_from(towers), min_size=1,
+                                  max_size=MAX_READINGS_PER_SCAN, unique=True))
+            scans.append(scan(draw(int64_ends), [(t, draw(st.integers(0, ASU_MAX))) for t in heard]))
+        locations.append(ReferenceLocation(loc_id, (draw(edge_floats), draw(edge_floats)), scans))
+    return from_locations(locations, testbed=draw(tower_ids), grid_cell_m=draw(edge_floats))
+
+
+class TestWriterProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(db=edge_surveys())
+    def test_each_line_is_json_dumps_of_its_record(self, tmp_path_factory, db):
+        path = tmp_path_factory.mktemp("survey") / "db.jsonl"
+        save_database(db, path)
+        coords = dict(zip(db.location_ids.tolist(), db.coordinates.tolist()))
+        records = [{"testbed": db.testbed, "grid_cell_m": db.grid_cell_m}]
+        records += [{"loc": loc_id, "x": coords[loc_id][0], "y": coords[loc_id][1],
+                     "ts": s.timestamp, "readings": [list(r) for r in s.readings]}
+                    for loc_id, s in read_back(db)]
+        assert path.read_text(encoding="utf-8") == "".join(json.dumps(r) + "\n" for r in records)
+        assert load_database(path) == db
 
 
 class TestSplitAndVectorizeProperties:

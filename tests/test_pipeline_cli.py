@@ -298,6 +298,23 @@ class TestCliTrainEvaluateCompare:
                      "--out", str(tmp_path / "x.json")]) == 2
 
 
+def modules_after(runs, package: str) -> list[str]:
+    """The modules of `package` loaded in a fresh interpreter after cli.main
+    has run each argv of `runs`, each exiting 0."""
+    code = ("import json, sys\n"
+            "from cellaug.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == sys.argv[2])))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(runs), package], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 def test_fitting_commands_leave_scipy_unloaded(tmp_path):
     # distfit computes its own special functions, so fitting and a whole
     # compare run load no scipy module
@@ -308,19 +325,23 @@ def test_fitting_commands_leave_scipy_unloaded(tmp_path):
     runs = [["fit-dist", str(survey), "--out", str(tmp_path / "fits.json")],
             ["compare", str(survey), "--config", str(cfg), "--train-scans", "4",
              "--out", str(tmp_path / "compare.json")]]
-    code = ("import json, sys\n"
-            "from cellaug.cli import main\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    assert main(argv) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert modules_after(runs, "scipy") == []
     assert json.loads((tmp_path / "fits.json").read_text())["locations"]
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    survey = tmp_path / "db.jsonl"
+    synth = modules_after([["synth", "--out", str(survey)]], "cellaug")
+    assert synth == ["cellaug", "cellaug.cli", "cellaug.core", "cellaug.testbed", "cellaug.util"]
+    model = tmp_path / "model.json"
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("profile.epochs = 2\n")
+    assert main(["train", str(survey), "--config", str(cfg), "--no-augment", "--train-scans", "5",
+                 "--out", str(model)]) == 0
+    evaluate = modules_after([["evaluate", str(model), str(survey), "--train-scans", "5",
+                               "--out", str(tmp_path / "report.json")]], "cellaug")
+    assert {"cellaug.localize", "cellaug.pipeline"} <= set(evaluate)
+    assert not {"cellaug.augment", "cellaug.vae", "cellaug.distfit", "cellaug.testbed"} & set(evaluate)
 
 
 class TestCliExitCodes:
@@ -411,6 +432,29 @@ class TestCliExitCodes:
         assert code == 2
         assert len(errors) == 1 and line.split(" = ")[0] in errors[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed, code", [(2**32, 2), (-1, 2), (2**32 - 1, 0)])
+    def test_seed_outside_32_bits_exits_2_at_every_entry(self, seed, code, tmp_path, capsys):
+        # a seed is not taken modulo 2**32, so no two seeds name one run
+        db_path = tmp_path / "db.jsonl"
+        save_database(tiny_db(), db_path)
+        no_vae, with_seed = tmp_path / "no_vae.cfg", tmp_path / "seed.cfg"
+        no_vae.write_text("vae.enabled = false\n")
+        with_seed.write_text(f"seed = {seed}\nvae.enabled = false\n")
+        testbed_path = tmp_path / "testbed.cfg"
+        testbed_path.write_text("".join(f"{k} = {v}\n" for k, v in
+                                        {**self.TESTBED, "seed": seed}.items()))
+        runs = [["synth", "--seed", seed, "--out", tmp_path / "s.jsonl"],
+                ["synth", "--config", testbed_path, "--out", tmp_path / "t.jsonl"],
+                ["augment", db_path, "--config", no_vae, "--seed", seed, "--train-scans", "4",
+                 "--out", tmp_path / "a.jsonl"],
+                ["augment", db_path, "--config", with_seed, "--train-scans", "4",
+                 "--out", tmp_path / "b.jsonl"]]
+        for argv in runs:
+            got, errors = self.run([str(a) for a in argv], capsys)
+            assert got == code, argv
+            assert len(errors) == (1 if code else 0)
+            assert not errors or f"seed must be in [0, 2**32), got {seed}" in errors[0]
 
     def test_diverging_vae_exits_1_naming_a_location(self, tmp_path, capsys):
         db_path = tmp_path / "db.jsonl"

@@ -1,10 +1,13 @@
 import math
+import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellaug.augment import AugmentConfig
 from cellaug.core import (
     MAX_READINGS_PER_SCAN,
     RawScan,
@@ -244,6 +247,22 @@ class TestSpecValidation:
         assert (spec is None) == (n_built < 2)
         if spec is not None:
             assert len(spec.reference_points()) == n_built
+
+    @pytest.mark.parametrize("seed", [2**32, -1, 2**32 + 1])
+    def test_seed_outside_32_bits_refused(self, seed):
+        # once masked to 32 bits, so seed 2**32 + 1 wrote seed 1's survey
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*32\)"):
+            derive_rng(seed, "testbed", 0)
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*32\)"):
+            replace(default_desk_spec(), seed=seed)
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*32\)"):
+            AugmentConfig(seed=seed)
+
+    def test_largest_seed_keeps_its_stream(self):
+        seed = 2**32 - 1
+        want = np.random.default_rng([seed, zlib.crc32(b"testbed"), zlib.crc32(b"0")])
+        assert derive_rng(seed, "testbed", 0).random(4).tolist() == want.random(4).tolist()
+        assert replace(default_desk_spec(), seed=seed).seed == AugmentConfig(seed=seed).seed
 
 
 class TestSpecFromFile:
