@@ -17,7 +17,7 @@ drops one (doing so would change no value).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -108,23 +108,16 @@ class AugmentConfig:
         return {key: getattr(self, name) for key, name in CONFIG_KEYS.items()}
 
 
-# Config-file key -> AugmentConfig field; also the key order of to_dict.
-CONFIG_KEYS = {
-    "noise.enabled": "noise_enabled",
-    "noise.per_scan": "noise_per_scan",
-    "sampling.enabled": "sampling_enabled",
-    "sampling.n_per_location": "sampling_n_per_location",
-    "drop_random.enabled": "drop_random_enabled",
-    "drop_random.per_scan": "drop_random_per_scan",
-    "drop_random.max_drop": "drop_random_max_drop",
-    "drop_threshold.enabled": "drop_threshold_enabled",
-    "drop_threshold.value": "drop_threshold_value",
-    "vae.enabled": "vae_enabled",
-    "vae.n_per_location": "vae_n_per_location",
-    "vae.epochs": "vae_epochs",
-    "vae.learning_rate": "vae_learning_rate",
-    "seed": "seed",
-}
+def _config_key(field_name: str) -> str:
+    """A field's config-file key: "<technique>.<rest>" for "<technique>_<rest>", else itself."""
+    for technique in TECHNIQUES:
+        if field_name.startswith(technique + "_"):
+            return f"{technique}.{field_name[len(technique) + 1:]}"
+    return field_name
+
+
+# Config-file key -> AugmentConfig field, in field order; also the key order of to_dict.
+CONFIG_KEYS = {_config_key(f.name): f.name for f in fields(AugmentConfig)}
 
 
 def compute_stats(db: FingerprintDatabase) -> dict[int, LocationStats]:

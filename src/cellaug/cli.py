@@ -207,7 +207,7 @@ def cmd_compare(args) -> int:
     t_run = time.monotonic()
 
     payload = {"seed": cfg.seed, "profile": dataclasses.asdict(profile)}
-    payload.update(vars(result))  # as result.to_dict(), with the reports as objects
+    payload.update(vars(result))  # json_text writes each report as its to_dict()
     Path(args.out).write_text(json_text(payload), encoding="utf-8")
 
     out = Path(args.out)

@@ -90,9 +90,9 @@ class FittedDistribution:
     sample_count: int
 
 
-def clamp_to_open_unit(samples: np.ndarray, eps: float = BOUNDARY_EPS) -> np.ndarray:
-    """Clamp samples into [eps, 1-eps] so boundary values stay fittable."""
-    return np.clip(np.asarray(samples, dtype=np.float64), eps, 1.0 - eps)
+def clamp_to_open_unit(samples: np.ndarray) -> np.ndarray:
+    """Clamp samples into [BOUNDARY_EPS, 1 - BOUNDARY_EPS] so boundary values stay fittable."""
+    return np.clip(np.asarray(samples, dtype=np.float64), BOUNDARY_EPS, 1.0 - BOUNDARY_EPS)
 
 
 def _as_samples(samples) -> np.ndarray:

@@ -8,6 +8,8 @@ head takes the fused cross-entropy gradient (probs - targets) / n.
 A network may carry a leading stack axis: weights (L, in, out), biases
 (L, out), inputs (L, n, in). Its L networks then run as one batched matmul
 per layer, each slice computing exactly what the unstacked network would.
+However it is made, a network checks its own structure on construction;
+network_from_dict also takes only finite numbers, with no stack axis.
 
 train() is the localizer's loop: a softmax classifier trained on class
 indices, each step's forward, fused cross-entropy, backward and update in
@@ -74,10 +76,32 @@ class LayerSpec:
 
 @dataclass
 class DenseNetwork:
+    """One weight (..., in, out) and one bias (..., out) per layer, all with
+    the same leading stack shape; __post_init__ holds every structural rule."""
+
     layers: list[LayerSpec]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     dropout_rate: float = 0.0
+
+    def __post_init__(self):
+        if not self.layers:
+            raise ValueError("network needs at least one layer")
+        for prev, cur in zip(self.layers, self.layers[1:]):
+            if prev.output_dim != cur.input_dim:
+                raise ValueError(f"mismatched dims: layer output {prev.output_dim} "
+                                 f"feeds input {cur.input_dim}")
+        if any(spec.activation == "softmax" for spec in self.layers[:-1]):
+            raise ValueError("softmax allowed only as the final layer")
+        if not (0.0 <= self.dropout_rate < 1.0):
+            raise ValueError(f"dropout_rate must be in [0, 1): {self.dropout_rate}")
+        counts = (len(self.layers), len(self.weights), len(self.biases))
+        if len(set(counts)) != 1:
+            raise ValueError(f"layer, weight and bias counts differ: {counts}")
+        lead = self.weights[0].shape[:-2]
+        if any((w.shape, b.shape) != (lead + (s.input_dim, s.output_dim), lead + (s.output_dim,))
+               for s, w, b in zip(self.layers, self.weights, self.biases)):
+            raise ValueError("weight shapes disagree with layer specs")
 
     @property
     def input_dim(self) -> int:
@@ -120,24 +144,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
-def _validate_specs(specs: list[LayerSpec]) -> None:
-    if not specs:
-        raise ValueError("network needs at least one layer")
-    for prev, cur in zip(specs, specs[1:]):
-        if prev.output_dim != cur.input_dim:
-            raise ValueError(
-                f"mismatched dims: layer output {prev.output_dim} feeds input {cur.input_dim}"
-            )
-    for spec in specs[:-1]:
-        if spec.activation == "softmax":
-            raise ValueError("softmax allowed only as the final layer")
-
-
 def init_network(specs: list[LayerSpec], seed, dropout_rate: float = 0.0) -> DenseNetwork:
     """Glorot-uniform weights, zero biases; deterministic for a given seed."""
-    _validate_specs(specs)
-    if not (0.0 <= dropout_rate < 1.0):
-        raise ValueError(f"dropout_rate must be in [0, 1): {dropout_rate}")
     rng = as_rng(seed)
     weights, biases = [], []
     for spec in specs:
@@ -197,9 +205,7 @@ def forward_with_cache(
     a = x
     last = len(net.layers) - 1
     for i, (spec, w, b) in enumerate(zip(net.layers, net.weights, net.biases)):
-        post = _activate(a @ w + b[..., None, :], spec.activation)
-        if not np.isfinite(post).all():
-            raise _non_finite(f"layer {i} activation is non-finite", [post], post.ndim - 2)
+        post = _layer(a, w, b, spec.activation, f"layer {i}")
         mask = None
         fed = post
         if train_mode and net.dropout_rate > 0.0 and i != last:
@@ -467,15 +473,24 @@ def network_to_dict(net: DenseNetwork) -> dict:
     }
 
 
+def _parameter(values, ndim: int) -> np.ndarray:
+    """A weight (ndim 2) or bias (ndim 1) of a file: nested lists of finite JSON numbers."""
+    a = np.array(values, dtype=np.float64)
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D parameter, got {a.ndim}-D")
+    kinds = {type(v) for row in (values if ndim == 2 else [values]) for v in row}
+    if not kinds <= {float, int} or not np.isfinite(a).all():
+        raise ValueError("parameters must be finite numbers")
+    return a
+
+
 def network_from_dict(data: dict) -> DenseNetwork:
-    specs = [LayerSpec(d["in"], d["out"], d["activation"]) for d in data["layers"]]
-    _validate_specs(specs)
-    weights = [np.array(w, dtype=np.float64) for w in data["weights"]]
-    biases = [np.array(b, dtype=np.float64) for b in data["biases"]]
-    for spec, w, b in zip(specs, weights, biases):
-        if w.shape != (spec.input_dim, spec.output_dim) or b.shape != (spec.output_dim,):
-            raise ValueError("weight shapes disagree with layer specs")
-    return DenseNetwork(specs, weights, biases, float(data["dropout_rate"]))
+    return DenseNetwork(
+        [LayerSpec(d["in"], d["out"], d["activation"]) for d in data["layers"]],
+        [_parameter(w, 2) for w in data["weights"]],
+        [_parameter(b, 1) for b in data["biases"]],
+        float(data["dropout_rate"]),
+    )
 
 
 def save_network(net: DenseNetwork, path: str | Path) -> None:

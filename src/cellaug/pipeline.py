@@ -60,13 +60,6 @@ class ComparisonResult:
     n_train_scans: int
     n_test_scans: int
 
-    def to_dict(self) -> dict:
-        """The fields in declaration order, each report as its to_dict()."""
-        from .localize import ErrorReport
-
-        return {name: value.to_dict() if isinstance(value, ErrorReport) else value
-                for name, value in vars(self).items()}
-
 
 def database_coordinates(db: FingerprintDatabase) -> dict[int, tuple[float, float]]:
     return dict(zip(db.location_ids.tolist(), map(tuple, db.coordinates.tolist())))

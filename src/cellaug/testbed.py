@@ -96,13 +96,11 @@ class TestbedSpec:
         return [(float(x), float(y)) for y in ys for x in xs]
 
 
-def received_dbm(
-    tower: Tower, point: tuple[float, float], exponent: float, d0: float = REFERENCE_DISTANCE_M
-) -> float:
+def received_dbm(tower: Tower, point: tuple[float, float], exponent: float) -> float:
     """Deterministic log-distance RSS at a point, before shadowing."""
     d = float(np.hypot(tower.position[0] - point[0], tower.position[1] - point[1]))
-    d = max(d, d0)  # clamp co-located geometry to the reference distance
-    return tower.tx_power_dbm - 10.0 * exponent * np.log10(d / d0)
+    d = max(d, REFERENCE_DISTANCE_M)  # clamp co-located geometry to the reference distance
+    return tower.tx_power_dbm - 10.0 * exponent * np.log10(d / REFERENCE_DISTANCE_M)
 
 
 def dbm_to_asu(dbm):

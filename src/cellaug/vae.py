@@ -136,7 +136,7 @@ class VaeCache:
     xhat: np.ndarray
 
 
-def build_vae(n_features: int, seed: int, location_id: int = -1) -> VaeModel:
+def build_vae(n_features: int, seed: int, location_id: int) -> VaeModel:
     """Fresh encoder/decoder pair with the 10-5-10 bottleneck structure."""
     enc = init_network(
         [LayerSpec(n_features, HIDDEN_UNITS, "tanh"),

@@ -26,6 +26,7 @@ from cellaug.nn import (
     squared_error,
     train,
 )
+from cellaug.vae import build_vae, stack_vaes
 
 
 def finite_difference_check(net, x, targets, loss_fn, h=1e-5):
@@ -111,6 +112,28 @@ class TestInit:
     def test_softmax_only_final(self):
         with pytest.raises(ValueError, match="softmax"):
             init_network([LayerSpec(3, 4, "softmax"), LayerSpec(4, 2, "linear")], 0)
+
+    def test_every_maker_refuses_a_weight_count_mismatch(self, monkeypatch):
+        """Direct construction, network_from_dict and stack_vaes refuse a
+        network that lost its last weight and bias; init_network, whose
+        weights follow its specs, runs the same check."""
+        specs = [LayerSpec(3, 4, "tanh"), LayerSpec(4, 2, "linear")]
+        net = init_network(specs, 0)
+        data = network_to_dict(net)
+        del data["weights"][-1], data["biases"][-1]
+        models = [build_vae(3, seed, location_id=seed) for seed in range(2)]
+        del models[1].encoder.weights[-1], models[1].encoder.biases[-1]
+        for make in (lambda: DenseNetwork(specs, net.weights[:-1], net.biases[:-1]),
+                     lambda: network_from_dict(data),
+                     lambda: stack_vaes(models)):
+            with pytest.raises(ValueError, match=r"counts differ: \(2, 1, 1\)"):
+                make()
+        checked = []
+        check = DenseNetwork.__post_init__
+        monkeypatch.setattr(DenseNetwork, "__post_init__",
+                            lambda self: checked.append(len(self.weights)) or check(self))
+        init_network(specs, 0)
+        assert checked == [2]
 
     def test_glorot_bounds(self):
         net = init_network([LayerSpec(10, 20, "relu")], 1)

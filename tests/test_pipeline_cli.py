@@ -108,8 +108,7 @@ class TestRunComparison:
         assert result.n_train_scans == 4 * len(db.location_ids)
         assert result.n_test_scans == 8 * len(db.location_ids)
         assert result.augmented_counts["original"] == result.n_train_scans
-        payload = result.to_dict()
-        assert set(payload) == {
+        assert set(vars(result)) == {
             "without_augmentation", "with_augmentation", "improvement_percent",
             "augmented_counts", "n_train_scans", "n_test_scans",
         }
@@ -118,7 +117,7 @@ class TestRunComparison:
         db = tiny_db()
         r1 = run_comparison(db, FAST_AUG, TINY_PROFILE, seed=5, train_scans=4)
         r2 = run_comparison(db, FAST_AUG, TINY_PROFILE, seed=5, train_scans=4)
-        assert r1.to_dict() == r2.to_dict()
+        assert r1 == r2
 
     def test_augmenters_see_training_split_only(self):
         db = tiny_db(scans_per_location=6)
@@ -581,19 +580,35 @@ class TestCliEvaluateInputs:
         assert code == 2
         assert len(errors) == 1
 
-    @pytest.mark.parametrize("damage", ["class_without_coords", "relu_head", "repeated_class",
-                                        "fractional_class"])
+    @pytest.mark.parametrize("damage", [
+        "class_without_coords", "relu_head", "repeated_class", "fractional_class",
+        "no_last_weight", "extra_weight", "3d_weights", "nan_weight", "infinity_weight",
+        "string_weight", "true_weight", "dropout_1.5"])
     def test_model_evaluate_cannot_use_exits_2(self, tmp_path, trained, capsys, damage):
         db_path, model_path = trained
         data = json.loads(model_path.read_text())
+        net = data["network"]
         if damage == "class_without_coords":
             data["classes"][0] = 99
         elif damage == "relu_head":
-            data["network"]["layers"][-1]["activation"] = "relu"
+            net["layers"][-1]["activation"] = "relu"
         elif damage == "repeated_class":
             data["classes"][1] = data["classes"][0]
-        else:
+        elif damage == "fractional_class":
             data["classes"][0] += 0.5
+        elif damage == "no_last_weight":
+            del net["weights"][-1], net["biases"][-1]
+        elif damage == "extra_weight":
+            net["weights"].append(net["weights"][-1])
+            net["biases"].append(net["biases"][-1])
+        elif damage == "3d_weights":
+            net["weights"] = [[w] for w in net["weights"]]
+            net["biases"] = [[b] for b in net["biases"]]
+        elif damage == "dropout_1.5":
+            net["dropout_rate"] = 1.5
+        else:
+            net["weights"][0][0][0] = {"nan_weight": float("nan"), "infinity_weight": float("inf"),
+                                       "string_weight": "0.5", "true_weight": True}[damage]
         model_path.write_text(json.dumps(data))
         code, errors = self.evaluate(model_path, db_path, tmp_path, capsys)
         assert code == 2
