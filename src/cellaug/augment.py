@@ -90,10 +90,6 @@ class AugmentConfig:
         return VaeTrainConfig(epochs=self.vae_epochs, learning_rate=self.vae_learning_rate,
                               seed=self.seed)
 
-    @staticmethod
-    def none_enabled() -> "AugmentConfig":
-        return AugmentConfig(**{f"{name}_enabled": False for name in TECHNIQUES})
-
     def only(self, technique: str) -> "AugmentConfig":
         """Copy of this config with a single technique enabled."""
         if technique not in TECHNIQUES:

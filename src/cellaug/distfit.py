@@ -271,31 +271,6 @@ def sample_from(dist: FittedDistribution, rng, n: int) -> np.ndarray:
     raise ValueError(f"unknown family: {dist.family}")
 
 
-def score_norm(dist: FittedDistribution, samples) -> float:
-    """Max-norm of the per-sample score at the fitted parameters.
-
-    Diagnostic for the Newton solvers; near-zero at a true MLE.
-    """
-    x = _as_samples(samples)
-    n = x.size
-    if dist.family == GAUSSIAN:
-        mu, sigma = dist.params
-        d_mu = np.sum(x - mu) / (sigma**2) / n
-        d_sigma = (np.sum((x - mu) ** 2) / sigma**3 - n / sigma) / n
-        return float(max(abs(d_mu), abs(d_sigma)))
-    if dist.family == GAMMA:
-        k, theta = dist.params
-        d_k = np.mean(np.log(x)) - np.log(theta) - _digamma(k)
-        d_theta = np.mean(x) / theta**2 - k / theta
-        return float(max(abs(d_k), abs(d_theta)))
-    if dist.family == BETA:
-        a, b = dist.params
-        d_a = _digamma(a + b) - _digamma(a) + np.mean(np.log(x))
-        d_b = _digamma(a + b) - _digamma(b) + np.mean(np.log1p(-x))
-        return float(max(abs(d_a), abs(d_b)))
-    raise ValueError(f"no score for family: {dist.family}")
-
-
 def fit_database(db: FingerprintDatabase) -> dict[int, dict[str, FittedDistribution]]:
     """Best-family fit for every tower heard at each location.
 

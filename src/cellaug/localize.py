@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -21,6 +21,7 @@ from .nn import (
     TrainConfig,
     forward,
     init_network,
+    json_number,
     network_from_dict,
     network_to_dict,
     train,
@@ -186,14 +187,25 @@ def json_text(payload) -> str:
     return text + "\n"
 
 
+def _quantile(ranked: list[float], q: float) -> float:
+    """np.percentile(ranked, 100 * q) of sorted values, bit for bit (numpy's
+    linear rule), without the numpy.ma import that np.percentile costs."""
+    if math.isnan(ranked[-1]):  # NaN sorts last
+        return ranked[-1]
+    i = math.floor(v := (len(ranked) - 1) * q)
+    a, b, t = ranked[i], ranked[min(i + 1, len(ranked) - 1)], v - i
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def make_report(errors: np.ndarray) -> ErrorReport:
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
         raise ValueError("empty test set")
-    p25, p50, p75 = (float(p) for p in np.percentile(errors, [25, 50, 75]))
+    ranked = np.sort(errors).tolist()
+    p25, p50, p75 = (_quantile(ranked, q) for q in (0.25, 0.5, 0.75))
     n = errors.size
     # float64 division of integers below 2**53 rounds as Python's int / int does.
-    cdf = tuple(zip(np.sort(errors).tolist(), (np.arange(1, n + 1) / n).tolist()))
+    cdf = tuple(zip(ranked, (np.arange(1, n + 1) / n).tolist()))
     return ErrorReport(errors=errors, p25=p25, p50=p50, p75=p75, cdf=cdf)
 
 
@@ -290,7 +302,11 @@ def model_to_dict(model: LocalizerModel) -> dict:
 
 def model_from_dict(data: dict) -> LocalizerModel:
     profile = HyperProfile(**data["profile"])
-    coords = {int(k): (float(v[0]), float(v[1])) for k, v in data["coords"].items()}
+    for f in fields(profile):  # each number in its JSON type; f.type is the annotation's text
+        json_number(getattr(profile, f.name), f"profile {f.name}",
+                    (int,) if f.type == "int" else (int, float))
+    coords = {int(k): tuple(float(json_number(c, f"location {k} coordinate")) for c in (x, y))
+              for k, (x, y) in data["coords"].items()}
     if not np.all(np.isfinite(list(coords.values()))):
         raise ValueError("non-finite coordinates")
     classes = data["classes"]

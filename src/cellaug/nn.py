@@ -9,28 +9,27 @@ A network may carry a leading stack axis: weights (L, in, out), biases
 (L, out), inputs (L, n, in). Its L networks then run as one batched matmul
 per layer, each slice computing exactly what the unstacked network would.
 However it is made, a network checks its own structure on construction;
-network_from_dict also takes only finite numbers, with no stack axis.
+network_from_dict also takes only finite numbers, with no stack axis, and
+each number of the file only in its JSON type.
 
 train() is the localizer's loop: a softmax classifier trained on class
 indices, each step's forward, fused cross-entropy, backward and update in
 one straight-line loop over flat float32 buffers. Its batches and dropout
 draws are those of float64 training; _train_draws makes them, and
 drawahead.draw_ahead runs it ahead in a forked child on a second core, so
-the steps read them from a shared ring. Its weights are bit-identical to the
-primitives forward_with_cache, softmax_cross_entropy on one_hot targets,
-backward and sgd_step run on a float32 copy of the network (the primitives
-compute in the network's dtype). In float64 those, with squared_error,
-remain the reference that the VAE's step (vae.py) and the gradient checks
-test against. forward() is the eval-mode pass, in float64, holding one
-layer's activations at a time.
+the steps read them from a shared ring. forward() is the eval-mode pass,
+in float64, holding one layer's activations at a time.
+
+No command calls forward_with_cache and backward, the general passes in a
+network's dtype; bench/trace.py wraps them here and on vae. With the losses
+of tests/reference_engine.py they are the tests' oracle, which train's
+weights match bit for bit on a float32 copy of the network.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -155,10 +154,6 @@ def init_network(specs: list[LayerSpec], seed, dropout_rate: float = 0.0) -> Den
     return DenseNetwork(list(specs), weights, biases, dropout_rate)
 
 
-def parameter_count(net: DenseNetwork) -> int:
-    return sum(w.size + b.size for w, b in zip(net.weights, net.biases))
-
-
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     """The activation of the pre-activations z, computed in z's own buffer."""
     if kind == "relu":
@@ -265,8 +260,8 @@ def backward(
     """Exact gradients of the cached forward pass.
 
     loss_grad is dLoss/dOutput (same shape as the output batch) or, for a
-    softmax head, dLoss/dLogits as softmax_cross_entropy returns it. Returns
-    parameter gradients and dLoss/dInput for chaining through sub-networks.
+    softmax head, dLoss/dLogits ((probs - targets) / n for the mean one-hot
+    cross-entropy). Returns parameter gradients and dLoss/dInput.
     """
     loss_grad = np.asarray(loss_grad, dtype=cache.x.dtype)
     if loss_grad.shape != cache.fed[-1].shape:
@@ -295,36 +290,6 @@ def sgd_step(net: DenseNetwork, grads: Gradients, learning_rate: float) -> Dense
     for b, gb in zip(net.biases, grads.biases):
         b -= learning_rate * gb
     return net
-
-
-def softmax_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of softmax outputs against one-hot targets.
-
-    Returns (loss, dLoss/dLogits = (probs - targets) / n), the gradient that
-    backward() passes through a softmax head. The 1e-300 floor only bounds
-    the loss (690.8 for a row whose target probability underflows).
-    """
-    n = probs.shape[0]
-    log_probs = np.log(np.maximum(probs, 1e-300))
-    log_probs *= targets
-    grad = probs - targets
-    grad /= n
-    return float(-log_probs.sum() / n), grad
-
-
-def squared_error(outputs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Half squared error summed over dims, averaged over the batch."""
-    n = outputs.shape[0]
-    diff = outputs - targets
-    loss = float(0.5 * np.sum(diff**2) / n)
-    return loss, diff / n
-
-
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.zeros((labels.shape[0], n_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
 
 
 def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -369,10 +334,10 @@ def train(
     the target probabilities are those of float64 training. Each step
     computes the loss and the logits gradient (p - t) / n in place from the
     target probabilities; its arithmetic and draws are those of
-    forward_with_cache in train mode, softmax_cross_entropy on
-    one_hot(labels), backward and sgd_step on a float32 copy of the network,
-    so the weights are bit-identical to calling them in turn (only the loss
-    differs, as softmax_cross_entropy takes float32 logs). The parameters
+    forward_with_cache in train mode, that gradient against one-hot targets,
+    backward and sgd_step on a float32 copy of the network, so the weights
+    are bit-identical to calling them in turn (only the loss differs, as a
+    float32 cross-entropy takes float32 logs). The parameters
     train in one flat float32 buffer; on return, net.weights and net.biases
     are float64 arrays holding its values exactly. Raises TrainingDiverged,
     with the trace so far and net left as it was, when the loss or the
@@ -484,18 +449,19 @@ def _parameter(values, ndim: int) -> np.ndarray:
     return a
 
 
+def json_number(value, what: str, kinds: tuple[type, ...] = (int, float)):
+    """`value` if its type is one of `kinds`, a JSON number by default (type,
+    not isinstance: JSON true decodes to a bool, an int subclass)."""
+    if type(value) not in kinds:
+        raise ValueError(f"{what} must be {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    return value
+
+
 def network_from_dict(data: dict) -> DenseNetwork:
     return DenseNetwork(
-        [LayerSpec(d["in"], d["out"], d["activation"]) for d in data["layers"]],
+        [LayerSpec(*(json_number(d[k], f"layer {k}", (int,)) for k in ("in", "out")), d["activation"])
+         for d in data["layers"]],
         [_parameter(w, 2) for w in data["weights"]],
         [_parameter(b, 1) for b in data["biases"]],
-        float(data["dropout_rate"]),
+        float(json_number(data["dropout_rate"], "dropout_rate")),
     )
-
-
-def save_network(net: DenseNetwork, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(network_to_dict(net)), encoding="utf-8")
-
-
-def load_network(path: str | Path) -> DenseNetwork:
-    return network_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

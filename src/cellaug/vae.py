@@ -32,11 +32,9 @@ ahead on a second core, and the steps read them from a shared ring.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -49,8 +47,6 @@ from .nn import (
     _layer,
     forward,
     init_network,
-    network_from_dict,
-    network_to_dict,
     sgd_step,
 )
 # bench/trace.py wraps these on this module to time the VAE's engine calls.
@@ -97,7 +93,7 @@ class VaeModel:
     encoder: DenseNetwork
     decoder: DenseNetwork
     location_id: int
-    trace: list[float] = field(default_factory=list)
+    trace: np.ndarray = field(default_factory=lambda: np.empty(0))  # loss per epoch
 
     def __post_init__(self):
         # _batch_loss and vae_grads compute exactly build_vae's layers.
@@ -288,7 +284,8 @@ def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> l
     """Train one VAE per slice of the (L, n, m) stack x in one stacked pass.
 
     Slice l holds the rows of location location_ids[l], which seeds and
-    names its model. Returns the L models, each with its loss trace.
+    names its model. Returns the L models, each with its loss trace, the
+    model's column of one (epochs, L) array.
     Raises TrainingDiverged naming the locations whose slice went
     non-finite, with the trace of the first of them.
     """
@@ -343,7 +340,7 @@ def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> l
         for net, stack in ((model.encoder, stacked.encoder), (model.decoder, stacked.decoder)):
             net.weights = [w[i] for w in stack.weights]
             net.biases = [b[i] for b in stack.biases]
-        model.trace = traces[:, i].tolist()
+        model.trace = traces[:, i]
     return models
 
 
@@ -363,30 +360,3 @@ def generate(model: VaeModel, rng, n: int) -> np.ndarray:
     gen = as_rng(rng)
     z = gen.standard_normal((n, model.latent_dim))
     return np.clip(forward(model.decoder, z), 0.0, 1.0)
-
-
-def vae_to_dict(model: VaeModel) -> dict:
-    return {
-        "location_id": model.location_id,
-        "encoder": network_to_dict(model.encoder),
-        "decoder": network_to_dict(model.decoder),
-    }
-
-
-def vae_from_dict(data: dict) -> VaeModel:
-    return VaeModel(
-        encoder=network_from_dict(data["encoder"]),
-        decoder=network_from_dict(data["decoder"]),
-        location_id=int(data["location_id"]),
-    )
-
-
-def save_vae_models(models: dict[int, VaeModel], path: str | Path) -> None:
-    """Bundle the per-location models of one database into a single file."""
-    payload = {"locations": {str(loc): vae_to_dict(m) for loc, m in sorted(models.items())}}
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_vae_models(path: str | Path) -> dict[int, VaeModel]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {int(loc): vae_from_dict(d) for loc, d in payload["locations"].items()}

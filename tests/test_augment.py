@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cellaug.augment import (
+    TECHNIQUES,
     AugmentConfig,
     LocationStats,
     augment_all,
@@ -266,7 +267,8 @@ class TestHeardAsuZero:
 
 class TestAugmentAll:
     def test_only_originals(self, two_tower_db):
-        vectors, counts = augment_all(two_tower_db, AugmentConfig.none_enabled())
+        none = AugmentConfig(**{f"{name}_enabled": False for name in TECHNIQUES})
+        vectors, counts = augment_all(two_tower_db, none)
         assert vectors == vectorize_database(two_tower_db)
         assert counts == {"original": 4, "noise": 0, "sampling": 0,
                           "drop_random": 0, "drop_threshold": 0, "vae": 0}
@@ -307,8 +309,7 @@ class TestAugmentAll:
         assert va == vb
 
     def test_disabled_technique_contributes_nothing(self, two_tower_db):
-        cfg = AugmentConfig.none_enabled()
-        cfg = cfg.only("noise")
+        cfg = AugmentConfig().only("noise")
         vectors, counts = augment_all(two_tower_db, cfg)
         assert counts["noise"] == 4 * cfg.noise_per_scan
         assert counts["sampling"] == 0 and counts["vae"] == 0
@@ -337,7 +338,7 @@ class TestTrainLocationVaes:
             alone = train_vae(x, vae_cfg, location_id=loc_id)
             model = models[loc_id]
             assert model.location_id == loc_id
-            assert model.trace == alone.trace
+            assert np.array_equal(model.trace, alone.trace)
             for net, net_alone in ((model.encoder, alone.encoder), (model.decoder, alone.decoder)):
                 for a, b in zip(net.weights + net.biases, net_alone.weights + net_alone.biases):
                     assert np.array_equal(a, b)

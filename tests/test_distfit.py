@@ -21,12 +21,27 @@ from cellaug.distfit import (
     fit_gamma,
     fit_gaussian,
     sample_from,
-    score_norm,
     _digamma,
     _trigamma,
 )
 
 EULER_GAMMA = 0.57721566490153286061
+
+
+def score_norm(dist, samples) -> float:
+    """Max-norm of the mean score of the samples at a Gamma or Beta fit's
+    parameters; near zero at a true MLE, so it checks the Newton solvers."""
+    x = np.asarray(samples, dtype=np.float64)
+    if dist.family == GAMMA:
+        k, theta = dist.params
+        d_k = np.mean(np.log(x)) - np.log(theta) - _digamma(k)
+        d_theta = np.mean(x) / theta**2 - k / theta
+        return float(max(abs(d_k), abs(d_theta)))
+    assert dist.family == BETA
+    a, b = dist.params
+    d_a = _digamma(a + b) - _digamma(a) + np.mean(np.log(x))
+    d_b = _digamma(a + b) - _digamma(b) + np.mean(np.log1p(-x))
+    return float(max(abs(d_a), abs(d_b)))
 
 
 class TestSpecialFunctions:

@@ -146,7 +146,7 @@ class TestTrainers:
         got = run()
         assert forked == [1]
         for a, b in zip(got, want, strict=True):
-            assert a.trace == b.trace
+            assert np.array_equal(a.trace, b.trace)
             for net, ref in ((a.encoder, b.encoder), (a.decoder, b.decoder)):
                 for p, q in zip(net.weights + net.biases, ref.weights + ref.biases, strict=True):
                     assert np.array_equal(p, q)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellaug.localize import (
@@ -203,6 +203,22 @@ class TestEvaluate:
         for _ in range(30):
             report = make_report(rng.exponential(2.0, int(rng.integers(1, 50))))
             assert report.p25 <= report.p50 <= report.p75
+
+    @settings(max_examples=300, deadline=None)
+    @given(errors=st.lists(st.floats(min_value=0.0) | st.sampled_from([0.0, 1.0, 2.5]),
+                           min_size=1, max_size=40),
+           nan=st.booleans())
+    @example(errors=[2.0], nan=False)
+    @example(errors=[1.0, 1.0, 3.0, 3.0], nan=False)
+    @example(errors=[0.5], nan=True)
+    def test_percentiles_equal_numpys(self, errors, nan):
+        """The quartiles are np.percentile's bit for bit, also for one error,
+        for ties and for a NaN error, which gives NaN."""
+        errors = errors + [math.nan] * nan
+        report = make_report(errors)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = np.percentile(np.asarray(errors, dtype=np.float64), [25, 50, 75]).tolist()
+        assert [p.hex() for p in (report.p25, report.p50, report.p75)] == [w.hex() for w in want]
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)

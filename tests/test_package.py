@@ -68,6 +68,15 @@ def test_from_import_of_a_submodule_yields_the_submodule():
         assert sys.modules[module.__name__] is module
 
 
+def test_engine_names_that_the_trace_wraps_stay_on_nn_and_vae():
+    # bench/trace.py replaces these on both modules to time the engine
+    from cellaug import nn, vae
+
+    for module in (nn, vae):
+        for name in ("forward_with_cache", "backward", "sgd_step"):
+            assert callable(getattr(module, name)), (module.__name__, name)
+
+
 def test_readme_quick_start_imports_resolve():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     quick_start = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]

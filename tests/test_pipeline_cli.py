@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellaug.augment import AugmentConfig, augment_all
+from cellaug.augment import TECHNIQUES, AugmentConfig, augment_all
 from cellaug.cli import main
 from cellaug.core import (
     SCAN_ARRAYS,
@@ -122,7 +122,8 @@ class TestRunComparison:
     def test_augmenters_see_training_split_only(self):
         db = tiny_db(scans_per_location=6)
         train_db, _ = temporal_split(db, train_scans=2)
-        vectors, counts = augment_all(train_db, AugmentConfig.none_enabled())
+        none = AugmentConfig(**{f"{name}_enabled": False for name in TECHNIQUES})
+        vectors, counts = augment_all(train_db, none)
         assert counts["original"] == 2 * len(db.location_ids)
         assert vectors == vectorize_database(train_db)
 
@@ -297,18 +298,20 @@ class TestCliTrainEvaluateCompare:
                      "--out", str(tmp_path / "x.json")]) == 2
 
 
-def modules_after(runs, package: str) -> list[str]:
-    """The modules of `package` loaded in a fresh interpreter after cli.main
-    has run each argv of `runs`, each exiting 0."""
+def modules_after(runs, *packages: str) -> list[str]:
+    """The modules of `packages` (each a package or a subpackage) loaded in
+    a fresh interpreter after cli.main has run each argv of `runs`, each
+    exiting 0."""
     code = ("import json, sys\n"
             "from cellaug.cli import main\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0, argv\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == sys.argv[2])))\n")
+            "print(json.dumps(sorted(m for m in sys.modules for p in sys.argv[2:]\n"
+            "                        if m == p or m.startswith(p + '.'))))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code, json.dumps(runs), package], env=env,
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(runs), *packages], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
@@ -316,7 +319,8 @@ def modules_after(runs, package: str) -> list[str]:
 
 def test_fitting_commands_leave_scipy_unloaded(tmp_path):
     # distfit computes its own special functions, so fitting and a whole
-    # compare run load no scipy module
+    # compare run load no scipy module; the report's quartiles need no
+    # numpy.ma either
     survey = tmp_path / "db.jsonl"
     save_database(tiny_db(), survey)
     cfg = tmp_path / "short.cfg"
@@ -324,7 +328,7 @@ def test_fitting_commands_leave_scipy_unloaded(tmp_path):
     runs = [["fit-dist", str(survey), "--out", str(tmp_path / "fits.json")],
             ["compare", str(survey), "--config", str(cfg), "--train-scans", "4",
              "--out", str(tmp_path / "compare.json")]]
-    assert modules_after(runs, "scipy") == []
+    assert modules_after(runs, "scipy", "numpy.ma") == []
     assert json.loads((tmp_path / "fits.json").read_text())["locations"]
 
 
@@ -338,9 +342,10 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     assert main(["train", str(survey), "--config", str(cfg), "--no-augment", "--train-scans", "5",
                  "--out", str(model)]) == 0
     evaluate = modules_after([["evaluate", str(model), str(survey), "--train-scans", "5",
-                               "--out", str(tmp_path / "report.json")]], "cellaug")
+                               "--out", str(tmp_path / "report.json")]], "cellaug", "numpy.ma")
     assert {"cellaug.localize", "cellaug.pipeline"} <= set(evaluate)
-    assert not {"cellaug.augment", "cellaug.vae", "cellaug.distfit", "cellaug.testbed"} & set(evaluate)
+    assert not {"cellaug.augment", "cellaug.vae", "cellaug.distfit", "cellaug.testbed",
+                "numpy.ma"} & set(evaluate)
 
 
 class TestCliExitCodes:
@@ -583,11 +588,17 @@ class TestCliEvaluateInputs:
     @pytest.mark.parametrize("damage", [
         "class_without_coords", "relu_head", "repeated_class", "fractional_class",
         "no_last_weight", "extra_weight", "3d_weights", "nan_weight", "infinity_weight",
-        "string_weight", "true_weight", "dropout_1.5"])
+        "string_weight", "true_weight", "dropout_1.5", "string_dropout", "true_epochs",
+        "float_batch_size", "float_layer_in", "string_coordinates"])
     def test_model_evaluate_cannot_use_exits_2(self, tmp_path, trained, capsys, damage):
         db_path, model_path = trained
         data = json.loads(model_path.read_text())
         net = data["network"]
+        typed = {"string_dropout": (net, "dropout_rate", "0.1"),
+                 "true_epochs": (data["profile"], "epochs", True),
+                 "float_batch_size": (data["profile"], "batch_size", 64.0),
+                 "float_layer_in": (net["layers"][0], "in", float(net["layers"][0]["in"])),
+                 "string_coordinates": (data["coords"], "0", ["1.0", "1.0"])}
         if damage == "class_without_coords":
             data["classes"][0] = 99
         elif damage == "relu_head":
@@ -606,6 +617,9 @@ class TestCliEvaluateInputs:
             net["biases"] = [[b] for b in net["biases"]]
         elif damage == "dropout_1.5":
             net["dropout_rate"] = 1.5
+        elif damage in typed:
+            holder, key, value = typed[damage]
+            holder[key] = value
         else:
             net["weights"][0][0][0] = {"nan_weight": float("nan"), "infinity_weight": float("inf"),
                                        "string_weight": "0.5", "true_weight": True}[damage]
