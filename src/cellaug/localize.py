@@ -305,6 +305,8 @@ def model_from_dict(data: dict) -> LocalizerModel:
     for f in fields(profile):  # each number in its JSON type; f.type is the annotation's text
         json_number(getattr(profile, f.name), f"profile {f.name}",
                     (int,) if f.type == "int" else (int, float))
+    if any(str(int(k)) != k for k in data["coords"]):  # one key per location: not "01" or " 1"
+        raise ValueError(f"location keys must be integers as written, got {list(data['coords'])}")
     coords = {int(k): tuple(float(json_number(c, f"location {k} coordinate")) for c in (x, y))
               for k, (x, y) in data["coords"].items()}
     if not np.all(np.isfinite(list(coords.values()))):
@@ -312,12 +314,15 @@ def model_from_dict(data: dict) -> LocalizerModel:
     classes = data["classes"]
     if not all(type(c) is int for c in classes):  # a JSON integer, not 0.5 or true
         raise ValueError(f"classes must be integers, got {classes}")
+    towers = data["towers"]
+    if not all(type(t) is str for t in towers):
+        raise ValueError(f"tower ids must be strings, got {towers}")
     return LocalizerModel(
         network=network_from_dict(data["network"]),
         profile=profile,
         classes=list(classes),
         coords=coords,
-        towers=tuple(str(t) for t in data["towers"]),
+        towers=tuple(towers),
     )
 
 
@@ -331,5 +336,5 @@ def load_model(path: str | Path) -> LocalizerModel:
     text = Path(path).read_text(encoding="utf-8")
     try:
         return model_from_dict(json.loads(text))
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model: {type(exc).__name__}: {exc}") from exc

@@ -14,11 +14,18 @@ each number of the file only in its JSON type.
 
 train() is the localizer's loop: a softmax classifier trained on class
 indices, each step's forward, fused cross-entropy, backward and update in
-one straight-line loop over flat float32 buffers. Its batches and dropout
-draws are those of float64 training; _train_draws makes them, and
-drawahead.draw_ahead runs it ahead in a forked child on a second core, so
-the steps read them from a shared ring. forward() is the eval-mode pass,
-in float64, holding one layer's activations at a time.
+one straight-line loop over flat float32 buffers, one for the parameters
+and one for their gradients. Its batches and dropout draws are those of
+float64 training; _train_draws makes them, and drawahead.draw_ahead runs
+it ahead in a forked child on a second core, so the steps read them from a
+shared ring. A step gathers its target probabilities into an epoch
+buffer, and the float64 losses are computed once per epoch (_losses). The
+step checks only its update and diagnoses on failure: a non-finite loss
+needs a NaN target probability, which makes that step's gradient NaN, so
+only a step whose check fails computes its loss, to tell a diverged loss
+from a diverged update. vae.train_vaes checks and diagnoses likewise.
+forward() is the eval-mode pass, in float64, holding one layer's
+activations at a time.
 
 No command calls forward_with_cache and backward, the general passes in a
 network's dtype; bench/trace.py wraps them here and on vae. With the losses
@@ -228,14 +235,16 @@ def forward(net: DenseNetwork, x: np.ndarray) -> np.ndarray:
     return a[0] if single else a
 
 
-def _layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, kind: str, name: str) -> np.ndarray:
-    """One dense layer, a @ w + b then the activation in place; a non-finite
-    activation raises NonFiniteError naming `name` and the stacked slices
-    that hold one."""
+def _layer(
+    a: np.ndarray, w: np.ndarray, b: np.ndarray, kind: str, name: str | None
+) -> np.ndarray:
+    """One dense layer, a @ w + b then the activation in place. Given a
+    `name`, a non-finite activation raises NonFiniteError naming it and the
+    stacked slices that hold one; with None the activation is not checked."""
     z = a @ w
     z += b[..., None, :]
     post = _activate(z, kind)
-    if not np.isfinite(post).all():
+    if name is not None and not np.isfinite(post).all():
         raise _non_finite(f"{name} activation is non-finite", [post], post.ndim - 2)
     return post
 
@@ -292,10 +301,10 @@ def sgd_step(net: DenseNetwork, grads: Gradients, learning_rate: float) -> Dense
     return net
 
 
-def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One flat float32 buffer and, in order, a view of it shaped like each array."""
+def _packed(arrays: list[np.ndarray], dtype=np.float32) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One flat buffer of `dtype` and, in order, a view of it shaped like each array."""
     ends = np.cumsum([a.size for a in arrays]).tolist()
-    flat = np.empty(ends[-1], dtype=np.float32)
+    flat = np.empty(ends[-1], dtype=dtype)
     return flat, [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
 
@@ -318,6 +327,21 @@ def _train_draws(rng, n: int, batch: int, epochs: int, widths: list[int], keep: 
             yield (idx, *masks)
 
 
+def _losses(p: np.ndarray, batch: int) -> list[float]:
+    """The float64 mean cross-entropy of each step whose float32 target
+    probabilities fill p in turn, `batch` rows a step and the last step the
+    rest, with a probability floored at 1e-300 (not 0 in float64). Each
+    step's rows are summed on their own, as a step-by-step loss would be."""
+    logs = p.astype(np.float64)
+    np.negative(np.log(np.maximum(logs, 1e-300, out=logs), out=logs), out=logs)
+    full = logs.size - logs.size % batch
+    sums = logs[:full].reshape(-1, batch).sum(axis=1).tolist()
+    losses = [s / batch for s in sums]
+    if full < logs.size:
+        losses.append(float(logs[full:].sum()) / (logs.size - full))
+    return losses
+
+
 def train(
     net: DenseNetwork,
     inputs: np.ndarray,
@@ -332,8 +356,8 @@ def train(
     activations, parameters and gradients are float32; the batch order, the
     float64 dropout draws compared to the keep rate and the float64 loss of
     the target probabilities are those of float64 training. Each step
-    computes the loss and the logits gradient (p - t) / n in place from the
-    target probabilities; its arithmetic and draws are those of
+    computes the logits gradient (p - t) / n in place and keeps its target
+    probabilities for the epoch's loss; its arithmetic and draws are those of
     forward_with_cache in train mode, that gradient against one-hot targets,
     backward and sgd_step on a float32 copy of the network, so the weights
     are bit-identical to calling them in turn (only the loss differs, as a
@@ -354,6 +378,7 @@ def train(
         raise ValueError("train needs a softmax head")
     if labels.min() < 0 or labels.max() >= net.output_dim:
         raise ValueError(f"labels must be class indices in [0, {net.output_dim})")
+    labels = labels.astype(np.intp)  # uint64 plus the int64 row offsets would be float64
 
     kinds = [spec.activation for spec in net.layers]
     last = len(kinds) - 1
@@ -370,6 +395,11 @@ def train(
     widths = [spec.output_dim for spec in net.layers[:last]] if drop else []
     layout = [((batch,), np.intp)] + [((batch, width), np.float32) for width in widths]
     producer = _train_draws(as_rng(cfg.seed), n, batch, cfg.epochs, widths, keep)
+    sizes = [min(batch, n - start) for start in range(0, n, batch)]
+    # each step's target probabilities, for the loss taken once per epoch,
+    # and their flat positions in its (b, classes) softmax output
+    target_p = np.empty(n, dtype=np.float32)
+    row_offsets = np.arange(0, batch * net.output_dim, net.output_dim)
     trace: list[float] = []
     with draw_ahead(producer, layout, cfg.epochs * -(-n // batch)) as draws, \
             np.errstate(over="ignore", invalid="ignore"):
@@ -379,9 +409,7 @@ def train(
         inputs = inputs.astype(np.float32)
         lr = np.float32(cfg.learning_rate)
         for _ in range(cfg.epochs):
-            total = 0.0
-            for start in range(0, n, batch):
-                b = min(batch, n - start)
+            for start, b in zip(range(0, n, batch), sizes):
                 idx, *masks = [draw[:b] for draw in next(draws)]
                 # fed[i] is layer i's input; post and masks as in ForwardCache.
                 a = inputs.take(idx, axis=0)
@@ -394,16 +422,10 @@ def train(
                     if drop and i != last:
                         a = a * masks[i]
                     fed.append(a)
-                # a non-finite softmax row is NaN throughout, its target included;
-                # the floor is applied in float64, where 1e-300 is not 0
-                rows, y = np.arange(b), labels.take(idx)
-                p = a[rows, y].astype(np.float64)
-                loss = float(-np.log(np.maximum(p, 1e-300)).sum() / b)
-                if not math.isfinite(loss):
-                    trace.append(loss)
-                    raise TrainingDiverged(f"loss diverged at epoch {len(trace)}", trace)
+                flat, targets = a.reshape(-1), labels.take(idx) + row_offsets[:b]
+                p = flat.take(targets, out=target_p[start : start + b])
                 # (p - t) / b in place: p - 0.0 is p, so only the targets change
-                a[rows, y] -= 1.0
+                flat.put(targets, p - 1.0)
                 a /= b
                 d = a
                 for i in range(last, -1, -1):
@@ -416,8 +438,17 @@ def train(
                         _activation_grad(kinds[i - 1], post[i - 1], d, out=d)
                 grads *= lr
                 if not np.isfinite(grads).all():
+                    # a non-finite loss needs a NaN target probability (a
+                    # non-finite softmax row is NaN throughout), which makes
+                    # this gradient NaN
+                    loss = _losses(p, b)[0]
+                    if not math.isfinite(loss):
+                        trace.append(loss)
+                        raise TrainingDiverged(f"loss diverged at epoch {len(trace)}", trace)
                     raise TrainingDiverged(f"update diverged at epoch {len(trace) + 1}", trace)
                 params -= grads
+            total = 0.0
+            for loss, b in zip(_losses(target_p, batch), sizes):
                 total += loss * b
             trace.append(total / n)
     # float32 to float64 is exact

@@ -21,13 +21,28 @@ runs the forward, backward and update of all L models as one batched pass.
 The forward and the analytic gradient (_batch_loss, vae_grads) are
 straight-line array code, with the arithmetic of the engine's
 forward_with_cache and backward in the same order, so they give the same
-bits; nn.sgd_step does the update. Each location still draws from its own
-"vae-init" and "vae-train" streams, in the order a lone run would, so a
-model trained in a stack is bit-identical to the same location trained
-alone (train_vae is the L = 1 case). Each epoch's draws, per location a
-permutation of its rows and one (n, d) block of latent noise, come from
-_train_draws through drawahead.draw_ahead: a forked child makes them
-ahead on a second core, and the steps read them from a shared ring.
+bits. The stack's parameters live in one flat float64 buffer, which the
+networks' arrays view, and vae_grads writes their gradients into views of
+a second one, so a step updates with g *= lr; params -= g, the arithmetic
+of nn.sgd_step. Each location still draws from its own "vae-init" and
+"vae-train" streams, in the order a lone run would, so a model trained in
+a stack is bit-identical to the same location trained alone (train_vae is
+the L = 1 case). Each epoch's draws, per location a permutation of its
+rows and one (n, d) block of latent noise, come from _train_draws through
+drawahead.draw_ahead: a forked child makes them ahead on a second core,
+and the steps read them from a shared ring.
+
+A step checks after the fact and diagnoses only on failure. Its forward
+runs unchecked, and one finiteness check covers the flat gradient, one
+the L losses: a non-finite activation always makes its slice's loss
+non-finite, so a step that passes both would have passed every per-layer
+check. A step that fails is replayed, from its parameters, still
+untouched, and its rows and draws, through the checked path (_checked_step):
+_batch_loss with _layer's per-layer checks, vae_grads, and nn.sgd_step per
+network. That path raises the error naming the network, layer and
+locations of the first non-finite value, or else makes the step's update
+itself, as for a loss that overflows while every activation and gradient
+stays finite, which the epoch's end reports.
 """
 
 from __future__ import annotations
@@ -45,6 +60,7 @@ from .nn import (
     NonFiniteError,
     TrainingDiverged,
     _layer,
+    _packed,
     forward,
     init_network,
     sgd_step,
@@ -118,13 +134,15 @@ class VaeModel:
 @dataclass
 class VaeCache:
     """The values of one forward pass that vae_grads reads: inputs, encoder
-    hidden layer, latent mean and log-variance, sigma = exp(log_var / 2),
-    the draws, the latent, decoder hidden layer and reconstruction."""
+    hidden layer, latent mean and log-variance, var = exp(log_var), sigma =
+    exp(log_var / 2), the draws, the latent, decoder hidden layer and
+    reconstruction."""
 
     x: np.ndarray
     h_enc: np.ndarray
     mu: np.ndarray
     log_var: np.ndarray
+    var: np.ndarray
     sigma: np.ndarray
     eps: np.ndarray
     z: np.ndarray
@@ -157,7 +175,12 @@ def kl_to_standard_normal(mu: np.ndarray, log_var: np.ndarray) -> float | np.nda
     the rows of each stacked slice of (L, n, d) inputs."""
     mu = np.asarray(mu, dtype=np.float64)
     log_var = np.asarray(log_var, dtype=np.float64)
-    return 0.5 * _slice_sum(np.exp(log_var) + mu**2 - 1.0 - log_var)
+    return _kl(mu, log_var, np.exp(log_var))
+
+
+def _kl(mu: np.ndarray, log_var: np.ndarray, var: np.ndarray) -> float | np.ndarray:
+    """kl_to_standard_normal with var = exp(log_var) given."""
+    return 0.5 * _slice_sum(var + mu**2 - 1.0 - log_var)
 
 
 @contextmanager
@@ -169,55 +192,69 @@ def _network(name: str):
         raise NonFiniteError(f"{name} {exc}", exc.slices) from exc
 
 
-def _batch_loss(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> tuple[VaeLoss, VaeCache]:
+_LAYER_NAMES = ("encoder layer 0", "encoder layer 1", "decoder layer 0", "decoder layer 1")
+
+
+def _batch_loss(
+    model: VaeModel, x: np.ndarray, eps: np.ndarray, checked: bool = True
+) -> tuple[VaeLoss, VaeCache]:
     """Forward pass and loss terms of the (..., n, m) rows x with the latent
     draws eps, for build_vae's layers: encoder tanh then linear,
-    reparameterization, decoder tanh then sigmoid."""
+    reparameterization, decoder tanh then sigmoid. Checked, a non-finite
+    activation raises NonFiniteError naming its layer."""
     enc, dec = model.encoder, model.decoder
-    h_enc = _layer(x, enc.weights[0], enc.biases[0], "tanh", "encoder layer 0")
-    enc_out = _layer(h_enc, enc.weights[1], enc.biases[1], "linear", "encoder layer 1")
+    names = _LAYER_NAMES if checked else (None,) * 4
+    h_enc = _layer(x, enc.weights[0], enc.biases[0], "tanh", names[0])
+    enc_out = _layer(h_enc, enc.weights[1], enc.biases[1], "linear", names[1])
     d = eps.shape[-1]
     # Contiguous copies: every use of mu and log_var is elementwise, and
     # numpy runs those faster on contiguous operands.
     mu, log_var = enc_out[..., :d].copy(), enc_out[..., d:].copy()
+    var = np.exp(log_var)
     sigma = np.exp(0.5 * log_var)
     z = mu + sigma * eps
-    h_dec = _layer(z, dec.weights[0], dec.biases[0], "tanh", "decoder layer 0")
-    xhat = _layer(h_dec, dec.weights[1], dec.biases[1], "sigmoid", "decoder layer 1")
+    h_dec = _layer(z, dec.weights[0], dec.biases[0], "tanh", names[2])
+    xhat = _layer(h_dec, dec.weights[1], dec.biases[1], "sigmoid", names[3])
     n = x.shape[-2]
     rec = 0.5 * _slice_sum((x - xhat) ** 2) / n
-    kl = kl_to_standard_normal(mu, log_var) / n
-    return VaeLoss(rec, kl), VaeCache(x, h_enc, mu, log_var, sigma, eps, z, h_dec, xhat)
+    kl = _kl(mu, log_var, var) / n
+    return VaeLoss(rec, kl), VaeCache(x, h_enc, mu, log_var, var, sigma, eps, z, h_dec, xhat)
 
 
 def vae_grads(
-    model: VaeModel, cache: VaeCache, recon_weight: float = 1.0
+    model: VaeModel,
+    cache: VaeCache,
+    recon_weight: float = 1.0,
+    out: tuple[Gradients, Gradients] | None = None,
 ) -> tuple[Gradients, Gradients]:
-    """Analytic encoder/decoder gradients of recon_weight * rec + kl."""
+    """Analytic encoder/decoder gradients of recon_weight * rec + kl, written
+    into the arrays of `out` when given."""
     c = cache
     n = c.x.shape[-2]
+    fresh = Gradients([None, None], [None, None])
+    (enc_w, enc_b), (dec_w, dec_b) = [(g.weights, g.biases) for g in out or (fresh, fresh)]
     # Decoder: sigmoid output, then the tanh hidden layer.
     delta = recon_weight * (c.xhat - c.x)
     delta /= n
     delta *= c.xhat
     delta *= 1.0 - c.xhat
-    dec_w1 = c.h_dec.swapaxes(-1, -2) @ delta
-    dec_b1 = np.add.reduce(delta, axis=-2)
+    dec_w1 = np.matmul(c.h_dec.swapaxes(-1, -2), delta, out=dec_w[1])
+    dec_b1 = np.add.reduce(delta, axis=-2, out=dec_b[1])
     delta = delta @ model.decoder.weights[1].swapaxes(-1, -2)
     delta *= 1.0 - c.h_dec**2
-    dec_w0 = c.z.swapaxes(-1, -2) @ delta
-    dec_b0 = np.add.reduce(delta, axis=-2)
+    dec_w0 = np.matmul(c.z.swapaxes(-1, -2), delta, out=dec_w[0])
+    dec_b0 = np.add.reduce(delta, axis=-2, out=dec_b[0])
     d_z = delta @ model.decoder.weights[0].swapaxes(-1, -2)
     # Through the reparameterization into the encoder's linear output [mu, log_var].
     d_mu = d_z + c.mu / n
-    d_log_var = d_z * c.eps * 0.5 * c.sigma + 0.5 * (np.exp(c.log_var) - 1.0) / n
+    d_log_var = d_z * c.eps * 0.5 * c.sigma + 0.5 * (c.var - 1.0) / n
     delta = np.concatenate([d_mu, d_log_var], axis=-1)
-    enc_w1 = c.h_enc.swapaxes(-1, -2) @ delta
-    enc_b1 = np.add.reduce(delta, axis=-2)
+    enc_w1 = np.matmul(c.h_enc.swapaxes(-1, -2), delta, out=enc_w[1])
+    enc_b1 = np.add.reduce(delta, axis=-2, out=enc_b[1])
     delta = delta @ model.encoder.weights[1].swapaxes(-1, -2)
     delta *= 1.0 - c.h_enc**2
-    enc_w0 = c.x.swapaxes(-1, -2) @ delta
-    enc_b0 = np.add.reduce(delta, axis=-2)
+    enc_w0 = np.matmul(c.x.swapaxes(-1, -2), delta, out=enc_w[0])
+    enc_b0 = np.add.reduce(delta, axis=-2, out=enc_b[0])
     return (Gradients([enc_w0, enc_w1], [enc_b0, enc_b1]),
             Gradients([dec_w0, dec_w1], [dec_b0, dec_b1]))
 
@@ -280,6 +317,33 @@ def _train_draws(rngs: list[np.random.Generator], n: int, d: int, epochs: int):
         yield order, eps
 
 
+def _flat_buffers(stacked: VaeModel) -> tuple[np.ndarray, np.ndarray, tuple[Gradients, Gradients]]:
+    """Move the parameters of `stacked` into one flat float64 buffer, which
+    its networks' arrays then view, and make a second one for their
+    gradients: (parameters, gradients, encoder and decoder views of the
+    gradients)."""
+    nets = (stacked.encoder, stacked.decoder)
+    arrays = [a for net in nets for a in net.weights + net.biases]
+    params, views = _packed(arrays, np.float64)
+    for view, a in zip(views, arrays):
+        view[...] = a
+    for net, k in zip(nets, (0, 4)):
+        net.weights, net.biases = views[k : k + 2], views[k + 2 : k + 4]
+    grads, views = _packed(arrays, np.float64)
+    return params, grads, (Gradients(views[0:2], views[2:4]), Gradients(views[4:6], views[6:8]))
+
+
+def _checked_step(stacked: VaeModel, x: np.ndarray, eps: np.ndarray, lr: float) -> None:
+    """One step with every check: the forward's per layer, then each
+    network's gradient before its update."""
+    _, cache = _batch_loss(stacked, x, eps)
+    enc_grads, dec_grads = vae_grads(stacked, cache, RECON_WEIGHT)
+    with _network("encoder"):
+        sgd_step(stacked.encoder, enc_grads, lr)
+    with _network("decoder"):
+        sgd_step(stacked.decoder, dec_grads, lr)
+
+
 def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> list[VaeModel]:
     """Train one VAE per slice of the (L, n, m) stack x in one stacked pass.
 
@@ -308,8 +372,10 @@ def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> l
     d = stacked.latent_dim
     layout = [((n_locations, n), np.intp), ((n_locations, n, d), np.float64)]
 
+    params, grads, grad_views = _flat_buffers(stacked)
+    lr = cfg.learning_rate
+
     traces = np.empty((cfg.epochs, n_locations))
-    # The finiteness checks name the network, layer and locations of an overflow.
     with draw_ahead(_train_draws(rngs, n, d, cfg.epochs), layout, cfg.epochs) as draws, \
             np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
@@ -318,23 +384,25 @@ def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> l
             total = np.zeros(n_locations)
             for start in range(0, n, batch):
                 idx = rows[:, start : start + batch]
-                try:
-                    loss, cache = _batch_loss(stacked, x_rows.take(idx, axis=0),
-                                              eps[:, start : start + batch])
-                    enc_grads, dec_grads = vae_grads(stacked, cache, RECON_WEIGHT)
-                    with _network("encoder"):
-                        sgd_step(stacked.encoder, enc_grads, cfg.learning_rate)
-                    with _network("decoder"):
-                        sgd_step(stacked.decoder, dec_grads, cfg.learning_rate)
-                except NonFiniteError as exc:
-                    raise _diverged(location_ids, exc.slices, traces[:epoch],
-                                    f"{exc} at epoch {epoch + 1}") from exc
-                total += (RECON_WEIGHT * loss.reconstruction + loss.kl) * idx.shape[1]
+                x_batch, eps_batch = x_rows.take(idx, axis=0), eps[:, start : start + batch]
+                loss, cache = _batch_loss(stacked, x_batch, eps_batch, checked=False)
+                vae_grads(stacked, cache, RECON_WEIGHT, out=grad_views)
+                step_loss = RECON_WEIGHT * loss.reconstruction + loss.kl
+                # checked after the fact; a failed step is replayed checked
+                if np.isfinite(grads).all() and np.isfinite(step_loss).all():
+                    grads *= lr
+                    params -= grads
+                else:
+                    try:
+                        _checked_step(stacked, x_batch, eps_batch, lr)
+                    except NonFiniteError as exc:
+                        raise _diverged(location_ids, exc.slices, traces[:epoch],
+                                        f"{exc} at epoch {epoch + 1}") from exc
+                total += step_loss * idx.shape[1]
             traces[epoch] = total / n
-            bad = np.flatnonzero(~np.isfinite(traces[epoch]))
-            if bad.size:
-                raise _diverged(location_ids, bad, traces[: epoch + 1],
-                                f"loss diverged at epoch {epoch + 1}")
+            if not np.isfinite(traces[epoch]).all():
+                raise _diverged(location_ids, np.flatnonzero(~np.isfinite(traces[epoch])),
+                                traces[: epoch + 1], f"loss diverged at epoch {epoch + 1}")
 
     for i, model in enumerate(models):
         for net, stack in ((model.encoder, stacked.encoder), (model.decoder, stacked.decoder)):

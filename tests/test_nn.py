@@ -1,11 +1,15 @@
+import contextlib
 import json
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellaug import nn as nn_module
 from cellaug.nn import (
     DenseNetwork,
     LayerSpec,
@@ -49,33 +53,58 @@ def finite_difference_check(net, x, targets, loss_fn, h=1e-5):
     return worst
 
 
-def reference_train(net, inputs, targets, loss_fn, cfg):
+def reference_train(net, inputs, targets, loss_fn, cfg, checked=False, steps=None):
     """nn.train as the calls of the primitives that it fuses, one step at a time,
-    in the dtype of net and inputs."""
+    in the dtype of net and inputs. Checked, it raises nn.train's
+    TrainingDiverged on a non-finite loss or learning rate times gradient,
+    and, as nn.train, leaves the activations unchecked.
+    Each step appends its (epoch, first row) to the list `steps` if given."""
+    layer = nn_module._layer
+    unchecked = mock.patch.object(nn_module, "_layer",
+                                  lambda a, w, b, kind, name: layer(a, w, b, kind, None))
     rng = np.random.default_rng(cfg.seed)
     n = inputs.shape[0]
     trace = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            out, cache = forward_with_cache(net, inputs[idx], train_mode=True, rng=rng)
-            loss, d_out = loss_fn(out, targets[idx])
-            grads, _ = backward(net, cache, d_out)
-            sgd_step(net, grads, cfg.learning_rate)
-            total += loss * idx.size
-        trace.append(total / n)
+    with unchecked if checked else contextlib.nullcontext():
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, cfg.batch_size):
+                if steps is not None:
+                    steps.append((epoch, start))
+                idx = order[start : start + cfg.batch_size]
+                out, cache = forward_with_cache(net, inputs[idx], train_mode=True, rng=rng)
+                loss, d_out = loss_fn(out, targets[idx])
+                if checked and not math.isfinite(loss):
+                    trace.append(loss)
+                    raise TrainingDiverged(f"loss diverged at epoch {epoch}", trace)
+                grads, _ = backward(net, cache, d_out)
+                if checked and not all(np.isfinite(cfg.learning_rate * g).all()
+                                       for g in grads.weights + grads.biases):
+                    raise TrainingDiverged(f"update diverged at epoch {epoch}", trace)
+                sgd_step(net, grads, cfg.learning_rate)
+                total += loss * idx.size
+            trace.append(total / n)
     return net, trace
 
 
-def float32_reference_train(net, inputs, labels, cfg):
+def train_loss(probs, targets):
+    """softmax_cross_entropy with the loss that nn.train reports: the mean
+    float64 log of the target probabilities, floored at 1e-300."""
+    _, grad = softmax_cross_entropy(probs, targets)
+    p = probs[targets == 1].astype(np.float64)
+    return float(-np.log(np.maximum(p, 1e-300)).sum() / p.size), grad
+
+
+def float32_reference_train(net, inputs, labels, cfg, checked=False, steps=None):
     """reference_train on a float32 copy of net, inputs and one-hot targets,
-    as nn.train computes."""
+    as nn.train computes; checked, with nn.train's loss and checks, so that
+    its trace and error are nn.train's bit for bit."""
     net32 = DenseNetwork(net.layers, [w.astype(np.float32) for w in net.weights],
                          [b.astype(np.float32) for b in net.biases], net.dropout_rate)
     targets = one_hot(labels, net.output_dim).astype(np.float32)
-    return reference_train(net32, inputs.astype(np.float32), targets, softmax_cross_entropy, cfg)
+    return reference_train(net32, inputs.astype(np.float32), targets,
+                           train_loss if checked else softmax_cross_entropy, cfg, checked, steps)
 
 
 def assert_same_parameters(got, want):
@@ -364,6 +393,16 @@ class TestTrain:
         with pytest.raises(ValueError, match="softmax head"):
             train(net, x, y, TrainConfig(0.1, 4, 1))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+    def test_any_integer_label_dtype_trains_as_int64(self, dtype):
+        x, y = self._separable()
+        specs = [LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "softmax")]
+        net, trace = train(init_network(specs, 0), x, y.astype(dtype), TrainConfig(0.1, 4, 3))
+        want, want_trace = train(init_network(specs, 0), x, y.astype(np.int64),
+                                 TrainConfig(0.1, 4, 3))
+        assert trace == want_trace
+        assert_same_parameters(net, want)
+
     @pytest.mark.parametrize("bad", [2, -1])
     def test_label_outside_the_classes_rejected(self, bad):
         x, y = self._separable()
@@ -424,6 +463,71 @@ class TestTrain:
             train(net(), x, y, TrainConfig(1e30, 2, 5, seed=0))
         _, ref_trace = float32_reference_train(net(), x, y, TrainConfig(1e30, 2, 1, seed=0))
         np.testing.assert_allclose(excinfo.value.trace, ref_trace, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_trace_equals_the_checked_primitives(self, dropout):
+        # 23 rows in batches of 5: each epoch ends with a short batch of 3;
+        # the checked reference takes train's float64 loss step by step
+        rng = np.random.default_rng(12)
+        x, y = rng.normal(0, 1, (23, 4)), rng.integers(0, 3, 23)
+        specs = [LayerSpec(4, 6, "relu"), LayerSpec(6, 3, "softmax")]
+        cfg = TrainConfig(0.05, 5, 7, seed=3)
+        net, trace = train(init_network(specs, 2, dropout_rate=dropout), x, y, cfg)
+        ref, ref_trace = float32_reference_train(init_network(specs, 2, dropout_rate=dropout),
+                                                 x, y, cfg, checked=True)
+        assert trace == ref_trace and len(trace) == 7
+        assert_same_parameters(net, ref)
+
+    def assert_fails_as_checked_reference(self, net, x, y, cfg, message, step):
+        """train raises `message` with the trace of the checked float32
+        reference, which fails at `step`, (epoch, first row of the batch)."""
+        steps = []
+        with pytest.raises(TrainingDiverged) as want, np.errstate(all="ignore"):
+            float32_reference_train(net(), x, y, cfg, checked=True, steps=steps)
+        with pytest.raises(TrainingDiverged) as got:
+            train(net(), x, y, cfg)
+        assert str(got.value) == str(want.value) == message
+        assert steps[-1] == step
+        np.testing.assert_array_equal(got.value.trace, want.value.trace)
+        return got.value.trace
+
+    @staticmethod
+    def nan_row_net():
+        return DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[0.0, -1e-8]])],
+                            [np.zeros(2)])
+
+    def test_loss_turning_nan_mid_epoch(self):
+        # Row 1 (x = 1e20, class 1) starts at p = 0, so its step moves each
+        # weight by lr * 1e20 = 1e30. At its next visit its logits are
+        # +-1e50, infinite in float32, and its softmax row is NaN; the other
+        # rows' logits stay finite. Epoch 2 visits it third, in batches of 1.
+        x, y = np.array([[1.0], [1e20], [-1.0], [2.0]]), np.array([0, 1, 1, 0])
+        trace = self.assert_fails_as_checked_reference(
+            self.nan_row_net, x, y, TrainConfig(1e10, 1, 5, seed=0), "loss diverged at epoch 2",
+            (2, 2))
+        assert len(trace) == 2 and math.isfinite(trace[0]) and math.isnan(trace[1])
+
+    def test_loss_turning_nan_in_a_short_last_batch(self):
+        # as above, with 5 rows in batches of 2, 2 and 1: row 1 is epoch 2's
+        # short last batch
+        x, y = np.array([[1.0], [1e20], [-1.0], [2.0], [0.5]]), np.array([0, 1, 1, 0, 1])
+        trace = self.assert_fails_as_checked_reference(
+            self.nan_row_net, x, y, TrainConfig(1e10, 2, 5, seed=2), "loss diverged at epoch 2",
+            (2, 4))
+        assert len(trace) == 2 and math.isnan(trace[1])
+
+    def test_update_diverging_mid_epoch(self):
+        # As in test_non_finite_update_aborts_with_trace, in batches of 1:
+        # epoch 1 visits row 1 (x = 1e10, class 1) while it is sure, then a
+        # row at x = 0 moves the biases by lr * 0.5 and flips it; epoch 2
+        # visits it third, and lr times its weight gradient overflows float32.
+        def net():
+            return DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[0.0, 1e-8]])],
+                                [np.zeros(2)])
+        x, y = np.array([[0.0], [1e10], [0.0]]), np.array([0, 1, 0])
+        trace = self.assert_fails_as_checked_reference(
+            net, x, y, TrainConfig(1e30, 1, 5, seed=5), "update diverged at epoch 2", (2, 2))
+        assert len(trace) == 1 and math.isfinite(trace[0])
 
     def test_target_probability_underflowing_float32_floors_the_loss(self):
         # exp(-200) is 0 in float32 but the 1e-300 floor is not, in float64

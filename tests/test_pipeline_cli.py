@@ -589,7 +589,9 @@ class TestCliEvaluateInputs:
         "class_without_coords", "relu_head", "repeated_class", "fractional_class",
         "no_last_weight", "extra_weight", "3d_weights", "nan_weight", "infinity_weight",
         "string_weight", "true_weight", "dropout_1.5", "string_dropout", "true_epochs",
-        "float_batch_size", "float_layer_in", "string_coordinates"])
+        "float_batch_size", "float_layer_in", "string_coordinates", "huge_coordinate",
+        "huge_weight", "huge_learning_rate", "padded_location_key", "spaced_location_key",
+        "number_tower"])
     def test_model_evaluate_cannot_use_exits_2(self, tmp_path, trained, capsys, damage):
         db_path, model_path = trained
         data = json.loads(model_path.read_text())
@@ -598,7 +600,11 @@ class TestCliEvaluateInputs:
                  "true_epochs": (data["profile"], "epochs", True),
                  "float_batch_size": (data["profile"], "batch_size", 64.0),
                  "float_layer_in": (net["layers"][0], "in", float(net["layers"][0]["in"])),
-                 "string_coordinates": (data["coords"], "0", ["1.0", "1.0"])}
+                 "string_coordinates": (data["coords"], "0", ["1.0", "1.0"]),
+                 # 10**400 is a JSON integer beyond the float range
+                 "huge_coordinate": (data["coords"], "0", [10**400, 1.0]),
+                 "huge_learning_rate": (data["profile"], "learning_rate", 10**400),
+                 "number_tower": (data, "towers", [0] + data["towers"][1:])}
         if damage == "class_without_coords":
             data["classes"][0] = 99
         elif damage == "relu_head":
@@ -617,12 +623,17 @@ class TestCliEvaluateInputs:
             net["biases"] = [[b] for b in net["biases"]]
         elif damage == "dropout_1.5":
             net["dropout_rate"] = 1.5
+        elif damage in ("padded_location_key", "spaced_location_key"):
+            # keys that int() reads as location 0, whose key is written "0"
+            key = "00" if damage == "padded_location_key" else " 0"
+            data["coords"][key] = data["coords"].pop("0")
         elif damage in typed:
             holder, key, value = typed[damage]
             holder[key] = value
         else:
             net["weights"][0][0][0] = {"nan_weight": float("nan"), "infinity_weight": float("inf"),
-                                       "string_weight": "0.5", "true_weight": True}[damage]
+                                       "string_weight": "0.5", "true_weight": True,
+                                       "huge_weight": 10**400}[damage]
         model_path.write_text(json.dumps(data))
         code, errors = self.evaluate(model_path, db_path, tmp_path, capsys)
         assert code == 2

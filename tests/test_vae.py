@@ -3,6 +3,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from cellaug import drawahead
 from cellaug import vae as vae_module
 from cellaug.nn import (
     DenseNetwork,
@@ -239,9 +240,10 @@ def reference_vae_grads(model, cache, recon_weight):
     return enc_grads, dec_grads
 
 
-def reference_train_vaes(x, cfg, location_ids):
+def reference_train_vaes(x, cfg, location_ids, before_epoch=None):
     """train_vaes as a loop over the engine primitives, with each epoch's
-    draws built by rng.permutation and np.stack."""
+    draws built by rng.permutation and np.stack. before_epoch(epoch,
+    stacked), if given, runs at the start of each epoch (0 first)."""
     n_locations, n, _ = x.shape
     models = [
         vae_module.build_vae(
@@ -256,6 +258,8 @@ def reference_train_vaes(x, cfg, location_ids):
     traces = np.empty((cfg.epochs, n_locations))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
+            if before_epoch:
+                before_epoch(epoch, stacked)
             draws = [(rng.permutation(n), rng.standard_normal((n, stacked.latent_dim)))
                      for rng in rngs]
             order = np.stack([perm for perm, _ in draws])
@@ -335,6 +339,49 @@ class TestBitIdentity:
             f"VAE training (locations 10, 12): {network} layer {layer} activation is "
             "non-finite at epoch 1")
         assert got.value.trace == want.value.trace == []
+
+    @pytest.mark.parametrize("network, layer, param, index", [
+        ("encoder", 0, "weights", (0, 0)),
+        ("encoder", 1, "weights", (0, 0)),
+        ("decoder", 0, "weights", (0, 0)),
+        ("decoder", 1, "weights", (0, 0)),
+        # log_var = -inf: the KL term is infinite, while every gradient stays finite
+        ("encoder", 1, "biases", (vae_module.LATENT_DIM,)),
+    ], ids=["encoder-0", "encoder-1", "decoder-0", "decoder-1", "log-variance-bias"])
+    def test_non_finite_activation_from_epoch_2(self, network, layer, param, index, monkeypatch):
+        """A parameter of locations 10 and 12 turns non-finite at the start
+        of epoch 2, so the first non-finite activation is in one layer of a
+        later epoch's first step. train_vaes, inline, is poisoned from its
+        draws; the reference, from its epoch hook."""
+        x = np.stack([correlated_vectors(70, 0.5, seed) for seed in range(3)])
+        cfg = VaeTrainConfig(epochs=3, seed=0)
+
+        def poison(epoch, stacked):
+            if epoch == 1:
+                getattr(getattr(stacked, network), param)[layer][([0, 2],) + index] = (
+                    -np.inf if param == "biases" else np.nan)
+
+        stacks = []
+        stack, draws = vae_module.stack_vaes, vae_module._train_draws
+
+        def hooked_draws(*args):
+            for epoch, record in enumerate(draws(*args)):
+                poison(epoch, stacks[0])
+                yield record
+
+        monkeypatch.setattr(drawahead, "_forks", lambda count: False)
+        monkeypatch.setattr(vae_module, "stack_vaes", lambda models: stacks.append(
+            stack(models)) or stacks[0])
+        monkeypatch.setattr(vae_module, "_train_draws", hooked_draws)
+        with pytest.raises(TrainingDiverged) as want:
+            reference_train_vaes(x, cfg, [10, 11, 12], poison)
+        with pytest.raises(TrainingDiverged) as got:
+            train_vaes(x, cfg, [10, 11, 12])
+        assert str(got.value) == str(want.value) == (
+            f"VAE training (locations 10, 12): {network} layer {layer} activation is "
+            "non-finite at epoch 2")
+        assert got.value.trace == want.value.trace
+        assert len(got.value.trace) == 1 and np.isfinite(got.value.trace).all()
 
     def test_non_finite_gradient_message(self):
         x = np.stack([correlated_vectors(8, 0.5, seed) for seed in range(3)])
