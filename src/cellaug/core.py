@@ -261,11 +261,13 @@ def _parse(path: Path, lines: list[str]) -> FingerprintDatabase:
         if not lines[0].strip():
             raise ValueError("blank line")
         header = json.loads(lines[0])
-        testbed = str(header["testbed"])
-        grid_cell_m = float(header["grid_cell_m"])
-        if not math.isfinite(grid_cell_m):
+        testbed, grid_cell_m = header["testbed"], header["grid_cell_m"]
+        if type(testbed) is not str or type(grid_cell_m) not in (int, float):
+            raise ValueError("testbed must be a JSON string and grid_cell_m a JSON number, "
+                             f"got {testbed!r} and {grid_cell_m!r}")
+        if not math.isfinite(grid_cell_m := float(grid_cell_m)):
             raise ValueError(f"non-finite grid_cell_m: {grid_cell_m}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DatabaseFormatError(f"{path}: line 1: bad header: {exc}") from exc
 
     try:
@@ -348,7 +350,7 @@ def _raise_first_error(path: Path, lines: list[str]) -> NoReturn:
             continue
         try:
             loc_id, xy = _check_scan(json.loads(raw))
-        except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, IndexError, RecursionError) as exc:
             raise DatabaseFormatError(f"{path}: line {lineno}: malformed scan: {exc}") from exc
         except (ValueError, OverflowError) as exc:
             raise DatabaseFormatError(f"{path}: line {lineno}: {exc}") from exc

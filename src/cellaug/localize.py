@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+import reprlib
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .nn import (
     TrainConfig,
     forward,
     init_network,
-    json_number,
     network_from_dict,
     network_to_dict,
     train,
@@ -88,17 +89,18 @@ class LocalizerModel:
     towers: tuple[TowerId, ...]              # input column -> tower id
 
     def __post_init__(self):
-        if self.network.output_dim != len(self.classes):
-            raise ValueError("output dim disagrees with class count")
-        if self.network.input_dim != len(self.towers):
-            raise ValueError("input dim disagrees with tower count")
+        if (self.network.input_dim, self.network.output_dim) != (len(self.towers), len(self.classes)):
+            raise ValueError("network dims disagree with the tower and class counts")
         if self.network.layers[-1].activation != "softmax":
             raise ValueError("output layer is not softmax")
-        if len(set(self.classes)) != len(self.classes):
-            raise ValueError("repeated class")
+        for name, ids in (("class", self.classes), ("tower", self.towers)):
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"repeated {name}")
         missing = [c for c in self.classes if c not in self.coords]
         if missing:
             raise ValueError(f"no coordinates for class(es): {missing}")
+        if not np.isfinite(self.coordinate_matrix).all():
+            raise ValueError("non-finite coordinates")
 
     @property
     def coordinate_matrix(self) -> np.ndarray:
@@ -293,37 +295,40 @@ def improvement(with_aug: ErrorReport, without_aug: ErrorReport) -> dict[str, fl
 def model_to_dict(model: LocalizerModel) -> dict:
     return {
         "network": network_to_dict(model.network),
-        "profile": asdict(model.profile),
+        "profile": {name: kind(getattr(model.profile, name))  # as annotated: 0.0, not 0
+                    for name, kind in get_type_hints(HyperProfile).items()},
         "classes": model.classes,
-        "coords": {str(c): list(model.coords[c]) for c in model.classes},
+        "coords": {str(c): list(map(float, model.coords[c])) for c in model.classes},
         "towers": list(model.towers),
     }
 
 
 def model_from_dict(data: dict) -> LocalizerModel:
-    profile = HyperProfile(**data["profile"])
-    for f in fields(profile):  # each number in its JSON type; f.type is the annotation's text
-        json_number(getattr(profile, f.name), f"profile {f.name}",
-                    (int,) if f.type == "int" else (int, float))
-    if any(str(int(k)) != k for k in data["coords"]):  # one key per location: not "01" or " 1"
-        raise ValueError(f"location keys must be integers as written, got {list(data['coords'])}")
-    coords = {int(k): tuple(float(json_number(c, f"location {k} coordinate")) for c in (x, y))
-              for k, (x, y) in data["coords"].items()}
-    if not np.all(np.isfinite(list(coords.values()))):
-        raise ValueError("non-finite coordinates")
-    classes = data["classes"]
-    if not all(type(c) is int for c in classes):  # a JSON integer, not 0.5 or true
-        raise ValueError(f"classes must be integers, got {classes}")
-    towers = data["towers"]
-    if not all(type(t) is str for t in towers):
-        raise ValueError(f"tower ids must be strings, got {towers}")
+    """The model of a model_to_dict dict, ids and coordinates in the types it writes."""
     return LocalizerModel(
         network=network_from_dict(data["network"]),
-        profile=profile,
-        classes=list(classes),
-        coords=coords,
-        towers=tuple(towers),
+        profile=HyperProfile(**data["profile"]),
+        classes=[int(c) for c in data["classes"]],
+        coords={int(k): (float(x), float(y)) for k, (x, y) in data["coords"].items()},
+        towers=tuple(map(str, data["towers"])),
     )
+
+
+def _first_difference(found, saved) -> str | None:
+    """The first JSON path (jq style) where the decoded file `found` differs
+    from `saved`, type for type as Python has True == 1 == 1.0, and what each
+    holds there; None if nowhere. The path is built only on a difference."""
+    if type(found) is list is type(saved):
+        found, saved = dict(enumerate(found)), dict(enumerate(saved))
+    if type(found) is dict is type(saved):
+        for key in found:
+            inner = (_first_difference(found[key], saved[key]) if key in saved
+                     else ": save_model writes no such entry")
+            if inner:
+                return (f".{key}" if str(key).isidentifier() else f"[{json.dumps(key)}]") + inner
+        return None if len(found) == len(saved) else ": entries missing"
+    return None if type(found) is type(saved) and found == saved else (
+        f": {reprlib.repr(found)}, save_model writes {reprlib.repr(saved)}")
 
 
 def save_model(model: LocalizerModel, path: str | Path) -> None:
@@ -331,10 +336,14 @@ def save_model(model: LocalizerModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LocalizerModel:
-    """Read a model saved by :func:`save_model`; a file that is not one
-    raises ModelFormatError."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a model saved by :func:`save_model`: a file loads only if it is
+    model_to_dict of the model built from it, else ModelFormatError."""
     try:
-        return model_from_dict(json.loads(text))
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        model = model_from_dict(data)
+        if difference := _first_difference(data, model_to_dict(model)):
+            raise ValueError(difference)
+        return model
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError,
+            RecursionError) as exc:
         raise ModelFormatError(f"{path}: malformed model: {type(exc).__name__}: {exc}") from exc

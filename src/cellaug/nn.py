@@ -9,8 +9,7 @@ A network may carry a leading stack axis: weights (L, in, out), biases
 (L, out), inputs (L, n, in). Its L networks then run as one batched matmul
 per layer, each slice computing exactly what the unstacked network would.
 However it is made, a network checks its own structure on construction;
-network_from_dict also takes only finite numbers, with no stack axis, and
-each number of the file only in its JSON type.
+network_from_dict also takes only finite numbers, with no stack axis.
 
 train() is the localizer's loop: a softmax classifier trained on class
 indices, each step's forward, fused cross-entropy, backward and update in
@@ -459,7 +458,7 @@ def train(
 
 def network_to_dict(net: DenseNetwork) -> dict:
     return {
-        "dropout_rate": net.dropout_rate,
+        "dropout_rate": float(net.dropout_rate),
         "layers": [
             {"in": s.input_dim, "out": s.output_dim, "activation": s.activation}
             for s in net.layers
@@ -470,29 +469,18 @@ def network_to_dict(net: DenseNetwork) -> dict:
 
 
 def _parameter(values, ndim: int) -> np.ndarray:
-    """A weight (ndim 2) or bias (ndim 1) of a file: nested lists of finite JSON numbers."""
+    """A weight (ndim 2) or bias (ndim 1) of a file, as finite float64."""
     a = np.array(values, dtype=np.float64)
-    if a.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-D parameter, got {a.ndim}-D")
-    kinds = {type(v) for row in (values if ndim == 2 else [values]) for v in row}
-    if not kinds <= {float, int} or not np.isfinite(a).all():
-        raise ValueError("parameters must be finite numbers")
+    if a.ndim != ndim or not np.isfinite(a).all():
+        raise ValueError(f"expected a finite {ndim}-D parameter, got a {a.ndim}-D one")
     return a
 
 
-def json_number(value, what: str, kinds: tuple[type, ...] = (int, float)):
-    """`value` if its type is one of `kinds`, a JSON number by default (type,
-    not isinstance: JSON true decodes to a bool, an int subclass)."""
-    if type(value) not in kinds:
-        raise ValueError(f"{what} must be {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
-    return value
-
-
 def network_from_dict(data: dict) -> DenseNetwork:
+    """The network of a network_to_dict dict, each value coerced to the type it writes."""
     return DenseNetwork(
-        [LayerSpec(*(json_number(d[k], f"layer {k}", (int,)) for k in ("in", "out")), d["activation"])
-         for d in data["layers"]],
+        [LayerSpec(int(d["in"]), int(d["out"]), str(d["activation"])) for d in data["layers"]],
         [_parameter(w, 2) for w in data["weights"]],
         [_parameter(b, 1) for b in data["biases"]],
-        float(json_number(data["dropout_rate"], "dropout_rate")),
+        float(data["dropout_rate"]),
     )

@@ -217,6 +217,20 @@ class TestSerialization:
         with pytest.raises(DatabaseFormatError, match=r"grid\.jsonl: line 1: .*non-finite"):
             load_database(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ('{"testbed": "x", "grid_cell_m": true}', "got 'x' and True"),
+        ('{"testbed": "x", "grid_cell_m": "2"}', "got 'x' and '2'"),
+        ('{"testbed": 5, "grid_cell_m": 2}', "got 5 and 2"),
+        # a JSON integer beyond the float range
+        ('{"testbed": "x", "grid_cell_m": 1' + "0" * 400 + "}", "int too large to convert to float"),
+    ], ids=["boolean_grid", "string_grid", "number_testbed", "huge_grid"])
+    def test_header_json_types_rejected(self, tmp_path, header, message):
+        path = tmp_path / "header.jsonl"
+        path.write_text(header + '\n{"loc": 0, "x": 0, "y": 0, "ts": 0, "readings": [["A", 1]]}\n')
+        with pytest.raises(DatabaseFormatError,
+                           match=rf"header\.jsonl: line 1: bad header: .*{re.escape(message)}$"):
+            load_database(path)
+
     @pytest.mark.parametrize("key, value, message", [
         ("loc", '"7"', "loc must be a JSON integer, got '7'"),
         ("loc", "7.0", "loc must be a JSON integer, got 7.0"),

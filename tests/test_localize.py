@@ -350,6 +350,19 @@ class TestModelSerialization:
         with pytest.raises(ModelFormatError, match="towers"):
             load_model(path)
 
+    def test_integers_given_for_floats_save_as_floats(self, tmp_path):
+        """save_model writes each float field as a float, so a model built
+        from integers where floats belong still saves a file that loads."""
+        vectors, coords = toy_square_vectors(n_per_loc=3)
+        profile = HyperProfile(learning_rate=1, batch_size=16, dropout_rate=0, epochs=2,
+                               hidden_neurons=4, hidden_layers=1)
+        model = train_localizer(vectors, profile,
+                                {c: tuple(map(int, xy)) for c, xy in coords.items()}, seed=5)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert (loaded.profile, loaded.coords) == (profile, coords)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_coordinates_rejected(self, tmp_path, bad):
         vectors, coords = toy_square_vectors(n_per_loc=3)
@@ -364,8 +377,12 @@ class TestModelSerialization:
         ("class_without_coords", r"no coordinates for class\(es\): \[99\]"),
         ("relu_head", "output layer is not softmax"),
         ("repeated_class", "repeated class"),
-        ("fractional_class", "classes must be integers"),
-        ("boolean_class", "classes must be integers"),
+        ("fractional_class", r"classes\[0\]: 0.5, save_model writes 0$"),
+        ("boolean_class", r"classes\[1\]: True, save_model writes 1$"),
+        ("extra_key", "extra: save_model writes no such entry$"),
+        ("integer_weight", r"network\.weights\[0\]\[1\]\[2\]: 0, save_model writes 0\.0$"),
+        ("padded_location_key", r'coords\["01"\]: save_model writes no such entry$'),
+        ("repeated_tower", "repeated tower$"),
     ])
     def test_model_evaluate_cannot_use_rejected(self, tmp_path, damage, message):
         vectors, coords = toy_square_vectors(n_per_loc=3)
@@ -378,8 +395,16 @@ class TestModelSerialization:
             data["classes"][1] = data["classes"][0]
         elif damage == "fractional_class":
             data["classes"][0] = 0.5
-        else:
+        elif damage == "boolean_class":
             data["classes"][1] = True
+        elif damage == "extra_key":
+            data["extra"] = 1
+        elif damage == "integer_weight":
+            data["network"]["weights"][0][1][2] = 0
+        elif damage == "padded_location_key":
+            data["coords"]["01"] = data["coords"].pop("1")
+        else:
+            data["towers"][-1] = data["towers"][0]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ModelFormatError, match=f"model.json: malformed model: .*{message}"):

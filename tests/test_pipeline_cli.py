@@ -569,7 +569,8 @@ class TestCliEvaluateInputs:
         assert code == 2
         assert len(errors) == 1 and re.search(r"coordinates: 2$", errors[0])
 
-    @pytest.mark.parametrize("damage", ["no_towers", "no_classes", "classes_not_list", "not_json"])
+    @pytest.mark.parametrize("damage", ["no_towers", "no_classes", "classes_not_list", "not_json",
+                                        "not_utf8"])
     def test_malformed_model_exits_2(self, tmp_path, trained, capsys, damage):
         db_path, model_path = trained
         data = json.loads(model_path.read_text())
@@ -580,7 +581,7 @@ class TestCliEvaluateInputs:
         elif damage == "classes_not_list":
             data["classes"] = 5
         text = "{not json" if damage == "not_json" else json.dumps(data)
-        model_path.write_text(text)
+        model_path.write_bytes((b"\xff" if damage == "not_utf8" else b"") + text.encode())
         code, errors = self.evaluate(model_path, db_path, tmp_path, capsys)
         assert code == 2
         assert len(errors) == 1
@@ -591,7 +592,7 @@ class TestCliEvaluateInputs:
         "string_weight", "true_weight", "dropout_1.5", "string_dropout", "true_epochs",
         "float_batch_size", "float_layer_in", "string_coordinates", "huge_coordinate",
         "huge_weight", "huge_learning_rate", "padded_location_key", "spaced_location_key",
-        "number_tower"])
+        "number_tower", "repeated_tower", "repeated_tower_unheard"])
     def test_model_evaluate_cannot_use_exits_2(self, tmp_path, trained, capsys, damage):
         db_path, model_path = trained
         data = json.loads(model_path.read_text())
@@ -627,6 +628,19 @@ class TestCliEvaluateInputs:
             # keys that int() reads as location 0, whose key is written "0"
             key = "00" if damage == "padded_location_key" else " 0"
             data["coords"][key] = data["coords"].pop("0")
+        elif damage.startswith("repeated_tower"):
+            # the last tower renamed to the first; "unheard" evaluates a survey
+            # that never hears the renamed tower, so none of its towers is unknown
+            renamed = data["towers"][-1]
+            data["towers"][-1] = data["towers"][0]
+            if damage == "repeated_tower_unheard":
+                lines = db_path.read_text().splitlines()
+                scans = [json.loads(line) for line in lines[1:]]
+                for scan in scans:
+                    scan["readings"] = [r for r in scan["readings"] if r[0] != renamed]
+                db_path = tmp_path / "unheard.jsonl"
+                db_path.write_text("\n".join(lines[:1] + [json.dumps(scan) for scan in scans
+                                                          if scan["readings"]]) + "\n")
         elif damage in typed:
             holder, key, value = typed[damage]
             holder[key] = value
@@ -638,6 +652,29 @@ class TestCliEvaluateInputs:
         code, errors = self.evaluate(model_path, db_path, tmp_path, capsys)
         assert code == 2
         assert len(errors) == 1 and str(model_path) in errors[0]
+
+    @pytest.mark.parametrize("where", ["model", "survey_header", "survey_scan"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, trained, capsys, where):
+        """JSON nested past the decoder's recursion limit is a malformed file,
+        named with its line in a survey, not a RecursionError traceback."""
+        db_path, model_path = trained
+        deep = "[" * 100_000 + "]" * 100_000
+        if where == "model":
+            model_path.write_text(deep)
+            code, errors = self.evaluate(model_path, db_path, tmp_path, capsys)
+            named = f"{model_path}: malformed model"
+        else:
+            lines = db_path.read_text().splitlines()
+            lineno = 1 if where == "survey_header" else 2
+            lines[lineno - 1] = deep
+            db_path.write_text("\n".join(lines) + "\n")
+            capsys.readouterr()
+            code = main(["compare", str(db_path), "--out", str(tmp_path / "report.json")])
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("error:")]
+            named = f"{db_path}: line {lineno}: "
+        assert code == 2
+        assert len(errors) == 1 and named in errors[0]
 
     def test_non_finite_model_coordinates_exit_2(self, tmp_path, trained, capsys):
         db_path, model_path = trained
