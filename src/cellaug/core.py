@@ -243,8 +243,13 @@ def load_database(path: str | Path) -> FingerprintDatabase:
     file order within each.
     """
     path = Path(path)
-    with path.open(encoding="utf-8") as file:
-        lines = file.readlines()
+    try:
+        with path.open(encoding="utf-8") as file:
+            lines = file.readlines()
+    except UnicodeDecodeError as exc:  # name the first line that fails a UTF-8 round trip
+        lines = path.read_bytes().splitlines()  # at LF, CRLF and CR, as readlines splits
+        bad = next(i for i, b in enumerate(lines, 1) if b.decode("utf-8", "replace").encode() != b)
+        raise DatabaseFormatError(f"{path}: line {bad}: not UTF-8: {exc.reason}") from exc
     return _parse(path, lines)
 
 

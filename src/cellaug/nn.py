@@ -26,10 +26,10 @@ from a diverged update. vae.train_vaes checks and diagnoses likewise.
 forward() is the eval-mode pass, in float64, holding one layer's
 activations at a time.
 
-No command calls forward_with_cache and backward, the general passes in a
-network's dtype; bench/trace.py wraps them here and on vae. With the losses
-of tests/reference_engine.py they are the tests' oracle, which train's
-weights match bit for bit on a float32 copy of the network.
+No command calls forward_with_cache, backward and sgd_step, the general
+passes in a network's dtype and their update; bench/trace.py wraps them
+here and on vae. With the losses of tests/reference_engine.py they are the
+tests' oracle, which train's weights match bit for bit on a float32 copy.
 """
 
 from __future__ import annotations

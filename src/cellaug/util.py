@@ -35,7 +35,13 @@ def read_kv_config(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # name the first line that fails a UTF-8 round trip
+        lines = path.read_bytes().splitlines()  # at LF, CRLF and CR, as readlines splits
+        bad = next(i for i, b in enumerate(lines, 1) if b.decode("utf-8", "replace").encode() != b)
+        raise ConfigError(f"{path}:{bad}: not UTF-8: {exc.reason}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -36,19 +36,18 @@ A step checks after the fact and diagnoses only on failure. Its forward
 runs unchecked, and one finiteness check covers the flat gradient, one
 the L losses: a non-finite activation always makes its slice's loss
 non-finite, so a step that passes both would have passed every per-layer
-check. A step that fails is replayed, from its parameters, still
-untouched, and its rows and draws, through the checked path (_checked_step):
-_batch_loss with _layer's per-layer checks, vae_grads, and nn.sgd_step per
-network. That path raises the error naming the network, layer and
-locations of the first non-finite value, or else makes the step's update
-itself, as for a loss that overflows while every activation and gradient
-stays finite, which the epoch's end reports.
+check. A step that fails is diagnosed from its own values
+(_first_non_finite), in the engine's order: encoder layers 0 and 1 (h_enc;
+mu and log_var, the two halves of the latter's output), decoder layers 0
+and 1 (h_dec, xhat), then the encoder's and the decoder's gradient views.
+The first non-finite one names the network, layer and locations of the
+error. A step with none, whose loss alone overflowed, takes its update,
+and the epoch's end reports it.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,13 +59,13 @@ from .nn import (
     NonFiniteError,
     TrainingDiverged,
     _layer,
+    _non_finite,
     _packed,
     forward,
     init_network,
-    sgd_step,
 )
 # bench/trace.py wraps these on this module to time the VAE's engine calls.
-from .nn import backward, forward_with_cache  # noqa: F401
+from .nn import backward, forward_with_cache, sgd_step  # noqa: F401
 from .drawahead import draw_ahead
 from .util import as_rng, derive_rng
 
@@ -183,29 +182,14 @@ def _kl(mu: np.ndarray, log_var: np.ndarray, var: np.ndarray) -> float | np.ndar
     return 0.5 * _slice_sum(var + mu**2 - 1.0 - log_var)
 
 
-@contextmanager
-def _network(name: str):
-    """Prefix the engine's non-finite errors with the network they came from."""
-    try:
-        yield
-    except NonFiniteError as exc:
-        raise NonFiniteError(f"{name} {exc}", exc.slices) from exc
-
-
-_LAYER_NAMES = ("encoder layer 0", "encoder layer 1", "decoder layer 0", "decoder layer 1")
-
-
-def _batch_loss(
-    model: VaeModel, x: np.ndarray, eps: np.ndarray, checked: bool = True
-) -> tuple[VaeLoss, VaeCache]:
+def _batch_loss(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> tuple[VaeLoss, VaeCache]:
     """Forward pass and loss terms of the (..., n, m) rows x with the latent
     draws eps, for build_vae's layers: encoder tanh then linear,
-    reparameterization, decoder tanh then sigmoid. Checked, a non-finite
-    activation raises NonFiniteError naming its layer."""
+    reparameterization, decoder tanh then sigmoid. No activation is
+    checked; _first_non_finite diagnoses the cache."""
     enc, dec = model.encoder, model.decoder
-    names = _LAYER_NAMES if checked else (None,) * 4
-    h_enc = _layer(x, enc.weights[0], enc.biases[0], "tanh", names[0])
-    enc_out = _layer(h_enc, enc.weights[1], enc.biases[1], "linear", names[1])
+    h_enc = _layer(x, enc.weights[0], enc.biases[0], "tanh", None)
+    enc_out = _layer(h_enc, enc.weights[1], enc.biases[1], "linear", None)
     d = eps.shape[-1]
     # Contiguous copies: every use of mu and log_var is elementwise, and
     # numpy runs those faster on contiguous operands.
@@ -213,12 +197,26 @@ def _batch_loss(
     var = np.exp(log_var)
     sigma = np.exp(0.5 * log_var)
     z = mu + sigma * eps
-    h_dec = _layer(z, dec.weights[0], dec.biases[0], "tanh", names[2])
-    xhat = _layer(h_dec, dec.weights[1], dec.biases[1], "sigmoid", names[3])
+    h_dec = _layer(z, dec.weights[0], dec.biases[0], "tanh", None)
+    xhat = _layer(h_dec, dec.weights[1], dec.biases[1], "sigmoid", None)
     n = x.shape[-2]
     rec = 0.5 * _slice_sum((x - xhat) ** 2) / n
     kl = _kl(mu, log_var, var) / n
     return VaeLoss(rec, kl), VaeCache(x, h_enc, mu, log_var, var, sigma, eps, z, h_dec, xhat)
+
+
+def _first_non_finite(cache: VaeCache, grads: tuple[Gradients, ...] = ()) -> NonFiniteError | None:
+    """The error naming a step's first non-finite value and the slices that
+    hold one, or None: its activations layer by layer, then `grads`."""
+    checks = [("encoder layer 0 activation", [cache.h_enc]),
+              ("encoder layer 1 activation", [cache.mu, cache.log_var]),
+              ("decoder layer 0 activation", [cache.h_dec]),
+              ("decoder layer 1 activation", [cache.xhat])]
+    checks += zip(("encoder gradient", "decoder gradient"), (g.weights + g.biases for g in grads))
+    for what, arrays in checks:
+        if not all(np.isfinite(a).all() for a in arrays):
+            return _non_finite(f"{what} is non-finite", arrays, cache.x.ndim - 2)
+    return None
 
 
 def vae_grads(
@@ -275,7 +273,10 @@ def vae_loss(
         raise ValueError(f"expected vector of length {model.n_features}, got {values.shape}")
     if eps is None:
         eps = as_rng(rng).standard_normal(model.latent_dim)
-    return _batch_loss(model, values[None, :], np.asarray(eps, dtype=np.float64)[None, :])
+    loss, cache = _batch_loss(model, values[None, :], np.asarray(eps, dtype=np.float64)[None, :])
+    if error := _first_non_finite(cache):
+        raise error
+    return loss, cache
 
 
 def stack_vaes(models: list[VaeModel]) -> VaeModel:
@@ -333,17 +334,6 @@ def _flat_buffers(stacked: VaeModel) -> tuple[np.ndarray, np.ndarray, tuple[Grad
     return params, grads, (Gradients(views[0:2], views[2:4]), Gradients(views[4:6], views[6:8]))
 
 
-def _checked_step(stacked: VaeModel, x: np.ndarray, eps: np.ndarray, lr: float) -> None:
-    """One step with every check: the forward's per layer, then each
-    network's gradient before its update."""
-    _, cache = _batch_loss(stacked, x, eps)
-    enc_grads, dec_grads = vae_grads(stacked, cache, RECON_WEIGHT)
-    with _network("encoder"):
-        sgd_step(stacked.encoder, enc_grads, lr)
-    with _network("decoder"):
-        sgd_step(stacked.decoder, dec_grads, lr)
-
-
 def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> list[VaeModel]:
     """Train one VAE per slice of the (L, n, m) stack x in one stacked pass.
 
@@ -385,19 +375,16 @@ def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> l
             for start in range(0, n, batch):
                 idx = rows[:, start : start + batch]
                 x_batch, eps_batch = x_rows.take(idx, axis=0), eps[:, start : start + batch]
-                loss, cache = _batch_loss(stacked, x_batch, eps_batch, checked=False)
+                loss, cache = _batch_loss(stacked, x_batch, eps_batch)
                 vae_grads(stacked, cache, RECON_WEIGHT, out=grad_views)
                 step_loss = RECON_WEIGHT * loss.reconstruction + loss.kl
-                # checked after the fact; a failed step is replayed checked
-                if np.isfinite(grads).all() and np.isfinite(step_loss).all():
-                    grads *= lr
-                    params -= grads
-                else:
-                    try:
-                        _checked_step(stacked, x_batch, eps_batch, lr)
-                    except NonFiniteError as exc:
+                # checked after the fact; a failed step is diagnosed from its cache
+                if not (np.isfinite(grads).all() and np.isfinite(step_loss).all()):
+                    if exc := _first_non_finite(cache, grad_views):
                         raise _diverged(location_ids, exc.slices, traces[:epoch],
                                         f"{exc} at epoch {epoch + 1}") from exc
+                grads *= lr
+                params -= grads
                 total += step_loss * idx.shape[1]
             traces[epoch] = total / n
             if not np.isfinite(traces[epoch]).all():

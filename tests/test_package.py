@@ -1,5 +1,6 @@
 """The package's top-level names, which load their submodules on first use."""
 
+import ast
 import importlib
 import os
 import re
@@ -75,6 +76,30 @@ def test_engine_names_that_the_trace_wraps_stay_on_nn_and_vae():
     for module in (nn, vae):
         for name in ("forward_with_cache", "backward", "sgd_step"):
             assert callable(getattr(module, name)), (module.__name__, name)
+
+
+def test_every_private_module_level_name_is_used():
+    # a function, class or constant that a removed call path leaves behind fails this
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "cellaug").glob("*.py"))]
+    defined, used = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert len(private) > 40
+    assert sorted(private - used) == []
 
 
 def test_readme_quick_start_imports_resolve():

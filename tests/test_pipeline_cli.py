@@ -586,6 +586,40 @@ class TestCliEvaluateInputs:
         assert code == 2
         assert len(errors) == 1
 
+    @pytest.mark.parametrize("command, newline", [
+        ("evaluate", b"\n"), ("compare", b"\n"), ("preprocess", b"\n"),
+        ("preprocess", b"\r\n"), ("preprocess", b"\r")])
+    def test_survey_not_utf8_exits_2_naming_its_line(self, tmp_path, trained, capsys,
+                                                      command, newline):
+        # lines end at LF, CRLF or CR, as the loader reads them
+        db_path, model_path = trained
+        lines = db_path.read_bytes().splitlines()
+        lines[2] = lines[2].replace(b'"T', b'"\xffT', 1)
+        db_path.write_bytes(newline.join(lines) + newline)
+        argv = {"evaluate": ["evaluate", model_path, db_path, "--train-scans", "4"],
+                "compare": ["compare", db_path, "--train-scans", "4"],
+                "preprocess": ["preprocess", db_path]}[command]
+        capsys.readouterr()
+        code = main([str(a) for a in argv] + ["--out", str(tmp_path / "out.json")])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert code == 2
+        assert errors == [f"error: {db_path}: line 3: not UTF-8: invalid start byte"]
+
+    @pytest.mark.parametrize("command", ["synth", "compare"])
+    def test_config_not_utf8_exits_2_naming_its_line(self, tmp_path, trained, capsys, command):
+        db_path, _ = trained
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_bytes(b"seed = 1\r\n# caf\xe9\r\nvae.enabled = false\r\n")
+        argv = {"synth": ["synth"], "compare": ["compare", str(db_path), "--train-scans", "4"]}
+        capsys.readouterr()
+        code = main(argv[command] + ["--config", str(cfg_path),
+                                     "--out", str(tmp_path / "out.json")])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert code == 2
+        assert errors == [f"error: {cfg_path}:2: not UTF-8: invalid continuation byte"]
+
     @pytest.mark.parametrize("damage", [
         "class_without_coords", "relu_head", "repeated_class", "fractional_class",
         "no_last_weight", "extra_weight", "3d_weights", "nan_weight", "infinity_weight",

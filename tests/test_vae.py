@@ -2,6 +2,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellaug import drawahead
 from cellaug import vae as vae_module
@@ -120,6 +122,16 @@ class TestVaeLoss:
         with pytest.raises(ValueError, match="length"):
             vae_loss(np.zeros(3), model, rng=0)
 
+    @pytest.mark.parametrize("network, layer", [
+        ("encoder", 0), ("encoder", 1), ("decoder", 0), ("decoder", 1)])
+    def test_non_finite_activation_names_its_layer(self, network, layer):
+        model = build_vae(4, 0, location_id=0)
+        getattr(model, network).weights[layer][0, 0] = np.nan
+        with pytest.raises(NonFiniteError) as excinfo:
+            vae_loss(np.full(4, 0.5), model, rng=1)
+        assert str(excinfo.value) == f"{network} layer {layer} activation is non-finite"
+        assert excinfo.value.slices == []
+
 
 class TestTrainVae:
     def test_loss_improves_on_toy_data(self):
@@ -193,14 +205,19 @@ class TestStacked:
         assert str(excinfo.value) == "VAE training (location 11): loss diverged at epoch 1"
         assert excinfo.value.trace == [np.inf]
 
-    def test_non_finite_step_names_its_locations(self):
+    @pytest.mark.parametrize("learning_rate", [30.0, 1e3, 1e9])
+    def test_non_finite_step_names_its_locations(self, learning_rate):
+        # steps that diverge by themselves, each as the engine loop diverges
         x = np.stack([correlated_vectors(8, 0.5, seed) for seed in range(3)])
-        with np.errstate(all="ignore"):
-            with pytest.raises(TrainingDiverged, match=r"^VAE training \(locations? 1\d") as excinfo:
-                train_vaes(x, VaeTrainConfig(epochs=50, learning_rate=1e9, seed=0),
-                           [10, 11, 12])
-        assert "non-finite" in str(excinfo.value)
-        assert len(excinfo.value.trace) >= 1 and np.all(np.isfinite(excinfo.value.trace))
+        cfg = VaeTrainConfig(epochs=50, learning_rate=learning_rate, seed=0)
+        with pytest.raises(TrainingDiverged) as want:
+            reference_train_vaes(x, cfg, [10, 11, 12])
+        with pytest.raises(TrainingDiverged, match=r"^VAE training \(locations? 1\d") as got:
+            train_vaes(x, cfg, [10, 11, 12])
+        assert str(got.value) == str(want.value)
+        assert "non-finite" in str(got.value)
+        assert got.value.trace == want.value.trace
+        assert len(got.value.trace) >= 1 and np.all(np.isfinite(got.value.trace))
 
 
 @contextmanager
@@ -394,6 +411,76 @@ class TestBitIdentity:
         assert str(got.value) == str(want.value) == (
             "VAE training (location 11): encoder gradient is non-finite at epoch 1")
         assert got.value.trace == want.value.trace == []
+
+
+# Every parameter array of a 6-feature VAE: (network, "weights" or "biases", layer) -> shape.
+PARAMETER_SHAPES = {
+    (network, param, layer): a.shape
+    for network in ("encoder", "decoder") for param in ("weights", "biases")
+    for layer, a in enumerate(getattr(getattr(build_vae(6, 0, location_id=0), network), param))
+}
+
+
+@st.composite
+def poisons(draw):
+    """One parameter entry, a non-empty subset of 3 locations, the epoch at
+    whose start they turn bad, and the bad value."""
+    target = draw(st.sampled_from(sorted(PARAMETER_SHAPES)))
+    entry = tuple(draw(st.integers(0, dim - 1)) for dim in PARAMETER_SHAPES[target])
+    slices = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+    epoch = draw(st.integers(0, 2))
+    value = draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e154, -1e154, 1e30]))
+    return target, entry, sorted(slices), epoch, value
+
+
+def outcome(run):
+    """What a training run ends with: its error text and trace, or its
+    models' traces and parameters."""
+    with np.errstate(all="ignore"):
+        try:
+            models = run()
+        except TrainingDiverged as exc:
+            return str(exc), [np.array(exc.trace)]
+    return "finished", [a for m in models for a in (m.trace, *m.encoder.weights,
+                                                   *m.encoder.biases, *m.decoder.weights,
+                                                   *m.decoder.biases)]
+
+
+class TestDiagnosis:
+    X = np.random.default_rng(21).uniform(0.05, 0.95, (3, 8, 6))
+
+    @settings(max_examples=100, deadline=None)
+    @given(poison=poisons())
+    def test_poisoned_parameter_ends_as_the_engine_loop(self, poison):
+        """train_vaes, inline and poisoned from its draws, ends with the
+        error and trace, or the models, of the reference poisoned from its
+        epoch hook."""
+        (network, param, layer), entry, slices, at_epoch, value = poison
+        cfg, ids = VaeTrainConfig(epochs=3, seed=0), [10, 11, 12]
+
+        def poison_at(epoch, stacked):
+            if epoch == at_epoch:
+                getattr(getattr(stacked, network), param)[layer][(slices,) + entry] = value
+
+        stacks = []
+        stack, draws = vae_module.stack_vaes, vae_module._train_draws
+
+        def hooked_draws(*args):
+            for epoch, record in enumerate(draws(*args)):
+                poison_at(epoch, stacks[0])
+                yield record
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(drawahead, "_forks", lambda count: False)
+            mp.setattr(vae_module, "stack_vaes",
+                       lambda models: stacks.append(stack(models)) or stacks[0])
+            mp.setattr(vae_module, "_train_draws", hooked_draws)
+            got_text, got = outcome(lambda: train_vaes(self.X, cfg, ids))
+        want_text, want = outcome(lambda: reference_train_vaes(self.X, cfg, ids, poison_at))
+        assert got_text == want_text
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestGenerate:
