@@ -126,7 +126,7 @@ class FingerprintDatabase:
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
         # Grouped in order with every location present: the indices run from
-        # 0 to L - 1 in steps of 0 or 1. (np.unique would load numpy.ma.)
+        # 0 to L - 1 in steps of 0 or 1. (np.unique with no index output loads numpy.ma.)
         steps = np.diff(self.scan_location)
         ends = self.scan_location[[0, -1]].tolist() if n else [0, -1]
         if ends != [0, n_locations - 1] or np.any((steps < 0) | (steps > 1)):

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import gc
 import itertools
-import math
 import mmap
 import os
 import signal
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from contextlib import contextmanager
 from typing import NoReturn
 
@@ -47,7 +46,6 @@ RING_BYTES = 1 << 21  # the ring's size, once a slot holds a whole record
 SLOT_BYTES = 1 << 18  # a slot holds as many records as fit, and at least one
 
 Record = tuple[np.ndarray, ...]
-Layout = Sequence[tuple[tuple[int, ...], type]]  # per record array: largest shape, dtype
 
 
 def _forks(count: int) -> bool:
@@ -73,7 +71,7 @@ def _produce(records: Iterator[Record], views: list[list[np.ndarray]], count: in
             if j == 0 and r >= slots * per_slot and not os.read(free_r, 1):
                 break  # the parent is gone
             for view, array in zip(views[r // per_slot % slots], record):
-                view[j, : len(array)] = array
+                np.copyto(view[j, : len(array)], array, casting="no")
             if j == per_slot - 1 or r == count - 1:
                 os.write(full_w, b"\0")
         status = 0
@@ -82,29 +80,31 @@ def _produce(records: Iterator[Record], views: list[list[np.ndarray]], count: in
 
 
 @contextmanager
-def draw_ahead(records: Iterator[Record], layout: Layout, count: int) -> Iterator[Iterator[Record]]:
+def draw_ahead(records: Iterator[Record], count: int) -> Iterator[Iterator[Record]]:
     """An iterator over the first `count` records of the producer `records`.
 
-    `layout` gives each array of a record its largest shape and its dtype.
-    A forked run returns each array at that shape, holding a shorter record
-    array (a short last batch) in its leading rows, so the reader slices an
-    array to the length it expects. A record stays valid until the next one
-    is read.
+    A forked run returns each record array at its shape and dtype in the
+    first record, which the parent draws, holding a shorter one (a short
+    last batch) in its leading rows, so the reader slices an array to the
+    length it expects. So no later array may be longer than in the first
+    record, nor of another dtype: the child then exits 1. A record stays
+    valid until the next one is read.
     """
     records = itertools.islice(records, count)
-    if not _forks(count):
+    first = next(records, None) if _forks(count) else None
+    if first is None:
         yield records
         return
     # In a slot, each record array has a block of per_slot rows of its shape,
     # at a 64-byte-aligned offset.
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout]
+    sizes = [array.nbytes for array in first]
     per_slot = max(1, min(count, SLOT_BYTES // sum(sizes)))
     blocks = [-(-per_slot * size // 64) * 64 for size in sizes]
     slots = max(2, min(-(-count // per_slot), RING_BYTES // sum(blocks)))
     ring = mmap.mmap(-1, slots * sum(blocks))
     offsets = itertools.accumulate([0] + blocks * slots)
-    views = [[np.frombuffer(ring, dtype, per_slot * math.prod(shape), next(offsets))
-              .reshape(per_slot, *shape) for shape, dtype in layout] for _ in range(slots)]
+    views = [[np.frombuffer(ring, array.dtype, per_slot * array.size, next(offsets))
+              .reshape(per_slot, *array.shape) for array in first] for _ in range(slots)]
     full_r, full_w = os.pipe()
     free_r, free_w = os.pipe()
     try:
@@ -117,7 +117,7 @@ def draw_ahead(records: Iterator[Record], layout: Layout, count: int) -> Iterato
             os.close(fd)
         raise
     if pid == 0:
-        _produce(records, views, count, full_w, free_r, (full_r, free_w))
+        _produce(itertools.chain([first], records), views, count, full_w, free_r, (full_r, free_w))
     os.close(full_w)
     os.close(free_r)
     reaped = False

@@ -392,7 +392,6 @@ def train(
     n = inputs.shape[0]
     batch = min(cfg.batch_size, n)
     widths = [spec.output_dim for spec in net.layers[:last]] if drop else []
-    layout = [((batch,), np.intp)] + [((batch, width), np.float32) for width in widths]
     producer = _train_draws(as_rng(cfg.seed), n, batch, cfg.epochs, widths, keep)
     sizes = [min(batch, n - start) for start in range(0, n, batch)]
     # each step's target probabilities, for the loss taken once per epoch,
@@ -400,7 +399,7 @@ def train(
     target_p = np.empty(n, dtype=np.float32)
     row_offsets = np.arange(0, batch * net.output_dim, net.output_dim)
     trace: list[float] = []
-    with draw_ahead(producer, layout, cfg.epochs * -(-n // batch)) as draws, \
+    with draw_ahead(producer, cfg.epochs * -(-n // batch)) as draws, \
             np.errstate(over="ignore", invalid="ignore"):
         # a value beyond float32's range casts to inf and diverges below
         for view, a in zip(weights + biases, arrays):

@@ -191,9 +191,7 @@ def _batch_loss(model: VaeModel, x: np.ndarray, eps: np.ndarray) -> tuple[VaeLos
     h_enc = _layer(x, enc.weights[0], enc.biases[0], "tanh", None)
     enc_out = _layer(h_enc, enc.weights[1], enc.biases[1], "linear", None)
     d = eps.shape[-1]
-    # Contiguous copies: every use of mu and log_var is elementwise, and
-    # numpy runs those faster on contiguous operands.
-    mu, log_var = enc_out[..., :d].copy(), enc_out[..., d:].copy()
+    mu, log_var = enc_out[..., :d], enc_out[..., d:]
     var = np.exp(log_var)
     sigma = np.exp(0.5 * log_var)
     z = mu + sigma * eps
@@ -360,13 +358,12 @@ def train_vaes(x: np.ndarray, cfg: VaeTrainConfig, location_ids: list[int]) -> l
     x_rows = x.reshape(n_locations * n, -1)
     offsets = np.arange(0, n_locations * n, n)[:, None]
     d = stacked.latent_dim
-    layout = [((n_locations, n), np.intp), ((n_locations, n, d), np.float64)]
 
     params, grads, grad_views = _flat_buffers(stacked)
     lr = cfg.learning_rate
 
     traces = np.empty((cfg.epochs, n_locations))
-    with draw_ahead(_train_draws(rngs, n, d, cfg.epochs), layout, cfg.epochs) as draws, \
+    with draw_ahead(_train_draws(rngs, n, d, cfg.epochs), cfg.epochs) as draws, \
             np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order, eps = next(draws)

@@ -54,11 +54,9 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-RAGGED = [((5,), np.intp), ((2, 3), np.float64)]  # the layout of ragged's records
-
-
 def ragged(count):
-    """Records whose first array shrinks with the step, as a short batch does."""
+    """Records whose first array shrinks with the step, as a short batch does,
+    and is longest in the first record."""
     rng = np.random.default_rng(1)
     for r in range(count):
         yield rng.permutation(5 - r % 3), rng.random((2, 3))
@@ -67,34 +65,48 @@ def ragged(count):
 class TestDrawAhead:
     def test_forked_records_equal_inline(self, forked):
         want = [tuple(a.copy() for a in record) for record in ragged(11)]
-        with draw_ahead(ragged(11), RAGGED, 11) as records:
+        with draw_ahead(ragged(11), 11) as records:
             for (order, u), (want_order, want_u) in zip(records, want, strict=True):
                 assert np.array_equal(order[: len(want_order)], want_order)
                 assert np.array_equal(u, want_u)
         assert forked == [1]
 
     def test_reads_only_count_records(self, forked):
-        with draw_ahead(ragged(20), RAGGED, 4) as records:
+        with draw_ahead(ragged(20), 4) as records:
             assert len(list(records)) == 4
 
     def test_no_records_run_inline(self, forked):
-        with draw_ahead(ragged(3), RAGGED, 0) as records:
+        with draw_ahead(ragged(3), 0) as records:
             assert list(records) == []
         assert forked == []
 
     def test_killed_child_raises_child_process_error(self, forked, monkeypatch):
         # one record per slot, so that the parent waits on the child at every read
         monkeypatch.setattr(drawahead, "SLOT_BYTES", 1)
-        with draw_ahead(ragged(10_000), RAGGED, 10_000) as records:
+        with draw_ahead(ragged(10_000), 10_000) as records:
             next(records)
             os.kill(child_pid(), signal.SIGKILL)
             with pytest.raises(ChildProcessError, match="killed by signal 9"):
                 for _ in records:
                     pass
 
+    @pytest.mark.parametrize("later", [
+        (np.arange(6), np.zeros((2, 3))),                    # longer than the first
+        (np.arange(5), np.zeros((2, 3), dtype=np.float32)),  # of another dtype
+    ], ids=["longer", "other-dtype"])
+    def test_record_unlike_the_first_fails_the_child(self, forked, later):
+        def records():
+            yield np.arange(5), np.zeros((2, 3))
+            yield later
+
+        with draw_ahead(records(), 2) as draws:
+            with pytest.raises(ChildProcessError, match="exited with status 1; [01] of 2"):
+                list(draws)
+        assert forked == [1]
+
     def test_error_in_the_reader_leaves_no_child(self, forked):
         with pytest.raises(KeyError):
-            with draw_ahead(ragged(100), RAGGED, 100) as records:
+            with draw_ahead(ragged(100), 100) as records:
                 next(records)
                 raise KeyError("reader failed")
 

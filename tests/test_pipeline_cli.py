@@ -460,6 +460,39 @@ class TestCliExitCodes:
             assert len(errors) == (1 if code else 0)
             assert not errors or f"seed must be in [0, 2**32), got {seed}" in errors[0]
 
+    def config_runs(self, tmp_path, extra: list[str], newline: str = "\n"):
+        """synth on the testbed keys and augment with every augmenter off,
+        each config file holding `extra` after its first key line: (argv,
+        config path) pairs."""
+        db_path = tmp_path / "db.jsonl"
+        save_database(tiny_db(), db_path)
+        testbed = [f"{k} = {v}" for k, v in self.TESTBED.items()]
+        augment = [f"{t}.enabled = false" for t in TECHNIQUES]
+        runs = []
+        for name, lines, argv in (("testbed", testbed, ["synth"]),
+                                  ("augment", augment, ["augment", db_path, "--train-scans", "4"])):
+            path = tmp_path / f"{name}.cfg"
+            path.write_bytes(newline.join([lines[0], *extra, *lines[1:], ""]).encode())
+            runs.append(([str(a) for a in argv] + ["--config", str(path),
+                                                   "--out", str(tmp_path / f"{name}.out")], path))
+        return runs
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                      "\u2029"], ids=lambda char: f"U+{ord(char):04X}")
+    def test_other_line_breaks_stay_in_their_comment(self, char, tmp_path, capsys):
+        # str.splitlines also ends a line at these; a config file does not
+        for argv, _ in self.config_runs(tmp_path, [f"# note{char} tail"]):
+            assert self.run(argv, capsys) == (0, [])
+        # the keys after the comment were read: no augmenter ran
+        assert len((tmp_path / "augment.out").read_text().splitlines()) == 1 + 4 * 4
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_error_names_the_line_of_the_file(self, newline, tmp_path, capsys):
+        for argv, path in self.config_runs(tmp_path, ["# a\x0cb", "bogus line"], newline):
+            code, errors = self.run(argv, capsys)
+            assert code == 2
+            assert errors == [f"error: {path}:3: expected 'key = value', got 'bogus line'"]
+
     def test_diverging_vae_exits_1_naming_a_location(self, tmp_path, capsys):
         db_path = tmp_path / "db.jsonl"
         save_database(tiny_db(), db_path)
