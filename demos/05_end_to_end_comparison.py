@@ -2,7 +2,7 @@
 scans per location, then train it again on the augmented set and compare
 median errors on the identical held-out scans.
 
-Run:  python demos/05_end_to_end_comparison.py   (about a minute)
+Run:  python demos/05_end_to_end_comparison.py   (a few seconds)
 """
 
 from cellaug.augment import AugmentConfig
@@ -18,7 +18,7 @@ cfg = AugmentConfig(seed=1)
 profile = desk_profile()
 print("training budget: 5 scans/location; remaining 55 scans/location held out")
 
-result = run_comparison(db, cfg, profile, seed=1, train_scans=5)
+result = run_comparison(db, cfg, profile, train_scans=5)
 
 print("\naugmented training set:")
 for technique, count in result.augmented_counts.items():

@@ -1,10 +1,11 @@
 """Command-line pipeline: synth, preprocess, fit-dist, augment, train,
 evaluate, compare.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration error. All
-randomness flows from one master seed (--seed overrides the config seed),
-so reports are byte-reproducible. Each command imports the modules it
-runs when it runs, so that `synth`, say, loads no training code.
+Exit codes: 0 success, 1 runtime failure (running out of memory among
+them), 2 configuration error. All randomness flows from one master seed
+(--seed overrides the config seed), so reports are byte-reproducible. Each
+command imports the modules it runs when it runs, so that `synth`, say,
+loads no training code.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import DatabaseFormatError, FingerprintDatabase, load_database, save_database
+from .core import DatabaseFormatError, load_database, save_database
 from .util import ConfigError, ModelFormatError, TrainingDiverged, apply_config, read_kv_config
 
 if TYPE_CHECKING:
@@ -55,16 +56,6 @@ def _resolve_profile(kind: str, profile_raw: dict[str, str]) -> HyperProfile:
     # profile.<field> overrides a HyperProfile field of the desk profile
     keys = {f"profile.{f.name}": f.name for f in dataclasses.fields(HyperProfile)}
     return apply_config(desk_profile(), keys, profile_raw, "profile")
-
-
-def _split_db(db: FingerprintDatabase, args):
-    """Split per the CLI flags; bad split parameters are config errors."""
-    from .pipeline import temporal_split
-
-    try:
-        return temporal_split(db, args.train_fraction, args.train_scans)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _write_json(path: str | Path, payload) -> None:
@@ -131,10 +122,11 @@ def cmd_fit_dist(args) -> int:
 
 def cmd_augment(args) -> int:
     from .augment import augment_all
+    from .pipeline import temporal_split
 
     db = load_database(args.database)
     cfg, _ = _read_config(args)
-    db_train, _ = _split_db(db, args)
+    db_train, _ = temporal_split(db, args.train_fraction, args.train_scans)
     samples, counts = augment_all(db_train, cfg)
     _write_vectors(args.out, samples)
     report = {"counts": counts, "total": len(samples), "seed": cfg.seed}
@@ -147,20 +139,19 @@ def cmd_augment(args) -> int:
 def cmd_train(args) -> int:
     from .augment import augment_all
     from .localize import save_model, train_localizer
-    from .pipeline import database_coordinates
+    from .pipeline import database_coordinates, temporal_split
     from .preprocess import vectorize_database
 
     db = load_database(args.database)
     cfg, profile_raw = _read_config(args)
     profile = _resolve_profile(args.profile, profile_raw)
-    seed = cfg.seed
-    db_train, _ = _split_db(db, args)
+    db_train, _ = temporal_split(db, args.train_fraction, args.train_scans)
     if args.no_augment:
         samples = vectorize_database(db_train)
     else:
         samples, counts = augment_all(db_train, cfg)
         print(json.dumps({"counts": counts}))
-    model = train_localizer(samples, profile, database_coordinates(db), seed=seed)
+    model = train_localizer(samples, profile, database_coordinates(db), seed=cfg.seed)
     save_model(model, args.out)
     print(f"trained on {len(samples)} vectors -> {args.out}")
     return EXIT_OK
@@ -168,6 +159,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .localize import evaluate, json_text, load_model
+    from .pipeline import temporal_split
     from .preprocess import vectorize_database
 
     model = load_model(args.model)
@@ -180,7 +172,7 @@ def cmd_evaluate(args) -> int:
     if wrong.size:
         raise ConfigError(f"{args.database}: locations unknown to the model or at other "
                           f"coordinates: {', '.join(map(str, wrong.tolist()))}")
-    _, db_test = _split_db(db, args)
+    _, db_test = temporal_split(db, args.train_fraction, args.train_scans)
     report = evaluate(model, vectorize_database(db_test, model.towers))
     Path(args.out).write_text(json_text(report), encoding="utf-8")
     csv_path = Path(args.out).with_suffix(".cdf.csv")
@@ -197,13 +189,9 @@ def cmd_compare(args) -> int:
     db = load_database(args.database)
     cfg, profile_raw = _read_config(args)
     profile = _resolve_profile(args.profile, profile_raw)
-    _split_db(db, args)  # validate split flags before the heavy stages
     t_load = time.monotonic()
 
-    result = run_comparison(
-        db, cfg, profile, seed=cfg.seed,
-        train_fraction=args.train_fraction, train_scans=args.train_scans,
-    )
+    result = run_comparison(db, cfg, profile, args.train_fraction, args.train_scans)
     t_run = time.monotonic()
 
     payload = {"seed": cfg.seed, "profile": dataclasses.asdict(profile)}
@@ -329,8 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDiverged as exc:
         print(f"error: training stage failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (ValueError, OSError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, FloatingPointError, MemoryError) as exc:
+        # a bare MemoryError() has no text, so its name stands in for one
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -28,7 +28,7 @@ from .nn import (
     train,
 )
 from .preprocess import SampleSet
-from .util import ModelFormatError, derive_rng
+from .util import ConfigError, ModelFormatError, derive_rng
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,9 @@ class HyperProfile:
         if not math.isfinite(self.learning_rate) or min(
                 self.learning_rate, self.batch_size, self.epochs,
                 self.hidden_neurons, self.hidden_layers) <= 0:
-            raise ValueError("profile values must be positive and finite")
+            raise ConfigError("profile values must be positive and finite")
         if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError(f"dropout must be in [0, 1): {self.dropout_rate}")
+            raise ConfigError(f"dropout must be in [0, 1): {self.dropout_rate}")
 
 
 # Default hyperparameters for the indoor and outdoor evaluation scenarios.

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import SCAN_ARRAYS, FingerprintDatabase
 from .preprocess import vectorize_database
-from .util import TrainingDiverged
+from .util import ConfigError, TrainingDiverged
 
 if TYPE_CHECKING:
     from .augment import AugmentConfig
@@ -31,15 +31,16 @@ def temporal_split(
     fixed per-location count.
     Both views keep the parent's tower universe and locations so feature
     indexing is identical on both sides; the augmenters must only ever see
-    the first view.
+    the first view. A fraction outside (0, 1) or a cut that leaves a location
+    no train or no test scan is a ConfigError.
     """
     if train_scans is None and not (0.0 < train_fraction < 1.0):
-        raise ValueError(f"train_fraction must be in (0, 1): {train_fraction}")
+        raise ConfigError(f"train_fraction must be in (0, 1): {train_fraction}")
     n = db.scan_counts.tolist()
     cut = [train_scans if train_scans is not None else max(1, int(k * train_fraction)) for k in n]
     for loc_id, k, c in zip(db.location_ids.tolist(), n, cut):
         if not (0 < c < k):
-            raise ValueError(f"location {loc_id}: cannot split {k} scans into {c} train + {k - c} test")
+            raise ConfigError(f"location {loc_id}: cannot split {k} scans into {c} train + {k - c} test")
     order = np.lexsort((db.timestamps, db.scan_location))
     rank = np.arange(order.size) - np.repeat(np.cumsum(n) - n, n)
     train = rank < np.repeat(cut, n)
@@ -78,14 +79,14 @@ def run_comparison(
     db: FingerprintDatabase,
     cfg: AugmentConfig,
     profile: HyperProfile,
-    seed: int,
     train_fraction: float = 0.7,
     train_scans: int | None = None,
 ) -> ComparisonResult:
     """Train twice on the identical split and seed, once with augmentation.
 
-    The augmenters run on the training split only; both models are
-    evaluated on the identical held-out scans.
+    The split comes first, so a bad one fails before any augmentation. The
+    augmenters run on the training split only; cfg.seed seeds them and both
+    trainings. Both models are evaluated on the identical held-out scans.
     """
     from .augment import augment_all
     from .localize import evaluate, improvement
@@ -96,12 +97,12 @@ def run_comparison(
 
     baseline_set = vectorize_database(db_train)
     try:
-        augmented_set, counts = augment_all(db_train, replace(cfg, seed=seed))
+        augmented_set, counts = augment_all(db_train, cfg)
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"augmentation stage: {exc}", exc.trace) from exc
 
-    model_without = _train_stage("baseline training", baseline_set, profile, coords, seed)
-    model_with = _train_stage("augmented training", augmented_set, profile, coords, seed)
+    model_without = _train_stage("baseline training", baseline_set, profile, coords, cfg.seed)
+    model_with = _train_stage("augmented training", augmented_set, profile, coords, cfg.seed)
 
     report_without = evaluate(model_without, test_set)
     report_with = evaluate(model_with, test_set)

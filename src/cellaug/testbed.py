@@ -125,9 +125,8 @@ def generate(spec: TestbedSpec) -> FingerprintDatabase:
     for loc_id, point in enumerate(points):
         rng = derive_rng(spec.seed, "testbed", loc_id)
         dbm = np.array([received_dbm(t, point, spec.path_loss_exponent) for t in towers])
-        dbm = np.broadcast_to(dbm, shape)
-        if spec.shadow_sigma_db > 0:  # drawn in spec order, used in id order
-            dbm = dbm + rng.normal(0.0, spec.shadow_sigma_db, size=shape)[:, by_id]
+        # drawn in spec order, used in id order; sigma 0 draws exact zeros
+        dbm = dbm + rng.normal(0.0, spec.shadow_sigma_db, size=shape)[:, by_id]
         heard = dbm >= spec.sensitivity_dbm
         if not heard.any(axis=1).all():
             raise ValueError(
@@ -191,18 +190,18 @@ def default_desk_spec() -> TestbedSpec:
 def spec_from_file(path: str | Path) -> TestbedSpec:
     """Read a TestbedSpec from the flat key-value format.
 
-    Keys: name, area.width, area.height, grid.spacing, path_loss_exponent,
+    Required keys: area.width, area.height, grid.spacing, path_loss_exponent,
     shadow_sigma_db, sensitivity_dbm, scans_per_location, seed, and one
-    ``tower.<id> = x, y, tx_power_dbm`` entry per tower.
+    ``tower.<id> = x, y, tx_power_dbm`` entry per tower; name is optional.
     """
     raw = read_kv_config(path)
     plain = {k: v for k, v in raw.items() if not k.startswith("tower.")}
-    required = ("area.width", "area.height", "path_loss_exponent", "shadow_sigma_db",
-                "sensitivity_dbm", "scans_per_location", "seed")
+    required = ("area.width", "area.height", "grid.spacing", "path_loss_exponent",
+                "shadow_sigma_db", "sensitivity_dbm", "scans_per_location", "seed")
     missing = [k for k in required if k not in plain]
     if missing:
         raise ConfigError(f"missing testbed config keys: {', '.join(missing)}")
-    unknown = [k for k in plain if k not in (*required, "name", "grid.spacing")]
+    unknown = [k for k in plain if k not in (*required, "name")]
     if unknown:
         raise ConfigError(f"unknown testbed config key(s): {', '.join(unknown)}")
     towers = []
@@ -228,5 +227,5 @@ def spec_from_file(path: str | Path) -> TestbedSpec:
         sensitivity_dbm=number("sensitivity_dbm"),
         scans_per_location=number("scans_per_location", 0),
         seed=number("seed", 0),
-        grid_spacing_m=number("grid.spacing") if "grid.spacing" in plain else None,
+        grid_spacing_m=number("grid.spacing"),
     )

@@ -92,16 +92,14 @@ def config_value(value: str, key: str, default):
 
 def apply_config(base, fields: dict[str, str], raw: dict[str, str], what: str):
     """The dataclass ``base`` with each ``raw`` key's value read into the field
-    that ``fields`` maps it to; a value the dataclass refuses is a ConfigError."""
+    that ``fields`` maps it to; the dataclass raises ConfigError for a value
+    it refuses."""
     overrides = {}
     for key, value in raw.items():
         if key not in fields:
             raise ConfigError(f"unknown {what} config key: {key}")
         overrides[fields[key]] = config_value(value, key, getattr(base, fields[key]))
-    try:
-        return dataclasses.replace(base, **overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return dataclasses.replace(base, **overrides)
 
 
 def checked_seed(seed: int) -> int:

@@ -1,5 +1,4 @@
-"""The narrative demos run to completion (demo 05 is the full comparison,
-which the acceptance suite covers)."""
+"""The narrative demos run to completion."""
 
 import os
 import subprocess
@@ -16,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "02_distribution_fitting.py",
     "03_augmentation_techniques.py",
     "04_generative_model.py",
+    "05_end_to_end_comparison.py",
 ])
 def test_demo_runs(demo):
     env = dict(os.environ)

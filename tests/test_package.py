@@ -102,13 +102,30 @@ def test_every_private_module_level_name_is_used():
     assert sorted(private - used) == []
 
 
-def test_readme_quick_start_imports_resolve():
+def readme_quick_start() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    quick_start = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
-    imports = re.findall(r"^from cellaug[\w.]* import .+$", quick_start, flags=re.MULTILINE)
+    return readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_quick_start_imports_resolve():
+    imports = re.findall(r"^from cellaug[\w.]* import .+$", readme_quick_start(),
+                         flags=re.MULTILINE)
     assert len(imports) == 4
     for line in imports:
         exec(line, {})
+
+
+@pytest.mark.slow
+def test_readme_quick_start_runs():
+    # the python blocks in order, as one session: the second uses the first's db
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme_quick_start(),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 2
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", "\n".join(blocks)], env=env, cwd=ROOT,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def test_importing_the_package_loads_no_submodule():

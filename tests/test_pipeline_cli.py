@@ -19,11 +19,12 @@ from cellaug.core import (
     load_database,
     save_database,
 )
-from cellaug.localize import HyperProfile
-from cellaug.pipeline import run_comparison, temporal_split
+from cellaug.localize import HyperProfile, evaluate, train_localizer
+from cellaug.pipeline import database_coordinates, run_comparison, temporal_split
 from cellaug.preprocess import vectorize_database
 from cellaug.testbed import TestbedSpec as SurveySpec
 from cellaug.testbed import Tower, generate
+from cellaug.util import ConfigError
 
 TINY_PROFILE = HyperProfile(learning_rate=0.05, batch_size=32, dropout_rate=0.0,
                             epochs=30, hidden_neurons=16, hidden_layers=1)
@@ -79,9 +80,9 @@ class TestTemporalSplit:
 
     def test_invalid_cut_rejected(self):
         db = tiny_db(scans_per_location=3)
-        with pytest.raises(ValueError, match="cannot split"):
+        with pytest.raises(ConfigError, match="cannot split"):
             temporal_split(db, train_scans=3)
-        with pytest.raises(ValueError, match="train_fraction"):
+        with pytest.raises(ConfigError, match="train_fraction"):
             temporal_split(db, train_fraction=1.2)
 
     def test_orders_scans_by_timestamp(self, tmp_path):
@@ -100,7 +101,7 @@ class TestTemporalSplit:
 class TestRunComparison:
     def test_structure_and_convention(self):
         db = tiny_db(scans_per_location=12)
-        result = run_comparison(db, FAST_AUG, TINY_PROFILE, seed=1, train_scans=4)
+        result = run_comparison(db, replace(FAST_AUG, seed=1), TINY_PROFILE, train_scans=4)
         wo = result.without_augmentation.p50
         w = result.with_augmentation.p50
         if w > 0:
@@ -115,9 +116,17 @@ class TestRunComparison:
 
     def test_deterministic(self):
         db = tiny_db()
-        r1 = run_comparison(db, FAST_AUG, TINY_PROFILE, seed=5, train_scans=4)
-        r2 = run_comparison(db, FAST_AUG, TINY_PROFILE, seed=5, train_scans=4)
+        r1 = run_comparison(db, replace(FAST_AUG, seed=5), TINY_PROFILE, train_scans=4)
+        r2 = run_comparison(db, replace(FAST_AUG, seed=5), TINY_PROFILE, train_scans=4)
         assert r1 == r2
+
+    def test_trains_at_the_config_seed(self):
+        db = tiny_db(scans_per_location=12)
+        result = run_comparison(db, replace(FAST_AUG, seed=5), TINY_PROFILE, train_scans=4)
+        train_db, test_db = temporal_split(db, train_scans=4)
+        model = train_localizer(vectorize_database(train_db), TINY_PROFILE,
+                                database_coordinates(db), seed=5)
+        assert result.without_augmentation == evaluate(model, vectorize_database(test_db))
 
     def test_augmenters_see_training_split_only(self):
         db = tiny_db(scans_per_location=6)
@@ -286,6 +295,17 @@ class TestCliTrainEvaluateCompare:
                          "--train-scans", "4", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_compare_splits_the_survey_once(self, tmp_path, db_path, cfg_path, monkeypatch):
+        calls = []
+
+        def split(*args):
+            calls.append(args)
+            return temporal_split(*args)
+        monkeypatch.setattr("cellaug.pipeline.temporal_split", split)
+        assert main(["compare", str(db_path), "--config", str(cfg_path),
+                     "--train-scans", "4", "--out", str(tmp_path / "c.json")]) == 0
+        assert len(calls) == 1
+
     def test_seed_flag_overrides_config(self, tmp_path, db_path, cfg_path):
         out = tmp_path / "c.json"
         assert main(["compare", str(db_path), "--config", str(cfg_path),
@@ -391,6 +411,47 @@ class TestCliExitCodes:
         assert code == 2
         assert len(errors) == 1
         assert not out.exists()
+
+    def test_testbed_config_without_grid_spacing_exits_2(self, tmp_path, capsys):
+        cfg = {k: v for k, v in self.TESTBED.items() if k != "grid.spacing"}
+        code, errors, out = self.synth(cfg, tmp_path, capsys)
+        assert (code, errors) == (2, ["error: missing testbed config keys: grid.spacing"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc, error", [
+        (MemoryError("Unable to allocate 149. GiB for an array"),
+         "Unable to allocate 149. GiB for an array"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_out_of_memory_exits_1_with_one_line(self, exc, error, tmp_path, capsys,
+                                                  monkeypatch):
+        # the stage fails as numpy does when an allocation fails; nothing is allocated
+        def generate(spec):
+            raise exc
+        monkeypatch.setattr("cellaug.testbed.generate", generate)
+        code, errors = self.run(["synth", "--out", str(tmp_path / "db.jsonl")], capsys)
+        assert (code, errors) == (1, [f"error: {error}"])
+
+    @pytest.mark.parametrize("argv, error", [
+        (["compare", "--train-fraction", "1.5"], "train_fraction must be in (0, 1): 1.5"),
+        (["compare", "--train-fraction", "nan"], "train_fraction must be in (0, 1): nan"),
+        (["compare", "--train-scans", "10"],
+         "location 0: cannot split 10 scans into 10 train + 0 test"),
+        (["train", "--train-scans", "0"],
+         "location 0: cannot split 10 scans into 0 train + 10 test"),
+        (["augment", "--train-scans", "11"],
+         "location 0: cannot split 10 scans into 11 train + -1 test"),
+    ])
+    def test_bad_split_exits_2_before_any_augmentation(self, argv, error, tmp_path, capsys,
+                                                        monkeypatch):
+        def augment_all(*args):
+            raise AssertionError("augmented before the split was checked")
+        monkeypatch.setattr("cellaug.augment.augment_all", augment_all)
+        db_path = tmp_path / "db.jsonl"
+        save_database(tiny_db(), db_path)
+        code, errors = self.run([argv[0], str(db_path), *argv[1:],
+                                 "--out", str(tmp_path / "out.json")], capsys)
+        assert (code, errors) == (2, [f"error: {error}"])
 
     def test_out_of_range_profile_value_exits_2(self, tmp_path, capsys):
         db_path = tmp_path / "db.jsonl"
@@ -618,6 +679,16 @@ class TestCliEvaluateInputs:
         code, errors = self.evaluate(model_path, db_path, tmp_path, capsys)
         assert code == 2
         assert len(errors) == 1
+
+    def test_model_profile_breaking_a_rule_exits_2(self, tmp_path, trained, capsys):
+        db_path, model_path = trained
+        data = json.loads(model_path.read_text())
+        data["profile"]["dropout_rate"] = 1
+        model_path.write_text(json.dumps(data))
+        code, errors = self.evaluate(model_path, db_path, tmp_path, capsys)
+        assert code == 2
+        assert errors == [f"error: {model_path}: malformed model: "
+                          "ConfigError: dropout must be in [0, 1): 1"]
 
     @pytest.mark.parametrize("command, newline", [
         ("evaluate", b"\n"), ("compare", b"\n"), ("preprocess", b"\n"),

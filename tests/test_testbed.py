@@ -145,7 +145,8 @@ class TestGenerate:
         assert generate(default_desk_spec()) == scalar_generate(default_desk_spec())
 
     def test_ties_break_by_tower_id_without_shadowing(self):
-        # mirror-image towers are heard at equal dBm; no draw is made at sigma 0
+        # mirror-image towers are heard at equal dBm: the draw at sigma 0 adds
+        # exact zeros, so generate agrees with the reference, which draws none
         towers = [Tower(t, (x, 0.0), -50.0)
                   for t, x in (("T3", 5.0), ("T1", 3.0), ("T2", -5.0), ("T0", -3.0))]
         spec = spec_with(towers, points=((0.0, 0.0), (0.0, 1.0)))
