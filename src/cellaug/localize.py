@@ -107,25 +107,35 @@ class LocalizerModel:
         return np.array([self.coords[c] for c in self.classes])
 
 
-@dataclass(frozen=True, eq=False)
 class ErrorReport:
-    """Per-sample localization errors in meters with their percentiles."""
+    """Per-sample localization errors in meters, kept in the order given,
+    with their quartiles and CDF, each derived once from them."""
 
-    errors: np.ndarray
-    p25: float
-    p50: float
-    p75: float
-    cdf: tuple[tuple[float, float], ...]
+    def __init__(self, errors):
+        self.errors = np.asarray(errors, dtype=np.float64)
+        if self.errors.size == 0:
+            raise ValueError("empty test set")
+        self._ranked = np.sort(self.errors).tolist()
+        self.p25, self.p50, self.p75 = (_quantile(self._ranked, q) for q in (0.25, 0.5, 0.75))
+        n = self.errors.size
+        # float64 division of integers below 2**53 rounds as Python's int / int does.
+        self._fractions = (np.arange(1, n + 1) / n).tolist()
+
+    def __repr__(self) -> str:
+        return f"ErrorReport({self.errors!r})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ErrorReport):
             return NotImplemented
-        return (np.array_equal(self.errors, other.errors)
-                and (self.p25, self.p50, self.p75, self.cdf)
-                == (other.p25, other.p50, other.p75, other.cdf))
+        return np.array_equal(self.errors, other.errors)
+
+    @property
+    def cdf(self) -> tuple[tuple[float, float], ...]:
+        """(error, fraction of errors at or below it) for each ranked error."""
+        return tuple(zip(self._ranked, self._fractions))
 
     def to_dict(self) -> dict:
-        return self._dict([[e, f] for e, f in self.cdf])
+        return self._dict(list(map(list, zip(self._ranked, self._fractions))))
 
     def _dict(self, cdf) -> dict:
         return {
@@ -138,8 +148,7 @@ class ErrorReport:
     def _cdf_text(self) -> tuple[list[str], list[str]]:
         """The CDF's errors and fractions, each formatted once with repr,
         which is also what json writes for a finite float."""
-        errors, fractions = zip(*self.cdf) if self.cdf else ((), ())
-        return list(map(repr, errors)), list(map(repr, fractions))
+        return list(map(repr, self._ranked)), list(map(repr, self._fractions))
 
     def cdf_csv(self) -> str:
         errors, fractions = self._cdf_text
@@ -148,8 +157,6 @@ class ErrorReport:
     def _cdf_json(self, indent: str) -> str:
         """The CDF as json.dumps(..., indent=2) writes it where its key's line
         starts with `indent`."""
-        if not self.cdf:
-            return "[]"
         errors, fractions = (list(map(_JSON_NON_FINITE.get, column, column))
                              for column in self._cdf_text)
         row, value = indent + "  ", indent + "    "
@@ -197,18 +204,6 @@ def _quantile(ranked: list[float], q: float) -> float:
     i = math.floor(v := (len(ranked) - 1) * q)
     a, b, t = ranked[i], ranked[min(i + 1, len(ranked) - 1)], v - i
     return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
-
-
-def make_report(errors: np.ndarray) -> ErrorReport:
-    errors = np.asarray(errors, dtype=np.float64)
-    if errors.size == 0:
-        raise ValueError("empty test set")
-    ranked = np.sort(errors).tolist()
-    p25, p50, p75 = (_quantile(ranked, q) for q in (0.25, 0.5, 0.75))
-    n = errors.size
-    # float64 division of integers below 2**53 rounds as Python's int / int does.
-    cdf = tuple(zip(ranked, (np.arange(1, n + 1) / n).tolist()))
-    return ErrorReport(errors=errors, p25=p25, p50=p50, p75=p75, cdf=cdf)
 
 
 def train_localizer(
@@ -262,9 +257,8 @@ def estimate_location(model: LocalizerModel, x: np.ndarray) -> np.ndarray:
 
 
 def evaluate(model: LocalizerModel, samples: SampleSet) -> ErrorReport:
-    """Euclidean error of each test sample against its location's coordinates."""
-    if len(samples) == 0:
-        raise ValueError("empty test set")
+    """Euclidean error of each test sample against its location's coordinates;
+    an empty test set is a ValueError."""
     if samples.towers != model.towers:
         raise ValueError("test samples are not aligned to the model's towers")
     classes = np.asarray(model.classes)
@@ -275,7 +269,7 @@ def evaluate(model: LocalizerModel, samples: SampleSet) -> ErrorReport:
     estimates = estimate_location(model, samples.x)
     truth = model.coordinate_matrix[index]
     errors = np.linalg.norm(estimates - truth, axis=1)
-    return make_report(errors)
+    return ErrorReport(errors)
 
 
 def improvement(with_aug: ErrorReport, without_aug: ErrorReport) -> dict[str, float | str]:

@@ -101,8 +101,11 @@ def run_comparison(
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"augmentation stage: {exc}", exc.trace) from exc
 
+    # Drop each training set once its model is trained, which lowers the peak memory.
     model_without = _train_stage("baseline training", baseline_set, profile, coords, cfg.seed)
+    del baseline_set
     model_with = _train_stage("augmented training", augmented_set, profile, coords, cfg.seed)
+    del augmented_set
 
     report_without = evaluate(model_without, test_set)
     report_with = evaluate(model_with, test_set)
@@ -111,6 +114,6 @@ def run_comparison(
         with_augmentation=report_with,
         improvement_percent=improvement(report_with, report_without),
         augmented_counts=counts,
-        n_train_scans=len(baseline_set),
+        n_train_scans=len(db_train.timestamps),
         n_test_scans=len(test_set),
     )

@@ -129,7 +129,7 @@ def generate(spec: TestbedSpec) -> FingerprintDatabase:
         dbm = dbm + rng.normal(0.0, spec.shadow_sigma_db, size=shape)[:, by_id]
         heard = dbm >= spec.sensitivity_dbm
         if not heard.any(axis=1).all():
-            raise ValueError(
+            raise ConfigError(
                 f"location {loc_id} at {point} hears no towers; spec geometry is degenerate"
             )
         # Each tower's place in its scan: heard ones first, by falling dBm; the

@@ -22,7 +22,6 @@ from cellaug.localize import (
     improvement,
     json_text,
     load_model,
-    make_report,
     model_from_dict,
     model_to_dict,
     save_model,
@@ -189,19 +188,19 @@ class TestEstimateLocation:
 
 class TestEvaluate:
     def test_hand_percentiles(self):
-        report = make_report(np.array([1.0, 2.0, 3.0, 4.0]))
+        report = ErrorReport(np.array([1.0, 2.0, 3.0, 4.0]))
         assert report.p50 == pytest.approx(2.5)
         assert report.p25 == pytest.approx(1.75)
         assert report.p75 == pytest.approx(3.25)
 
     def test_zero_error_report(self):
-        report = make_report(np.zeros(10))
+        report = ErrorReport(np.zeros(10))
         assert (report.p25, report.p50, report.p75) == (0.0, 0.0, 0.0)
 
     def test_percentiles_monotone(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
-            report = make_report(rng.exponential(2.0, int(rng.integers(1, 50))))
+            report = ErrorReport(rng.exponential(2.0, int(rng.integers(1, 50))))
             assert report.p25 <= report.p50 <= report.p75
 
     @settings(max_examples=300, deadline=None)
@@ -215,7 +214,7 @@ class TestEvaluate:
         """The quartiles are np.percentile's bit for bit, also for one error,
         for ties and for a NaN error, which gives NaN."""
         errors = errors + [math.nan] * nan
-        report = make_report(errors)
+        report = ErrorReport(errors)
         with np.errstate(invalid="ignore"):  # inf - inf
             want = np.percentile(np.asarray(errors, dtype=np.float64), [25, 50, 75]).tolist()
         assert [p.hex() for p in (report.p25, report.p50, report.p75)] == [w.hex() for w in want]
@@ -223,28 +222,28 @@ class TestEvaluate:
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
         errors = rng.exponential(1.0, 101)
-        a = make_report(errors)
-        b = make_report(rng.permutation(errors))
+        a = ErrorReport(errors)
+        b = ErrorReport(rng.permutation(errors))
         assert (a.p25, a.p50, a.p75) == (b.p25, b.p50, b.p75)
         assert a.cdf == b.cdf
 
     def test_cdf_structure(self):
-        report = make_report(np.array([3.0, 1.0, 2.0]))
+        report = ErrorReport(np.array([3.0, 1.0, 2.0]))
         assert report.cdf == ((1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0))
         csv = report.cdf_csv().splitlines()
         assert csv[0] == "error_m,fraction"
         assert len(csv) == 4
 
     def test_equal_reports_compare_equal(self):
-        a, b = make_report([1.0, 2.0]), make_report([1.0, 2.0])
+        a, b = ErrorReport([1.0, 2.0]), ErrorReport([1.0, 2.0])
         assert a is not b and a.errors is not b.errors
         assert a == b and not a != b
 
     def test_unequal_reports_compare_unequal(self):
-        a = make_report([1.0, 2.0])
-        assert a != make_report([1.0, 2.5])
-        assert a != make_report([2.0, 1.0])  # same percentiles and CDF, other errors
-        assert a != make_report([1.0, 2.0, 2.0])
+        a = ErrorReport([1.0, 2.0])
+        assert a != ErrorReport([1.0, 2.5])
+        assert a != ErrorReport([2.0, 1.0])  # same percentiles and CDF, other errors
+        assert a != ErrorReport([1.0, 2.0, 2.0])
         assert a != a.to_dict()
 
     def test_empty_test_set_rejected(self):
@@ -292,8 +291,8 @@ class TestTowerContract:
 
 class TestImprovement:
     def _report(self, p25, p50, p75):
-        return ErrorReport(errors=np.array([p50]), p25=p25, p50=p50, p75=p75,
-                           cdf=((p50, 1.0),))
+        # with five errors numpy's linear rule lands exactly on ranks 1 to 3
+        return ErrorReport([p25, p25, p50, p75, p75])
 
     def test_published_indoor_median(self):
         with_aug = self._report(0.37, 0.77, 1.71)
@@ -422,12 +421,8 @@ REPR_EDGES = [1e-05, 9.999999999999999e-06, 0.0001, 9.999999999999999e-05, 1e16,
 report_floats = st.floats() | st.sampled_from(REPR_EDGES + [-v for v in REPR_EDGES])
 
 
-@st.composite
-def reports(draw):
-    errors = draw(st.lists(report_floats, max_size=6))
-    cdf = draw(st.lists(st.tuples(report_floats, report_floats), max_size=12))
-    p25, p50, p75 = (draw(report_floats) for _ in range(3))
-    return ErrorReport(errors=np.array(errors), p25=p25, p50=p50, p75=p75, cdf=tuple(cdf))
+def reports():
+    return st.lists(report_floats, min_size=1, max_size=12).map(ErrorReport)
 
 
 def reference_cdf_csv(report):
@@ -477,9 +472,9 @@ class TestReportWriter:
     @settings(max_examples=30, deadline=None)
     @given(errors=st.lists(st.floats(0, 1e6), min_size=1, max_size=40), n=st.integers(1, 100_000))
     def test_cdf_matches_reference(self, errors, n):
-        """make_report's CDF against the row-by-row build it replaced."""
+        """ErrorReport's CDF against the row-by-row build it replaced."""
         def reference(values):
             ordered = np.sort(np.asarray(values, dtype=np.float64))
             return tuple((float(e), (i + 1) / len(ordered)) for i, e in enumerate(ordered))
-        assert make_report(errors).cdf == reference(errors)
-        assert make_report(np.zeros(n)).cdf == reference(np.zeros(n))
+        assert ErrorReport(errors).cdf == reference(errors)
+        assert ErrorReport(np.zeros(n)).cdf == reference(np.zeros(n))

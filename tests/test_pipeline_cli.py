@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -127,6 +128,22 @@ class TestRunComparison:
         model = train_localizer(vectorize_database(train_db), TINY_PROFILE,
                                 database_coordinates(db), seed=5)
         assert result.without_augmentation == evaluate(model, vectorize_database(test_db))
+
+    def test_training_sets_are_released_before_evaluation(self, monkeypatch):
+        augmented = []
+
+        def keep_a_weakref(db_train, cfg):
+            vectors, counts = augment_all(db_train, cfg)
+            augmented.append(weakref.ref(vectors))
+            return vectors, counts
+
+        def first_evaluate(model, samples):
+            assert augmented[0]() is None, "the augmented set outlives its training"
+            monkeypatch.setattr("cellaug.localize.evaluate", evaluate)
+            return evaluate(model, samples)
+        monkeypatch.setattr("cellaug.augment.augment_all", keep_a_weakref)
+        monkeypatch.setattr("cellaug.localize.evaluate", first_evaluate)
+        run_comparison(tiny_db(), FAST_AUG, TINY_PROFILE, train_scans=4)
 
     def test_augmenters_see_training_split_only(self):
         db = tiny_db(scans_per_location=6)
@@ -416,6 +433,16 @@ class TestCliExitCodes:
         cfg = {k: v for k, v in self.TESTBED.items() if k != "grid.spacing"}
         code, errors, out = self.synth(cfg, tmp_path, capsys)
         assert (code, errors) == (2, ["error: missing testbed config keys: grid.spacing"])
+        assert not out.exists()
+
+    def test_testbed_where_a_location_hears_no_tower_exits_2(self, tmp_path, capsys):
+        # without shadowing the spec alone fixes that no tower is heard
+        cfg = {**self.TESTBED, "area.width": "5", "area.height": "5", "grid.spacing": "2.5",
+               "shadow_sigma_db": "0", "tower.T00": "5000, 0, -80", "tower.T01": "0, 5000, -80"}
+        del cfg["tower.T02"]
+        code, errors, out = self.synth(cfg, tmp_path, capsys)
+        assert (code, errors) == (2, ["error: location 0 at (1.25, 1.25) hears no towers; "
+                                      "spec geometry is degenerate"])
         assert not out.exists()
 
     @pytest.mark.parametrize("exc, error", [
