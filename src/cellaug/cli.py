@@ -2,10 +2,11 @@
 evaluate, compare.
 
 Exit codes: 0 success, 1 runtime failure (running out of memory among
-them), 2 configuration error. All randomness flows from one master seed
-(--seed overrides the config seed), so reports are byte-reproducible. Each
-command imports the modules it runs when it runs, so that `synth`, say,
-loads no training code.
+them), 2 configuration or input error (a missing path or a directory
+among them). All randomness flows from one master seed (--seed overrides
+the config seed), so reports are byte-reproducible. Each command imports
+the modules it runs when it runs, so that `synth`, say, loads no training
+code.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -59,9 +61,9 @@ def _resolve_profile(kind: str, profile_raw: dict[str, str]) -> HyperProfile:
 
 
 def _write_json(path: str | Path, payload) -> None:
-    """Write payload as indented JSON; an ErrorReport in it needs
-    localize.json_text instead."""
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    """Write payload as indented, strict JSON (a NaN or infinity raises
+    ValueError); an ErrorReport in it needs localize.json_text instead."""
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _write_vectors(path: str | Path, samples: SampleSet) -> None:
@@ -106,7 +108,8 @@ def cmd_fit_dist(args) -> int:
                 tower: {
                     "family": fit.family,
                     "params": list(fit.params),
-                    "log_likelihood": fit.log_likelihood,
+                    # null for a point mass, whose likelihood is infinite
+                    "log_likelihood": fit.log_likelihood if math.isfinite(fit.log_likelihood) else None,
                     "n": fit.sample_count,
                 }
                 for tower, fit in per_tower.items()
@@ -311,7 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatabaseFormatError, ModelFormatError, FileNotFoundError) as exc:
+    except (ConfigError, DatabaseFormatError, ModelFormatError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDiverged as exc:

@@ -3,7 +3,8 @@
 A fingerprint survey is a set of reference locations, each holding repeated
 scans. One scan records up to seven (tower id, ASU) pairs, ASU in [0, 31].
 Databases are stored as UTF-8 JSON lines: a header object followed by one
-scan per line.
+scan per line. _RULES states each rule a scan keeps once, as a check over
+columns of scans: load_database runs it over a file, RawScan over one scan.
 
 In memory a survey is columnar (FingerprintDatabase): scan rows and reading
 matrices. RawScan and ReferenceLocation build small surveys by hand.
@@ -13,9 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -31,27 +33,105 @@ class DatabaseFormatError(ValueError):
     """Raised when a fingerprint database file cannot be parsed or validated."""
 
 
-def _check_readings(raw) -> tuple[tuple[TowerId, int], ...]:
-    """One scan's readings as (tower, ASU) pairs, in their given order.
+@dataclass
+class _Scans:
+    """The first k scans of a survey as flat columns, as decoded: loc, x, y,
+    ts and the reading count per scan, then tower and ASU per reading.
+    Arrays derived from them are computed when a rule first asks."""
 
-    Raises ValueError for an empty or oversized scan, an empty or repeated
-    tower id, or an ASU outside [0, 31].
-    """
-    readings = tuple((str(t), int(a)) for t, a in raw)
-    if len(readings) == 0:
-        raise ValueError("empty scan: at least one reading required")
-    if len(readings) > MAX_READINGS_PER_SCAN:
-        raise ValueError(f"too many readings: {len(readings)} > {MAX_READINGS_PER_SCAN}")
-    seen = set()
-    for tower, asu in readings:
-        if not tower:
-            raise ValueError("empty tower id")
-        if tower in seen:
-            raise ValueError(f"duplicate tower in scan: {tower}")
-        seen.add(tower)
-        if not (ASU_MIN <= asu <= ASU_MAX):
-            raise ValueError(f"ASU out of range: {asu} for tower {tower}")
-    return readings
+    loc: list
+    x: list
+    y: list
+    ts: list
+    counts: list
+    towers: list
+    asus: list
+
+    def head(self, k: int, readings: int | None = None) -> _Scans:
+        """The first k scans, with their first `readings` readings (default all)."""
+        r = sum(self.counts[:k]) if readings is None else readings
+        return _Scans(self.loc[:k], self.x[:k], self.y[:k], self.ts[:k], self.counts[:k],
+                      self.towers[:r], self.asus[:r])
+
+    @cached_property
+    def xy(self) -> np.ndarray | None:
+        """(k, 2) coordinates as floats, or None if an integer is beyond the float range."""
+        try:
+            return np.array([self.x, self.y], dtype=np.float64).T
+        except OverflowError:
+            return None
+
+    codes = cached_property(lambda self: _tower_codes(self.towers))
+    # the sorted location ids, the first scan at each and each scan's index among them
+    locations = cached_property(lambda self: np.unique(self.loc, return_index=True, return_inverse=True))
+
+    def repeats_no_tower(self) -> bool:
+        (universe, cols), k = self.codes, len(self.counts)
+        heard = np.zeros((k, len(universe)), dtype=bool)
+        heard[np.repeat(np.arange(k), self.counts)[:len(cols)], cols] = True
+        return np.count_nonzero(heard) == len(cols)
+
+
+def _tower_codes(towers: list) -> tuple[list[TowerId], np.ndarray]:
+    """The sorted towers heard and each reading's column among them."""
+    universe = sorted(set(towers))
+    column = {tower: j for j, tower in enumerate(universe)}
+    return universe, np.fromiter(map(column.__getitem__, towers), dtype=np.intp, count=len(towers))
+
+
+def _typed(values: list, *types: type) -> bool:
+    # type(), not isinstance(): JSON true decodes to a bool, an int subclass
+    return set(map(type, values)) <= set(types)
+
+
+def _within(values: list, lo: int, hi: int) -> bool:
+    return not values or (lo <= min(values) and max(values) <= hi)
+
+
+# The rules a survey's scans keep: each a check over whole columns, and the
+# message for the last scan of the shortest head that breaks it (for a
+# reading rule, that scan's last reading). A check true on k + 1 scans is
+# true on the first k, and may assume the rules above it hold, so a scan
+# that breaks several is named by the first: JSON types, values, coordinates.
+_RULES = (
+    (lambda s: _typed(s.loc, int), lambda s: f"loc must be a JSON integer, got {s.loc[-1]!r}"),
+    (lambda s: _typed(s.x, int, float), lambda s: f"x must be a JSON number, got {s.x[-1]!r}"),
+    (lambda s: _typed(s.y, int, float), lambda s: f"y must be a JSON number, got {s.y[-1]!r}"),
+    (lambda s: _typed(s.ts, int), lambda s: f"ts must be a JSON integer, got {s.ts[-1]!r}"),
+    (lambda s: _typed(s.towers, str), lambda s: f"tower id must be a JSON string, got {s.towers[-1]!r}"),
+    (lambda s: _typed(s.asus, int),
+     lambda s: f"ASU must be a JSON integer, got {s.asus[-1]!r} for tower {s.towers[-1]}"),
+    (lambda s: _within(s.loc, INT64_MIN, INT64_MAX), lambda s: f"loc outside int64: {s.loc[-1]}"),
+    (lambda s: s.xy is not None, lambda s: "int too large to convert to float"),  # float()'s words
+    (lambda s: np.all(np.isfinite(s.xy)),
+     lambda s: f"non-finite coordinates: {tuple(s.xy[-1].tolist())}"),
+    (lambda s: _within(s.ts, INT64_MIN, INT64_MAX), lambda s: f"ts outside int64: {s.ts[-1]}"),
+    (lambda s: 0 not in s.counts, lambda s: "empty scan: at least one reading required"),
+    (lambda s: _within(s.counts, 0, MAX_READINGS_PER_SCAN),
+     lambda s: f"too many readings: {s.counts[-1]} > {MAX_READINGS_PER_SCAN}"),
+    (lambda s: "" not in s.towers, lambda s: "empty tower id"),
+    (_Scans.repeats_no_tower, lambda s: f"duplicate tower in scan: {s.towers[-1]}"),
+    (lambda s: _within(s.asus, ASU_MIN, ASU_MAX),
+     lambda s: f"ASU out of range: {s.asus[-1]} for tower {s.towers[-1]}"),
+    (lambda s: np.array_equal(s.xy[s.locations[1]][s.locations[2]], s.xy),
+     lambda s: f"conflicting coordinates for location {s.loc[-1]}"),
+)
+
+
+def _fault(scans: _Scans) -> tuple[int, str] | None:
+    """The index of the first scan that breaks a rule and the message of the
+    first rule it breaks, found by bisection; None if all keep every rule."""
+    def broken(head: _Scans):
+        return next((rule for rule in _RULES if not rule[0](head)), None)
+
+    if broken(scans) is None:
+        return None
+    i = bisect_left(range(len(scans.counts)), True, key=lambda i: bool(broken(scans.head(i + 1))))
+    check, message = broken(head := scans.head(i + 1))
+    start = len(head.towers) - head.counts[-1]  # a scan rule breaks with none of scan i's readings
+    r = bisect_left(range(start, len(head.towers) + 1), True,
+                    key=lambda r: not check(head.head(i + 1, r)))
+    return i, message(head.head(i + 1, start + r))
 
 
 @dataclass(frozen=True)
@@ -62,7 +142,12 @@ class RawScan:
     readings: tuple[tuple[TowerId, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "readings", _check_readings(self.readings))
+        readings = tuple((str(t), int(a)) for t, a in self.readings)
+        object.__setattr__(self, "readings", readings)
+        # coerced, at a placeholder location: only the reading rules can break
+        if fault := _fault(_Scans([0], [0], [0], [0], [len(readings)],
+                                  [t for t, _ in readings], [a for _, a in readings])):
+            raise ValueError(fault[1])
 
 
 @dataclass(frozen=True)
@@ -154,16 +239,14 @@ class FingerprintDatabase:
 
 
 def _assemble(location_ids, coordinates, scan_ids, timestamps, towers, asus, counts,
-              testbed: str, grid_cell_m: float) -> FingerprintDatabase:
+              testbed: str, grid_cell_m: float, codes=None) -> FingerprintDatabase:
     """The database of locations at `coordinates` and of scans in file order:
     scan i at location scan_ids[i] owns the next counts[i] entries of the
     flat per-reading lists `towers` and `asus`. Rows are sorted stably by
-    location."""
-    universe = sorted(set(towers))
-    column = {tower: j for j, tower in enumerate(universe)}
+    location. `codes`, if given, is _tower_codes(towers)."""
+    universe, cols = codes or _tower_codes(towers)
     counts = np.array(counts, dtype=np.intp)
     row = np.repeat(np.arange(len(counts)), counts)
-    cols = np.array([column[tower] for tower in towers], dtype=np.intp)
     asu = np.zeros((len(counts), len(universe)), dtype=np.int8)
     position = np.full(asu.shape, -1, dtype=np.int8)
     asu[row, cols] = asus
@@ -196,41 +279,6 @@ def from_locations(
     )
 
 
-def _int64(value, key: str) -> int:
-    value = int(value)
-    if not (INT64_MIN <= value <= INT64_MAX):
-        raise ValueError(f"{key} outside int64: {value}")
-    return value
-
-
-# The JSON types of a scan record's fields. RawScan coerces, a file may not.
-_JSON_TYPES = (("loc", (int,), "integer"), ("x", (int, float), "number"),
-               ("y", (int, float), "number"), ("ts", (int,), "integer"))
-
-
-def _check_scan(rec) -> tuple[int, tuple[float, float]]:
-    """The location id and coordinates of one decoded scan record, after
-    checking every field. A record of the wrong shape raises KeyError,
-    TypeError or IndexError; a bad value raises ValueError or OverflowError
-    with its message. The JSON types come last, so that a value the
-    coercions already refuse keeps that message."""
-    loc_id = _int64(rec["loc"], "loc")
-    xy = (float(rec["x"]), float(rec["y"]))
-    if not all(map(math.isfinite, xy)):
-        raise ValueError(f"non-finite coordinates: {xy}")
-    _int64(rec["ts"], "ts")
-    _check_readings(rec["readings"])
-    for key, types, name in _JSON_TYPES:
-        if type(rec[key]) not in types:
-            raise ValueError(f"{key} must be a JSON {name}, got {rec[key]!r}")
-    for tower, asu in rec["readings"]:
-        if type(tower) is not str:
-            raise ValueError(f"tower id must be a JSON string, got {tower!r}")
-        if type(asu) is not int:
-            raise ValueError(f"ASU must be a JSON integer, got {asu!r} for tower {tower}")
-    return loc_id, xy
-
-
 def load_database(path: str | Path) -> FingerprintDatabase:
     """Load a JSON-lines fingerprint database.
 
@@ -254,12 +302,10 @@ def load_database(path: str | Path) -> FingerprintDatabase:
 
 
 def _parse(path: Path, lines: list[str]) -> FingerprintDatabase:
-    """The database in `lines`, the lines of the file at `path`.
-
-    The scan lines are decoded and copied into flat columns, which are then
-    checked as arrays. Where a line does not copy or a column check fails,
-    _raise_first_error checks line by line and names the first bad line.
-    """
+    """The database in `lines`, the lines of the file at `path`. The scan
+    lines are decoded once, into columns that _RULES checks; a line that is
+    no scan record ends the columns, and is named if no scan before it breaks
+    a rule."""
     if not any(map(str.strip, lines)):
         raise DatabaseFormatError(f"{path}: no locations (empty file)")
     try:
@@ -275,97 +321,50 @@ def _parse(path: Path, lines: list[str]) -> FingerprintDatabase:
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DatabaseFormatError(f"{path}: line 1: bad header: {exc}") from exc
 
-    try:
-        columns = _scan_columns(lines[1:])
-    except (ValueError, KeyError, TypeError, RecursionError):  # a line that is no scan record
-        columns = None
-    db = None if columns is None else _from_columns(*columns, testbed, grid_cell_m)
-    if db is None:
-        _raise_first_error(path, lines[1:])
-    return db
+    scans, error = _scan_columns(lines[1:])
+    if fault := _fault(scans) or error:
+        line = [n for n, raw in enumerate(lines[1:], 2) if raw.strip()][fault[0]]
+        raise DatabaseFormatError(f"{path}: line {line}: {fault[1]}")
+    if not scans.counts:
+        raise DatabaseFormatError(f"{path}: no locations")
+    ids, first, _ = scans.locations
+    return _assemble(ids, scans.xy[first], scans.loc, scans.ts, scans.towers, scans.asus, scans.counts,
+                     testbed, grid_cell_m, scans.codes)
 
 
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_SPACE = " \t\n\r"
 
 
-def _scan_columns(lines: list[str]) -> tuple[list, ...]:
-    """The fields of the non-blank `lines`, one flat list each: loc, x, y,
-    ts, then tower and ASU per reading and the reading count per scan.
-    Nothing is checked beyond what decoding and indexing raise. Records are
-    dropped as they are copied, so few containers stay alive for the
-    garbage collector to scan."""
-    loc, x, y, ts, towers, asus, counts = [], [], [], [], [], [], []
-    for raw in lines:
-        if raw.strip():
-            # json.loads(raw), less its Python-level overhead: one value,
-            # JSON whitespace around it, and anything else raises ValueError.
-            rec, end = _raw_decode(raw, len(raw) - len(raw.lstrip(_JSON_SPACE)))
-            if raw[end:].strip(_JSON_SPACE):
-                raise ValueError("extra data after the record")
-            loc.append(rec["loc"])
-            x.append(rec["x"])
-            y.append(rec["y"])
-            ts.append(rec["ts"])
-            readings = rec["readings"]
-            counts.append(len(readings))
-            for tower, asu in readings:
-                towers.append(tower)
-                asus.append(asu)
-    return loc, x, y, ts, towers, asus, counts
-
-
-def _typed(values: list, *types: type) -> bool:
-    # type(), not isinstance(): JSON true decodes to a bool, an int subclass
-    return set(map(type, values)) <= set(types)
-
-
-def _from_columns(loc, x, y, ts, towers, asus, counts,
-                  testbed: str, grid_cell_m: float) -> FingerprintDatabase | None:
-    """The database of the copied columns, or None if they fail any check
-    that _check_scan and _raise_first_error make line by line."""
-    if not (counts and _typed(loc, int) and _typed(ts, int) and _typed(x, int, float)
-            and _typed(y, int, float) and _typed(towers, str) and _typed(asus, int)):
-        return None
-    if not (INT64_MIN <= min(loc) and max(loc) <= INT64_MAX
-            and INT64_MIN <= min(ts) and max(ts) <= INT64_MAX
-            and 1 <= min(counts) and max(counts) <= MAX_READINGS_PER_SCAN
-            and ASU_MIN <= min(asus) and max(asus) <= ASU_MAX and "" not in towers):
-        return None
+def _scan_columns(lines: list[str]) -> tuple[_Scans, tuple[int, str] | None]:
+    """The scans of the non-blank `lines` up to the first that does not
+    decode, index and unpack as a scan record, and that line's index among
+    them with its error message, or None. Records are dropped as they are
+    copied, so few containers stay alive for the garbage collector to scan."""
+    loc, x, y, ts, counts, towers, asus = columns = ([], [], [], [], [], [], [])
     try:
-        xy = np.array([x, y], dtype=np.float64).T
-    except OverflowError:  # an integer beyond the float range
-        return None
-    # every scan at its location's first coordinates
-    ids, first, inverse = np.unique(loc, return_index=True, return_inverse=True)
-    if not (np.all(np.isfinite(xy)) and np.array_equal(xy[first][inverse], xy)):
-        return None
-    db = _assemble(ids, xy[first], loc, ts, towers, asus, counts, testbed, grid_cell_m)
-    if np.count_nonzero(db.heard) != len(towers):  # a tower repeated within a scan
-        return None
-    return db
-
-
-def _raise_first_error(path: Path, lines: list[str]) -> NoReturn:
-    """Check the scan `lines` (line 2 on) one at a time, in file order, and
-    raise DatabaseFormatError for the first bad one."""
-    coords_by_loc: dict[int, tuple[float, float]] = {}
-    for lineno, raw in enumerate(lines, start=2):
-        if not raw.strip():
-            continue
-        try:
-            loc_id, xy = _check_scan(json.loads(raw))
-        except (json.JSONDecodeError, KeyError, TypeError, IndexError, RecursionError) as exc:
-            raise DatabaseFormatError(f"{path}: line {lineno}: malformed scan: {exc}") from exc
-        except (ValueError, OverflowError) as exc:
-            raise DatabaseFormatError(f"{path}: line {lineno}: {exc}") from exc
-        if coords_by_loc.setdefault(loc_id, xy) != xy:
-            raise DatabaseFormatError(
-                f"{path}: line {lineno}: conflicting coordinates for location {loc_id}"
-            )
-    if not coords_by_loc:
-        raise DatabaseFormatError(f"{path}: no locations")
-    raise RuntimeError(f"{path}: the column checks reject a file that passes every line check")
+        for raw in lines:
+            if raw.strip():
+                # json.loads(raw), less its Python-level overhead
+                rec, end = _raw_decode(raw, len(raw) - len(raw.lstrip(_JSON_SPACE)))
+                if raw[end:].strip(_JSON_SPACE):
+                    end = len(raw) - len(raw[end:].lstrip(_JSON_SPACE))
+                    raise json.JSONDecodeError("Extra data", raw, end)
+                loc.append(rec["loc"])
+                x.append(rec["x"])
+                y.append(rec["y"])
+                ts.append(rec["ts"])
+                for tower, asu in (readings := rec["readings"]):
+                    towers.append(tower)
+                    asus.append(asu)
+                counts.append(len(readings))
+    except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
+        if raw.startswith("\ufeff"):  # json.loads refuses a byte order mark before decoding
+            exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0)
+        # a plain ValueError, from a reading that is no pair, is not called malformed
+        malformed = "" if type(exc) is ValueError else "malformed scan: "
+        return _Scans(*columns).head(len(counts)), (len(counts), malformed + str(exc))
+    return _Scans(*columns), None
 
 
 def save_database(db: FingerprintDatabase, path: str | Path) -> None:

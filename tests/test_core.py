@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cellaug.core import (
     ASU_MAX,
+    ASU_MIN,
     INT64_MAX,
     INT64_MIN,
     MAX_READINGS_PER_SCAN,
@@ -16,10 +17,9 @@ from cellaug.core import (
     FingerprintDatabase,
     RawScan,
     ReferenceLocation,
+    TowerId,
     from_locations,
     _assemble,
-    _check_readings,
-    _int64,
     heard_count_histogram,
     load_database,
     save_database,
@@ -82,6 +82,24 @@ class TestRawScan:
     def test_duplicate_tower_rejected(self):
         with pytest.raises(ValueError, match="duplicate tower"):
             scan(0, [("A", 1), ("A", 2)])
+
+    @pytest.mark.parametrize("readings, message", [
+        ([], "empty scan: at least one reading required"),
+        ([(f"T{i}", 5) for i in range(8)], "too many readings: 8 > 7"),
+        ([("A", 1), ("", 2)], "empty tower id"),
+        ([("A", 1), ("B", 2), ("A", 3)], "duplicate tower in scan: A"),
+        ([("A", 1), ("B", 32)], "ASU out of range: 32 for tower B"),
+    ], ids=["no readings", "eight readings", "empty tower id", "repeated tower", "ASU 32"])
+    def test_reading_rules_match_the_loader(self, tmp_path, readings, message):
+        with pytest.raises(ValueError) as raw:
+            scan(0, readings)
+        path = tmp_path / "db.jsonl"
+        record = {"loc": 0, "x": 0, "y": 0, "ts": 0, "readings": [list(r) for r in readings]}
+        path.write_text('{"testbed": "x", "grid_cell_m": 1}\n' + json.dumps(record) + "\n")
+        with pytest.raises(DatabaseFormatError) as loaded:
+            load_database(path)
+        assert str(raw.value) == message
+        assert str(loaded.value) == f"{path}: line 2: {message}"
 
 
 class TestDatabaseInvariants:
@@ -252,6 +270,31 @@ class TestSerialization:
         with pytest.raises(DatabaseFormatError,
                            match=rf"types\.jsonl: line 3: {re.escape(message)}$"):
             load_database(path)
+
+    @staticmethod
+    def load_one_scan(tmp_path, record_text):
+        """The DatabaseFormatError message for a survey of one scan line."""
+        path = tmp_path / "one.jsonl"
+        path.write_text('{"testbed": "x", "grid_cell_m": 1}\n' + record_text + "\n")
+        with pytest.raises(DatabaseFormatError) as excinfo:
+            load_database(path)
+        return str(excinfo.value).split(": line 2: ", 1)[1]
+
+    # A scan with several faults is named by the first rule it breaks:
+    # structure, JSON types, values, then its location's coordinates.
+    def test_json_type_is_named_before_a_value_conversion(self, tmp_path):
+        message = self.load_one_scan(
+            tmp_path, '{"loc": "abc", "x": 0, "y": 0, "ts": 2.5, "readings": [["A", 1]]}')
+        assert message == "loc must be a JSON integer, got 'abc'"
+
+    def test_missing_key_is_named_before_a_value(self, tmp_path):
+        message = self.load_one_scan(tmp_path, f'{{"loc": {2**63}, "x": 0, "y": 0, "ts": 0}}')
+        assert message == "malformed scan: 'readings'"
+
+    def test_reading_rules_are_checked_one_rule_at_a_time(self, tmp_path):
+        message = self.load_one_scan(
+            tmp_path, '{"loc": 0, "x": 0, "y": 0, "ts": 0, "readings": [["A", 40], ["", 3]]}')
+        assert message == "empty tower id"
 
     def test_blank_first_line_reports_bad_header(self, tmp_path):
         path = tmp_path / "blank.jsonl"
@@ -500,6 +543,36 @@ class TestHeardCountHistogram:
     def test_probabilities_sum_to_one(self, small_db):
         for _, _, heard in location_blocks(small_db):
             assert sum(heard_count_histogram(heard).values()) == pytest.approx(1.0)
+
+
+def _int64(value, key: str) -> int:
+    value = int(value)
+    if not (INT64_MIN <= value <= INT64_MAX):
+        raise ValueError(f"{key} outside int64: {value}")
+    return value
+
+
+def _check_readings(raw) -> tuple[tuple[TowerId, int], ...]:
+    """One scan's readings as (tower, ASU) pairs, in their given order.
+
+    Raises ValueError for an empty or oversized scan, an empty or repeated
+    tower id, or an ASU outside [0, 31].
+    """
+    readings = tuple((str(t), int(a)) for t, a in raw)
+    if len(readings) == 0:
+        raise ValueError("empty scan: at least one reading required")
+    if len(readings) > MAX_READINGS_PER_SCAN:
+        raise ValueError(f"too many readings: {len(readings)} > {MAX_READINGS_PER_SCAN}")
+    seen = set()
+    for tower, asu in readings:
+        if not tower:
+            raise ValueError("empty tower id")
+        if tower in seen:
+            raise ValueError(f"duplicate tower in scan: {tower}")
+        seen.add(tower)
+        if not (ASU_MIN <= asu <= ASU_MAX):
+            raise ValueError(f"ASU out of range: {asu} for tower {tower}")
+    return readings
 
 
 def reference_parse(path, lines):
