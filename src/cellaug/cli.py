@@ -2,8 +2,8 @@
 evaluate, compare.
 
 Exit codes: 0 success, 1 runtime failure (running out of memory among
-them), 2 configuration or input error (a missing path or a directory
-among them). All randomness flows from one master seed (--seed overrides
+them), 2 configuration or input error (a missing path, a directory, or
+an output path that names an input or another output among them). All randomness flows from one master seed (--seed overrides
 the config seed), so reports are byte-reproducible. Each command imports
 the modules it runs when it runs, so that `synth`, say, loads no training
 code.
@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -60,6 +61,23 @@ def _resolve_profile(kind: str, profile_raw: dict[str, str]) -> HyperProfile:
     return apply_config(desk_profile(), keys, profile_raw, "profile")
 
 
+def _check_paths(args, *csvs: Path) -> None:
+    """Refuse, before any work, an output that would overwrite one of the
+    command's inputs or another of its outputs. Paths are compared resolved
+    by os.path.realpath, which unlike Path.resolve does not raise on a
+    symlink loop."""
+    def named(*dests):
+        values = [(dest, getattr(args, dest, None)) for dest in dests]
+        return [(dest if dest in ("database", "model") else f"--{dest}", Path(value))
+                for dest, value in values if value]
+    seen = {os.path.realpath(path): label for label, path in named("database", "model", "config")}
+    outputs = named("out") + [("--out's CSV", csv) for csv in csvs] + named("report", "manifest")
+    for label, path in outputs:
+        earlier = seen.setdefault(os.path.realpath(path), label)
+        if earlier != label:
+            raise ConfigError(f"{label} would overwrite {earlier}: {path}")
+
+
 def _write_json(path: str | Path, payload) -> None:
     """Write payload as indented, strict JSON (a NaN or infinity raises
     ValueError); an ErrorReport in it needs localize.json_text instead."""
@@ -78,6 +96,7 @@ def _write_vectors(path: str | Path, samples: SampleSet) -> None:
 def cmd_synth(args) -> int:
     from .testbed import default_desk_spec, generate, spec_from_file
 
+    _check_paths(args)
     spec = spec_from_file(args.config) if args.config else default_desk_spec()
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -90,6 +109,7 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     from .preprocess import vectorize_database
 
+    _check_paths(args)
     db = load_database(args.database)
     samples = vectorize_database(db)
     _write_vectors(args.out, samples)
@@ -100,6 +120,7 @@ def cmd_preprocess(args) -> int:
 def cmd_fit_dist(args) -> int:
     from .distfit import fit_database
 
+    _check_paths(args)
     db = load_database(args.database)
     fits = fit_database(db)
     payload = {
@@ -127,6 +148,7 @@ def cmd_augment(args) -> int:
     from .augment import augment_all
     from .pipeline import temporal_split
 
+    _check_paths(args)
     db = load_database(args.database)
     cfg, _ = _read_config(args)
     db_train, _ = temporal_split(db, args.train_fraction, args.train_scans)
@@ -145,6 +167,7 @@ def cmd_train(args) -> int:
     from .pipeline import database_coordinates, temporal_split
     from .preprocess import vectorize_database
 
+    _check_paths(args)
     db = load_database(args.database)
     cfg, profile_raw = _read_config(args)
     profile = _resolve_profile(args.profile, profile_raw)
@@ -165,6 +188,8 @@ def cmd_evaluate(args) -> int:
     from .pipeline import temporal_split
     from .preprocess import vectorize_database
 
+    csv_path = Path(args.out).with_suffix(".cdf.csv")
+    _check_paths(args, csv_path)
     model = load_model(args.model)
     db = load_database(args.database)
     unknown = sorted(set(db.tower_universe) - set(model.towers))
@@ -178,7 +203,6 @@ def cmd_evaluate(args) -> int:
     _, db_test = temporal_split(db, args.train_fraction, args.train_scans)
     report = evaluate(model, vectorize_database(db_test, model.towers))
     Path(args.out).write_text(json_text(report), encoding="utf-8")
-    csv_path = Path(args.out).with_suffix(".cdf.csv")
     csv_path.write_text(report.cdf_csv(), encoding="utf-8")
     print(f"p50 = {report.p50:.3f} m over {report.errors.size} samples -> {args.out}")
     return EXIT_OK
@@ -188,6 +212,9 @@ def cmd_compare(args) -> int:
     from .localize import json_text
     from .pipeline import run_comparison
 
+    out = Path(args.out)
+    csvs = [out.with_name(f"{out.stem}_{arm}.cdf.csv") for arm in ("without", "with")]
+    _check_paths(args, *csvs)
     t0 = time.monotonic()
     db = load_database(args.database)
     cfg, profile_raw = _read_config(args)
@@ -197,15 +224,19 @@ def cmd_compare(args) -> int:
     result = run_comparison(db, cfg, profile, args.train_fraction, args.train_scans)
     t_run = time.monotonic()
 
-    payload = {"seed": cfg.seed, "profile": dataclasses.asdict(profile)}
-    payload.update(vars(result))  # json_text writes each report as its to_dict()
-    Path(args.out).write_text(json_text(payload), encoding="utf-8")
-
-    out = Path(args.out)
-    csv_without = out.with_name(out.stem + "_without.cdf.csv")
-    csv_with = out.with_name(out.stem + "_with.cdf.csv")
-    csv_without.write_text(result.without_augmentation.cdf_csv(), encoding="utf-8")
-    csv_with.write_text(result.with_augmentation.cdf_csv(), encoding="utf-8")
+    payload = {  # json_text writes each report as its to_dict()
+        "seed": cfg.seed,
+        "profile": dataclasses.asdict(profile),
+        "without_augmentation": result.without_augmentation,
+        "with_augmentation": result.with_augmentation,
+        "improvement_percent": result.improvement_percent,
+        "augmented_counts": result.augmented_counts,
+        "n_train_scans": result.n_train_scans,
+        "n_test_scans": result.n_test_scans,
+    }
+    out.write_text(json_text(payload), encoding="utf-8")
+    for path, report in zip(csvs, (result.without_augmentation, result.with_augmentation)):
+        path.write_text(report.cdf_csv(), encoding="utf-8")
 
     if args.manifest:
         manifest = {
@@ -222,7 +253,7 @@ def cmd_compare(args) -> int:
                 "load": round(t_load - t0, 3),
                 "compare": round(t_run - t_load, 3),
             },
-            "outputs": [str(out), str(csv_without), str(csv_with)],
+            "outputs": [str(path) for path in [out, *csvs]],
         }
         _write_json(args.manifest, manifest)
 

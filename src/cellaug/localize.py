@@ -30,6 +30,10 @@ from .nn import (
 from .preprocess import SampleSet
 from .util import ConfigError, ModelFormatError, derive_rng
 
+# A profile whose hidden_layers * hidden_neurons**2 exceeds this is refused
+# before its network is built; the outdoor profile's 3 * 345**2 is 1/280 of it.
+_MAX_HIDDEN_WEIGHTS = 10**8
+
 
 @dataclass(frozen=True)
 class HyperProfile:
@@ -47,6 +51,10 @@ class HyperProfile:
             raise ConfigError("profile values must be positive and finite")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError(f"dropout must be in [0, 1): {self.dropout_rate}")
+        size = self.hidden_layers * self.hidden_neurons**2
+        if size > _MAX_HIDDEN_WEIGHTS:
+            raise ConfigError(f"network too large: hidden_layers * hidden_neurons**2 = {size} "
+                              f"exceeds {_MAX_HIDDEN_WEIGHTS}")
 
 
 # Default hyperparameters for the indoor and outdoor evaluation scenarios.

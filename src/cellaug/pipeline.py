@@ -1,7 +1,8 @@
-"""End-to-end orchestration: split, augment, train with and without
-augmentation on identical splits and seeds, evaluate on the identical test
-set, and report the improvement. The augmenters and the localizer load on
-first use, so that a split alone loads neither."""
+"""End-to-end orchestration: split, then train one localizer per arm (the
+training split as is, and augmented) on the identical split and seed,
+evaluate both on the identical test set, and report the improvement. The
+augmenters and the localizer load on first use, so that a split alone loads
+neither."""
 
 from __future__ import annotations
 
@@ -66,15 +67,6 @@ def database_coordinates(db: FingerprintDatabase) -> dict[int, tuple[float, floa
     return dict(zip(db.location_ids.tolist(), map(tuple, db.coordinates.tolist())))
 
 
-def _train_stage(stage, samples, profile, coords, seed):
-    from .localize import train_localizer
-
-    try:
-        return train_localizer(samples, profile, coords, seed=seed)
-    except TrainingDiverged as exc:
-        raise TrainingDiverged(f"{stage}: {exc}", exc.trace) from exc
-
-
 def run_comparison(
     db: FingerprintDatabase,
     cfg: AugmentConfig,
@@ -85,30 +77,33 @@ def run_comparison(
     """Train twice on the identical split and seed, once with augmentation.
 
     The split comes first, so a bad one fails before any augmentation. The
-    augmenters run on the training split only; cfg.seed seeds them and both
-    trainings. Both models are evaluated on the identical held-out scans.
+    arms, in report order, are the vectorized training split and the
+    augmenters' output on it; cfg.seed seeds the augmenters and both
+    trainings. One loop trains the arms, prefixing a divergence with the
+    arm's stage name, and replaces each training set by its model: no set
+    outlives its training, which lowers the peak memory. Both models are
+    then evaluated on the identical held-out scans.
     """
     from .augment import augment_all
-    from .localize import evaluate, improvement
+    from .localize import evaluate, improvement, train_localizer
 
     db_train, db_test = temporal_split(db, train_fraction, train_scans)
     coords = database_coordinates(db)
     test_set = vectorize_database(db_test)
 
-    baseline_set = vectorize_database(db_train)
+    arms = {"baseline training": vectorize_database(db_train)}
     try:
-        augmented_set, counts = augment_all(db_train, cfg)
+        arms["augmented training"], counts = augment_all(db_train, cfg)
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"augmentation stage: {exc}", exc.trace) from exc
 
-    # Drop each training set once its model is trained, which lowers the peak memory.
-    model_without = _train_stage("baseline training", baseline_set, profile, coords, cfg.seed)
-    del baseline_set
-    model_with = _train_stage("augmented training", augmented_set, profile, coords, cfg.seed)
-    del augmented_set
+    for stage in arms:
+        try:
+            arms[stage] = train_localizer(arms[stage], profile, coords, seed=cfg.seed)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"{stage}: {exc}", exc.trace) from exc
 
-    report_without = evaluate(model_without, test_set)
-    report_with = evaluate(model_with, test_set)
+    report_without, report_with = (evaluate(model, test_set) for model in arms.values())
     return ComparisonResult(
         without_augmentation=report_without,
         with_augmentation=report_with,

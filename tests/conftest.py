@@ -1,9 +1,11 @@
 """Hypothesis profiles: `ci` draws the same examples on every run, so that a
-CI failure reproduces locally with HYPOTHESIS_PROFILE=ci."""
+CI failure reproduces locally with HYPOTHESIS_PROFILE=ci; `fresh` draws new
+examples each run and prints a failure's @reproduce_failure line."""
 
 import os
 
 from hypothesis import settings
 
 settings.register_profile("ci", derandomize=True)
+settings.register_profile("fresh", print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -37,11 +37,34 @@ def test_fit_dist_writes_strict_json(tmp_path):
      "[Errno 21] Is a directory: '{dir}'"),
     (["synth", "--out", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
     (["preprocess", "{survey}/x", "--out", "{tmp}/v.jsonl"], "[Errno 20] Not a directory: '{survey}/x'"),
+    (["evaluate", "{model}", "{survey}", "--out", "{model}"], "--out would overwrite model: {model}"),
+    (["evaluate", "{tmp}/m.cdf.csv", "{survey}", "--out", "{tmp}/m.json"],
+     "--out's CSV would overwrite model: {tmp}/m.cdf.csv"),
+    (["compare", "{survey}", "--out", "{tmp}/r.json", "--manifest", "{tmp}/r.json"],
+     "--manifest would overwrite --out: {tmp}/r.json"),
+    (["compare", "{survey}", "--out", "{tmp}/r.json", "--manifest", "{tmp}/r_with.cdf.csv"],
+     "--manifest would overwrite --out's CSV: {tmp}/r_with.cdf.csv"),
+    (["compare", "{survey}", "--config", "{cfg}", "--out", "{tmp}/dir/../c.cfg"],
+     "--out would overwrite --config: {tmp}/dir/../c.cfg"),
+    (["train", "{survey}", "--no-augment", "--out", "{survey}"],
+     "--out would overwrite database: {survey}"),
+    (["augment", "{survey}", "--out", "{tmp}/v.jsonl", "--report", "{tmp}/v.jsonl"],
+     "--report would overwrite --out: {tmp}/v.jsonl"),
+    (["synth", "--config", "{cfg}", "--out", "{cfg}"], "--out would overwrite --config: {cfg}"),
 ], ids=["preprocess directory", "evaluate directory model", "compare directory config",
-        "synth directory out", "preprocess path through a file"])
+        "synth directory out", "preprocess path through a file", "evaluate out is the model",
+        "evaluate CSV is the model", "compare manifest is out", "compare manifest is a CSV",
+        "compare out is the config", "train out is the survey", "augment report is out",
+        "synth out is the config"])
 def test_unusable_path_exits_2(tmp_path, capsys, argv, error):
-    paths = {"tmp": tmp_path, "dir": tmp_path / "dir", "survey": tmp_path / "db.jsonl"}
+    paths = {"tmp": tmp_path, "dir": tmp_path / "dir", "survey": tmp_path / "db.jsonl",
+             "model": tmp_path / "model.json", "cfg": tmp_path / "c.cfg"}
     paths["dir"].mkdir()
     save_database(generate(default_desk_spec()), paths["survey"])
+    # the file names are all the check reads of the model and the config
+    for name in ("model.json", "m.cdf.csv", "c.cfg"):
+        (tmp_path / name).write_text("seed = 1\n")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {error.format(**paths)}"]
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before

@@ -30,6 +30,7 @@ from cellaug.localize import (
 )
 from cellaug.nn import forward
 from cellaug.preprocess import SampleSet
+from cellaug.util import ConfigError
 
 TOWERS = ("T0", "T1", "T2", "T3")
 
@@ -78,6 +79,12 @@ class TestProfiles:
             HyperProfile(0.1, 8, 0.2, 0, 4, 1)
         with pytest.raises(ValueError):
             HyperProfile(0.1, 8, 1.0, 10, 4, 1)
+
+    def test_oversized_network_refused(self):
+        # refused from its sizes, before a weight is allocated
+        HyperProfile(0.1, 8, 0.2, 10, 10_000, 1)
+        with pytest.raises(ConfigError, match=r"= 100020001 exceeds 100000000$"):
+            HyperProfile(0.1, 8, 0.2, 10, 10_001, 1)
 
 
 class TestTrainLocalizer:

@@ -299,7 +299,12 @@ class TestCliTrainEvaluateCompare:
         assert "without_augmentation" in payload and "with_augmentation" in payload
         assert "p50" in payload["improvement_percent"]
         assert payload["seed"] == 2
+        assert list(payload) == ["seed", "profile", "without_augmentation", "with_augmentation",
+                                 "improvement_percent", "augmented_counts", "n_train_scans",
+                                 "n_test_scans"]
         manifest = json.loads(manifest_path.read_text())
+        assert manifest["outputs"] == [str(out), str(tmp_path / "cmp_without.cdf.csv"),
+                                       str(tmp_path / "cmp_with.cdf.csv")]
         import pathlib
         for listed in manifest["outputs"]:
             assert pathlib.Path(listed).exists()
@@ -503,6 +508,20 @@ class TestCliExitCodes:
                                  "--out", str(tmp_path / "m.json")], capsys)
         assert code == 2
         assert len(errors) == 1 and "finite" in errors[0]
+
+    def test_oversized_network_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        def train_localizer(*args, **kwargs):
+            raise AssertionError("trained a network the profile should have refused")
+        monkeypatch.setattr("cellaug.localize.train_localizer", train_localizer)
+        db_path = tmp_path / "db.jsonl"
+        save_database(tiny_db(), db_path)
+        cfg_path = tmp_path / "big.cfg"
+        cfg_path.write_text("profile.hidden_layers = 100000000\n")
+        code, errors = self.run(["train", str(db_path), "--config", str(cfg_path),
+                                 "--no-augment", "--train-scans", "4",
+                                 "--out", str(tmp_path / "m.json")], capsys)
+        assert (code, errors) == (2, ["error: network too large: hidden_layers * "
+                                      "hidden_neurons**2 = 409600000000 exceeds 100000000"])
 
     @pytest.mark.parametrize("line", [
         "vae.epochs = 0", "vae.epochs = -1",
