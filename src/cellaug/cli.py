@@ -3,16 +3,17 @@ evaluate, compare.
 
 Exit codes: 0 success, 1 runtime failure (running out of memory among
 them), 2 configuration or input error (a missing path, a directory, or
-an output path that names an input or another output among them). All randomness flows from one master seed (--seed overrides
-the config seed), so reports are byte-reproducible. Each command imports
-the modules it runs when it runs, so that `synth`, say, loads no training
-code.
+an output path that names an input or another output among them). All
+randomness flows from one master seed (--seed overrides the config seed),
+so reports are byte-reproducible. Each command imports the modules it
+runs when it runs, so that `synth`, say, loads no training code.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -76,6 +77,16 @@ def _check_paths(args, *csvs: Path) -> None:
         earlier = seen.setdefault(os.path.realpath(path), label)
         if earlier != label:
             raise ConfigError(f"{label} would overwrite {earlier}: {path}")
+
+
+def _out_csvs(args, *arms: str) -> list[Path]:
+    """The CDF CSVs `<stem><arm>.cdf.csv` named from --out, beside it. An
+    --out that is a directory (`.` and `/` among them, which name no CSV) is
+    refused before any work."""
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    out = Path(args.out)
+    return [out.with_name(f"{out.stem}{arm}.cdf.csv") for arm in arms]
 
 
 def _write_json(path: str | Path, payload) -> None:
@@ -188,7 +199,7 @@ def cmd_evaluate(args) -> int:
     from .pipeline import temporal_split
     from .preprocess import vectorize_database
 
-    csv_path = Path(args.out).with_suffix(".cdf.csv")
+    [csv_path] = _out_csvs(args, "")
     _check_paths(args, csv_path)
     model = load_model(args.model)
     db = load_database(args.database)
@@ -213,7 +224,7 @@ def cmd_compare(args) -> int:
     from .pipeline import run_comparison
 
     out = Path(args.out)
-    csvs = [out.with_name(f"{out.stem}_{arm}.cdf.csv") for arm in ("without", "with")]
+    csvs = _out_csvs(args, "_without", "_with")
     _check_paths(args, *csvs)
     t0 = time.monotonic()
     db = load_database(args.database)

@@ -30,9 +30,12 @@ from .nn import (
 from .preprocess import SampleSet
 from .util import ConfigError, ModelFormatError, derive_rng
 
-# A profile whose hidden_layers * hidden_neurons**2 exceeds this is refused
-# before its network is built; the outdoor profile's 3 * 345**2 is 1/280 of it.
-_MAX_HIDDEN_WEIGHTS = 10**8
+# A profile whose hidden layers cost more than this many weights is refused
+# before its network is built; the outdoor profile's 3 * (345**2 + 1000) is
+# about 1/280 of it. Each layer also costs its own arrays and objects, about 4.4 KB
+# in training, or some 200 weights of 24 bytes: it is counted as 1000.
+_MAX_NETWORK_WEIGHTS = 10**8
+_LAYER_WEIGHTS = 1000
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,10 @@ class HyperProfile:
             raise ConfigError("profile values must be positive and finite")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError(f"dropout must be in [0, 1): {self.dropout_rate}")
-        size = self.hidden_layers * self.hidden_neurons**2
-        if size > _MAX_HIDDEN_WEIGHTS:
-            raise ConfigError(f"network too large: hidden_layers * hidden_neurons**2 = {size} "
-                              f"exceeds {_MAX_HIDDEN_WEIGHTS}")
+        size = self.hidden_layers * (self.hidden_neurons**2 + _LAYER_WEIGHTS)
+        if size > _MAX_NETWORK_WEIGHTS:
+            raise ConfigError(f"network too large: hidden_layers * (hidden_neurons**2 + "
+                              f"{_LAYER_WEIGHTS}) = {size} exceeds {_MAX_NETWORK_WEIGHTS}")
 
 
 # Default hyperparameters for the indoor and outdoor evaluation scenarios.

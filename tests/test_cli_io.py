@@ -51,12 +51,17 @@ def test_fit_dist_writes_strict_json(tmp_path):
     (["augment", "{survey}", "--out", "{tmp}/v.jsonl", "--report", "{tmp}/v.jsonl"],
      "--report would overwrite --out: {tmp}/v.jsonl"),
     (["synth", "--config", "{cfg}", "--out", "{cfg}"], "--out would overwrite --config: {cfg}"),
+    (["compare", "{survey}", "--out", "."], "[Errno 21] Is a directory: '.'"),
+    (["compare", "{survey}", "--out", "{dir}/.."], "[Errno 21] Is a directory: '{dir}/..'"),
+    (["evaluate", "{model}", "{survey}", "--out", "/"], "[Errno 21] Is a directory: '/'"),
 ], ids=["preprocess directory", "evaluate directory model", "compare directory config",
         "synth directory out", "preprocess path through a file", "evaluate out is the model",
         "evaluate CSV is the model", "compare manifest is out", "compare manifest is a CSV",
         "compare out is the config", "train out is the survey", "augment report is out",
-        "synth out is the config"])
-def test_unusable_path_exits_2(tmp_path, capsys, argv, error):
+        "synth out is the config", "compare out is the working directory",
+        "compare out is a parent directory", "evaluate out is the root"])
+def test_unusable_path_exits_2(tmp_path, capsys, monkeypatch, argv, error):
+    monkeypatch.chdir(tmp_path)
     paths = {"tmp": tmp_path, "dir": tmp_path / "dir", "survey": tmp_path / "db.jsonl",
              "model": tmp_path / "model.json", "cfg": tmp_path / "c.cfg"}
     paths["dir"].mkdir()

@@ -81,10 +81,14 @@ class TestProfiles:
             HyperProfile(0.1, 8, 1.0, 10, 4, 1)
 
     def test_oversized_network_refused(self):
-        # refused from its sizes, before a weight is allocated
-        HyperProfile(0.1, 8, 0.2, 10, 10_000, 1)
-        with pytest.raises(ConfigError, match=r"= 100020001 exceeds 100000000$"):
-            HyperProfile(0.1, 8, 0.2, 10, 10_001, 1)
+        # refused from its sizes, before a weight is allocated; each layer
+        # counts 1000 weights beside its hidden_neurons**2
+        for neurons, layers in [(9_999, 1), (1, 99_900)]:
+            HyperProfile(0.1, 8, 0.2, 10, neurons, layers)
+        for neurons, layers, size in [(10_000, 1, 100_001_000), (1, 99_901, 100_000_901),
+                                      (1, 100_000_000, 100_100_000_000)]:
+            with pytest.raises(ConfigError, match=rf"= {size} exceeds 100000000$"):
+                HyperProfile(0.1, 8, 0.2, 10, neurons, layers)
 
 
 class TestTrainLocalizer:

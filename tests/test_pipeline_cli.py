@@ -509,19 +509,25 @@ class TestCliExitCodes:
         assert code == 2
         assert len(errors) == 1 and "finite" in errors[0]
 
-    def test_oversized_network_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("config, size", [
+        ("profile.hidden_layers = 100000000\n", 509600000000),
+        ("profile.hidden_neurons = 1\nprofile.hidden_layers = 100000000\n", 100100000000),
+    ], ids=["desk width", "one neuron"])
+    def test_oversized_network_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                       config, size):
         def train_localizer(*args, **kwargs):
             raise AssertionError("trained a network the profile should have refused")
         monkeypatch.setattr("cellaug.localize.train_localizer", train_localizer)
         db_path = tmp_path / "db.jsonl"
         save_database(tiny_db(), db_path)
         cfg_path = tmp_path / "big.cfg"
-        cfg_path.write_text("profile.hidden_layers = 100000000\n")
+        cfg_path.write_text(config)
         code, errors = self.run(["train", str(db_path), "--config", str(cfg_path),
                                  "--no-augment", "--train-scans", "4",
                                  "--out", str(tmp_path / "m.json")], capsys)
         assert (code, errors) == (2, ["error: network too large: hidden_layers * "
-                                      "hidden_neurons**2 = 409600000000 exceeds 100000000"])
+                                      f"(hidden_neurons**2 + 1000) = {size} exceeds "
+                                      "100000000"])
 
     @pytest.mark.parametrize("line", [
         "vae.epochs = 0", "vae.epochs = -1",
