@@ -28,6 +28,7 @@ from .util import ConfigError, apply_config, checked_seed, derive_rng
 from .vae import VaeModel, VaeTrainConfig, generate, train_vaes
 
 MAX_THRESHOLD_CANDIDATES = 12  # 2^12 - 1 variants caps the combinatorial path
+MAX_AUGMENTED_VALUES = 5 * 10**7  # rows x towers augment_all may build: 400 MB of float64
 # In augment_all's row order; AugmentConfig has a <name>_enabled flag for each.
 TECHNIQUES = ("noise", "sampling", "drop_random", "drop_threshold", "vae")
 
@@ -187,6 +188,11 @@ def augment_drop_random(
     return out
 
 
+def _threshold_candidates(x: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
+    """The entries augment_drop_threshold may drop."""
+    return (x > 0.0) & (x < cfg.drop_threshold_value)
+
+
 def augment_drop_threshold(x: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
     """Per row, all non-empty removal combinations of entries below the
     threshold, rows in input order and combinations in bit order.
@@ -196,8 +202,8 @@ def augment_drop_threshold(x: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
     weakest are combined.
     """
     blocks = [np.empty((0, x.shape[1]))]
-    for row in x:
-        candidates = np.flatnonzero((row > 0.0) & (row < cfg.drop_threshold_value))
+    for row, mask in zip(x, _threshold_candidates(x, cfg)):
+        candidates = np.flatnonzero(mask)
         if candidates.size > MAX_THRESHOLD_CANDIDATES:
             weakest = np.argsort(row[candidates], kind="stable")[:MAX_THRESHOLD_CANDIDATES]
             candidates = np.sort(candidates[weakest])
@@ -232,6 +238,31 @@ def train_location_vaes(
     return {loc_id: models[loc_id] for loc_id in kept}
 
 
+def _per_location(count: int | None, scans: int) -> int:
+    """A per-location sample count; None (auto) is 10x the location's scans."""
+    return 10 * scans if count is None else count
+
+
+def _check_size(per_loc, n_towers: int, cfg: AugmentConfig) -> None:
+    """Refuse, before anything is drawn, a config under which augment_all
+    would build more than MAX_AUGMENTED_VALUES values. The row count is
+    exact, except that a location VAE training skips makes no VAE rows."""
+    scans = [len(x) for _, x, _ in per_loc]
+    rows = sum(scans) * (1 + cfg.noise_enabled * cfg.noise_per_scan
+                         + cfg.drop_random_enabled * cfg.drop_random_per_scan)
+    for enabled, count in ((cfg.sampling_enabled, cfg.sampling_n_per_location),
+                           (cfg.vae_enabled, cfg.vae_n_per_location)):
+        if enabled:
+            rows += sum(_per_location(count, n) for n in scans)
+    if cfg.drop_threshold_enabled:
+        for _, x, _ in per_loc:
+            k = np.count_nonzero(_threshold_candidates(x, cfg), axis=1)
+            rows += int(np.sum(2 ** np.minimum(k, MAX_THRESHOLD_CANDIDATES) - 1))
+    if rows * n_towers > MAX_AUGMENTED_VALUES:
+        raise ConfigError(f"augmentation too large: {rows} rows x {n_towers} towers = "
+                          f"{rows * n_towers} values exceeds {MAX_AUGMENTED_VALUES}")
+
+
 def augment_all(
     db: FingerprintDatabase,
     cfg: AugmentConfig,
@@ -246,6 +277,7 @@ def augment_all(
     sample counts.
     """
     per_loc = list(location_blocks(db))
+    _check_size(per_loc, db.n_towers, cfg)
     blocks: dict[str, list[tuple[int, np.ndarray]]] = {
         "original": [(loc_id, x) for loc_id, x, _ in per_loc],
         **{name: [] for name in TECHNIQUES},
@@ -267,9 +299,7 @@ def augment_all(
             fits = fit_database(db)
         for loc_id, _, heard in per_loc:
             rng = derive_rng(cfg.seed, "sampling", loc_id)
-            n = cfg.sampling_n_per_location
-            if n is None:
-                n = 10 * len(heard)
+            n = _per_location(cfg.sampling_n_per_location, len(heard))
             rows = augment_sampling(heard, fits[loc_id], db.tower_universe, rng, n)
             blocks["sampling"].append((loc_id, rows))
 
@@ -293,9 +323,7 @@ def augment_all(
             if model is None:
                 continue
             rng = derive_rng(cfg.seed, "vae-generate", loc_id)
-            n = cfg.vae_n_per_location
-            if n is None:
-                n = 10 * len(x)
+            n = _per_location(cfg.vae_n_per_location, len(x))
             blocks["vae"].append((loc_id, generate(model, rng, n)))
 
     counts = {name: sum(len(rows) for _, rows in bl) for name, bl in blocks.items()}

@@ -3,10 +3,12 @@ evaluate, compare.
 
 Exit codes: 0 success, 1 runtime failure (running out of memory among
 them), 2 configuration or input error (a missing path, a directory, or
-an output path that names an input or another output among them). All
-randomness flows from one master seed (--seed overrides the config seed),
-so reports are byte-reproducible. Each command imports the modules it
-runs when it runs, so that `synth`, say, loads no training code.
+an output path that names an input or another output among them). main
+checks the path arguments every command declares before the command runs,
+so an unusable output exits 2 before any work. All randomness flows from
+one master seed (--seed overrides the config seed), so reports are
+byte-reproducible. Each command imports the modules it runs when it runs,
+so that `synth`, say, loads no training code.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+# The path arguments a command may declare, by dest; every command has --out.
+INPUTS = ("database", "model", "config")
+OUTPUTS = ("out", "report", "manifest")
 
 
 def _read_config(args) -> tuple[AugmentConfig, dict[str, str]]:
@@ -62,31 +67,33 @@ def _resolve_profile(kind: str, profile_raw: dict[str, str]) -> HyperProfile:
     return apply_config(desk_profile(), keys, profile_raw, "profile")
 
 
-def _check_paths(args, *csvs: Path) -> None:
-    """Refuse, before any work, an output that would overwrite one of the
-    command's inputs or another of its outputs. Paths are compared resolved
-    by os.path.realpath, which unlike Path.resolve does not raise on a
-    symlink loop."""
-    def named(*dests):
-        values = [(dest, getattr(args, dest, None)) for dest in dests]
-        return [(dest if dest in ("database", "model") else f"--{dest}", Path(value))
-                for dest, value in values if value]
-    seen = {os.path.realpath(path): label for label, path in named("database", "model", "config")}
-    outputs = named("out") + [("--out's CSV", csv) for csv in csvs] + named("report", "manifest")
-    for label, path in outputs:
+def _check_paths(args) -> None:
+    """Refuse an output that is a directory, lies in none, or would overwrite
+    an input or another output; set args.csvs, the CDF CSVs beside --out,
+    `<stem><suffix>.cdf.csv` for each declared suffix. os.path.realpath,
+    unlike Path.resolve, does not raise on a symlink loop."""
+    def named(dests):
+        return [(dest if dest in ("database", "model") else f"--{dest}", value)
+                for dest in dests if (value := getattr(args, dest, None))]
+
+    def check(label, path):
+        parent = os.path.dirname(path) or "."
+        code = errno.EISDIR if os.path.isdir(path) else None
+        if code is None and not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        if code:  # the error the write would raise
+            raise OSError(code, os.strerror(code), str(path))
         earlier = seen.setdefault(os.path.realpath(path), label)
         if earlier != label:
             raise ConfigError(f"{label} would overwrite {earlier}: {path}")
 
-
-def _out_csvs(args, *arms: str) -> list[Path]:
-    """The CDF CSVs `<stem><arm>.cdf.csv` named from --out, beside it. An
-    --out that is a directory (`.` and `/` among them, which name no CSV) is
-    refused before any work."""
-    if os.path.isdir(args.out):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    seen = {os.path.realpath(path): label for label, path in named(INPUTS)}
+    check("--out", args.out)  # first, as a directory such as `.` names no CSV
     out = Path(args.out)
-    return [out.with_name(f"{out.stem}{arm}.cdf.csv") for arm in arms]
+    args.csvs = [out.with_name(f"{out.stem}{suffix}.cdf.csv")
+                 for suffix in getattr(args, "csv_suffixes", ())]
+    for label, path in [("--out's CSV", csv) for csv in args.csvs] + named(OUTPUTS[1:]):
+        check(label, path)
 
 
 def _write_json(path: str | Path, payload) -> None:
@@ -107,7 +114,6 @@ def _write_vectors(path: str | Path, samples: SampleSet) -> None:
 def cmd_synth(args) -> int:
     from .testbed import default_desk_spec, generate, spec_from_file
 
-    _check_paths(args)
     spec = spec_from_file(args.config) if args.config else default_desk_spec()
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -120,7 +126,6 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     from .preprocess import vectorize_database
 
-    _check_paths(args)
     db = load_database(args.database)
     samples = vectorize_database(db)
     _write_vectors(args.out, samples)
@@ -131,7 +136,6 @@ def cmd_preprocess(args) -> int:
 def cmd_fit_dist(args) -> int:
     from .distfit import fit_database
 
-    _check_paths(args)
     db = load_database(args.database)
     fits = fit_database(db)
     payload = {
@@ -159,7 +163,6 @@ def cmd_augment(args) -> int:
     from .augment import augment_all
     from .pipeline import temporal_split
 
-    _check_paths(args)
     db = load_database(args.database)
     cfg, _ = _read_config(args)
     db_train, _ = temporal_split(db, args.train_fraction, args.train_scans)
@@ -178,7 +181,6 @@ def cmd_train(args) -> int:
     from .pipeline import database_coordinates, temporal_split
     from .preprocess import vectorize_database
 
-    _check_paths(args)
     db = load_database(args.database)
     cfg, profile_raw = _read_config(args)
     profile = _resolve_profile(args.profile, profile_raw)
@@ -199,8 +201,6 @@ def cmd_evaluate(args) -> int:
     from .pipeline import temporal_split
     from .preprocess import vectorize_database
 
-    [csv_path] = _out_csvs(args, "")
-    _check_paths(args, csv_path)
     model = load_model(args.model)
     db = load_database(args.database)
     unknown = sorted(set(db.tower_universe) - set(model.towers))
@@ -214,7 +214,7 @@ def cmd_evaluate(args) -> int:
     _, db_test = temporal_split(db, args.train_fraction, args.train_scans)
     report = evaluate(model, vectorize_database(db_test, model.towers))
     Path(args.out).write_text(json_text(report), encoding="utf-8")
-    csv_path.write_text(report.cdf_csv(), encoding="utf-8")
+    args.csvs[0].write_text(report.cdf_csv(), encoding="utf-8")
     print(f"p50 = {report.p50:.3f} m over {report.errors.size} samples -> {args.out}")
     return EXIT_OK
 
@@ -224,8 +224,6 @@ def cmd_compare(args) -> int:
     from .pipeline import run_comparison
 
     out = Path(args.out)
-    csvs = _out_csvs(args, "_without", "_with")
-    _check_paths(args, *csvs)
     t0 = time.monotonic()
     db = load_database(args.database)
     cfg, profile_raw = _read_config(args)
@@ -246,7 +244,7 @@ def cmd_compare(args) -> int:
         "n_test_scans": result.n_test_scans,
     }
     out.write_text(json_text(payload), encoding="utf-8")
-    for path, report in zip(csvs, (result.without_augmentation, result.with_augmentation)):
+    for path, report in zip(args.csvs, (result.without_augmentation, result.with_augmentation)):
         path.write_text(report.cdf_csv(), encoding="utf-8")
 
     if args.manifest:
@@ -264,7 +262,7 @@ def cmd_compare(args) -> int:
                 "load": round(t_load - t0, 3),
                 "compare": round(t_run - t_load, 3),
             },
-            "outputs": [str(path) for path in [out, *csvs]],
+            "outputs": [str(path) for path in [out, *args.csvs]],
         }
         _write_json(args.manifest, manifest)
 
@@ -336,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("database")
     p.add_argument("--out", required=True)
     _add_split_flags(p)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, csv_suffixes=("",))
 
     p = sub.add_parser("compare", help="train with and without augmentation, report both")
     p.add_argument("database")
@@ -346,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--manifest", help="write the run manifest (config, sizes, timings) here")
     _add_split_flags(p)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, csv_suffixes=("_without", "_with"))
 
     return parser
 
@@ -355,6 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_paths(args)
         return args.func(args)
     except (ConfigError, DatabaseFormatError, ModelFormatError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError) as exc:

@@ -315,6 +315,53 @@ class TestAugmentAll:
         assert counts["sampling"] == 0 and counts["vae"] == 0
 
 
+def many_towers_db(scans=300):
+    """One location whose scans each hear 7 towers of their own, all weak:
+    127 threshold variants per scan, over a universe of 7 x scans towers."""
+    scans = tuple(RawScan(t, tuple((f"T{t}_{j}", 3) for j in range(7))) for t in range(scans))
+    return from_locations([ReferenceLocation(0, (0.0, 0.0), scans)])
+
+
+class TestAugmentationBound:
+    def test_bound_is_the_output_size(self, two_tower_db, monkeypatch):
+        cfg = AugmentConfig(vae_epochs=5, seed=3)
+        vectors, counts = augment_all(two_tower_db, cfg)
+        assert all(counts.values())
+        monkeypatch.setattr("cellaug.augment.MAX_AUGMENTED_VALUES", vectors.x.size)
+        assert augment_all(two_tower_db, cfg)[0] == vectors
+        monkeypatch.setattr("cellaug.augment.MAX_AUGMENTED_VALUES", vectors.x.size - 1)
+        with pytest.raises(ConfigError, match=f"= {vectors.x.size} values exceeds"):
+            augment_all(two_tower_db, cfg)
+
+    # the defaults make 166 rows: 4 originals, 40 each of noise, sampling,
+    # drop_random and vae over 4 scans at 2 locations, and 2 threshold variants
+    @pytest.mark.parametrize("fields, rows", [
+        ({"noise_per_scan": 10**8}, 166 - 40 + 4 * 10**8),
+        ({"drop_random_per_scan": 10**8}, 166 - 40 + 4 * 10**8),
+        ({"sampling_n_per_location": 10**8}, 166 - 40 + 2 * 10**8),
+        ({"vae_n_per_location": 10**8}, 166 - 40 + 2 * 10**8),
+    ], ids=["noise", "drop_random", "sampling", "vae"])
+    def test_oversized_config_refused_before_any_technique(self, two_tower_db, monkeypatch,
+                                                           fields, rows):
+        refuse_techniques(monkeypatch)
+        with pytest.raises(ConfigError, match=f"^augmentation too large: {rows} rows x 2 towers"):
+            augment_all(two_tower_db, AugmentConfig(**fields))
+
+    def test_oversized_threshold_variants_refused(self, monkeypatch):
+        refuse_techniques(monkeypatch)
+        cfg = AugmentConfig(drop_threshold_value=0.2).only("drop_threshold")
+        with pytest.raises(ConfigError, match=f"{300 * 128} rows x 2100 towers = 80640000 values"):
+            augment_all(many_towers_db(), cfg)
+
+
+def refuse_techniques(monkeypatch):
+    def technique(*args, **kwargs):
+        pytest.fail("a technique ran under a config the size bound should have refused")
+    for name in ("augment_noise", "augment_sampling", "augment_drop_random",
+                 "augment_drop_threshold", "train_location_vaes"):
+        monkeypatch.setattr(f"cellaug.augment.{name}", technique)
+
+
 class TestTrainLocationVaes:
     def test_stacked_groups_equal_lone_runs(self):
         rng = np.random.default_rng(12)

@@ -1,11 +1,12 @@
 """What the CLI writes and how it exits on paths it cannot use."""
 
+import argparse
 import dataclasses
 import json
 
 import pytest
 
-from cellaug.cli import main
+from cellaug.cli import INPUTS, OUTPUTS, build_parser, main
 from cellaug.core import save_database
 from cellaug.distfit import DEGENERATE
 from cellaug.pipeline import temporal_split
@@ -54,13 +55,30 @@ def test_fit_dist_writes_strict_json(tmp_path):
     (["compare", "{survey}", "--out", "."], "[Errno 21] Is a directory: '.'"),
     (["compare", "{survey}", "--out", "{dir}/.."], "[Errno 21] Is a directory: '{dir}/..'"),
     (["evaluate", "{model}", "{survey}", "--out", "/"], "[Errno 21] Is a directory: '/'"),
+    (["compare", "{survey}", "--out", "{tmp}/r.json", "--manifest", "{dir}"],
+     "[Errno 21] Is a directory: '{dir}'"),
+    (["augment", "{survey}", "--out", "{tmp}/v.jsonl", "--report", "{dir}"],
+     "[Errno 21] Is a directory: '{dir}'"),
+    (["train", "{survey}", "--no-augment", "--out", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+    (["compare", "{survey}", "--out", "{tmp}/missing/r.json"],
+     "[Errno 2] No such file or directory: '{tmp}/missing/r.json'"),
+    (["fit-dist", "{survey}", "--out", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+    (["fit-dist", "{survey}", "--out", "{survey}/f.json"],
+     "[Errno 20] Not a directory: '{survey}/f.json'"),
 ], ids=["preprocess directory", "evaluate directory model", "compare directory config",
         "synth directory out", "preprocess path through a file", "evaluate out is the model",
         "evaluate CSV is the model", "compare manifest is out", "compare manifest is a CSV",
         "compare out is the config", "train out is the survey", "augment report is out",
         "synth out is the config", "compare out is the working directory",
-        "compare out is a parent directory", "evaluate out is the root"])
+        "compare out is a parent directory", "evaluate out is the root",
+        "compare manifest is a directory", "augment report is a directory",
+        "train out is a directory", "compare out in a missing directory",
+        "fit-dist out is a directory", "fit-dist out through a file"])
 def test_unusable_path_exits_2(tmp_path, capsys, monkeypatch, argv, error):
+    def work(*args, **kwargs):
+        pytest.fail("the command worked before it refused the path")
+    for name in ("localize.train_localizer", "pipeline.run_comparison", "distfit.fit_database"):
+        monkeypatch.setattr(f"cellaug.{name}", work)
     monkeypatch.chdir(tmp_path)
     paths = {"tmp": tmp_path, "dir": tmp_path / "dir", "survey": tmp_path / "db.jsonl",
              "model": tmp_path / "model.json", "cfg": tmp_path / "c.cfg"}
@@ -73,3 +91,17 @@ def test_unusable_path_exits_2(tmp_path, capsys, monkeypatch, argv, error):
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {error.format(**paths)}"]
     assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+
+# Every other argument a command declares, by dest: none of them names a path.
+NOT_PATHS = ("help", "seed", "profile", "no_augment", "train_fraction", "train_scans")
+
+
+def test_every_argument_is_a_checked_path_or_a_value():
+    # an argument missing from all three lists would bypass main's path check
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    for name, parser in commands.choices.items():
+        dests = {action.dest for action in parser._actions}
+        assert "out" in dests, name
+        assert not dests - {*INPUTS, *OUTPUTS, *NOT_PATHS}, name

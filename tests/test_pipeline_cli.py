@@ -529,6 +529,22 @@ class TestCliExitCodes:
                                       f"(hidden_neurons**2 + 1000) = {size} exceeds "
                                       "100000000"])
 
+    def test_oversized_augmentation_exits_2_before_augmenting(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def augment_sampling(*args):
+            raise AssertionError("sampled under a config the size bound should have refused")
+        monkeypatch.setattr("cellaug.augment.augment_sampling", augment_sampling)
+        db_path, cfg_path, out = tmp_path / "db.jsonl", tmp_path / "big.cfg", tmp_path / "v.jsonl"
+        save_database(tiny_db(), db_path)
+        cfg_path.write_text("sampling.n_per_location = 10000000\nvae.enabled = false\n")
+        code, errors = self.run(["augment", str(db_path), "--config", str(cfg_path),
+                                 "--train-scans", "4", "--out", str(out)], capsys)
+        # 4 locations of 4 training scans: 16 originals, 160 noise and 160
+        # drop_random rows, 10^7 samples each and 16 threshold variants
+        assert (code, errors) == (2, ["error: augmentation too large: 40000352 rows x 4 towers "
+                                      "= 160001408 values exceeds 50000000"])
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", [
         "vae.epochs = 0", "vae.epochs = -1",
         "vae.learning_rate = -0.001", "vae.learning_rate = 0", "vae.learning_rate = nan",
