@@ -10,15 +10,15 @@ _NAMES = {
     "augment": ("AugmentConfig", "LocationStats", "augment_all", "augment_drop_random",
                 "augment_drop_threshold", "augment_noise", "augment_sampling", "compute_stats",
                 "train_location_vaes"),
-    "core": ("FingerprintDatabase", "RawScan", "ReferenceLocation", "TowerId", "from_locations",
-             "heard_count_histogram", "load_database", "save_database"),
+    "core": ("FingerprintDatabase", "TowerId", "heard_count_histogram", "load_database",
+             "save_database"),
     "distfit": ("FitError", "FittedDistribution", "fit_best", "fit_beta", "fit_database",
                 "fit_gamma", "fit_gaussian", "sample_from"),
     "localize": ("ErrorReport", "HyperProfile", "LocalizerModel", "ModelFormatError",
                  "default_profile", "desk_profile", "estimate_location", "evaluate", "improvement",
                  "train_localizer"),
     "pipeline": ("ComparisonResult", "run_comparison", "temporal_split"),
-    "preprocess": ("SampleSet", "asu_to_dbm", "normalize_asu", "vectorize", "vectorize_database"),
+    "preprocess": ("SampleSet", "vectorize", "vectorize_database"),
     "testbed": ("TestbedSpec", "Tower", "default_desk_spec", "spec_from_file"),
     "vae": ("VaeModel", "VaeTrainConfig", "kl_to_standard_normal", "train_vae", "vae_loss"),
 }

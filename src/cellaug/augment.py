@@ -27,7 +27,6 @@ from .preprocess import SampleSet, location_blocks
 from .util import ConfigError, apply_config, checked_seed, derive_rng
 from .vae import VaeModel, VaeTrainConfig, generate, train_vaes
 
-MAX_THRESHOLD_CANDIDATES = 12  # 2^12 - 1 variants caps the combinatorial path
 MAX_AUGMENTED_VALUES = 5 * 10**7  # rows x towers augment_all may build: 400 MB of float64
 # In augment_all's row order; AugmentConfig has a <name>_enabled flag for each.
 TECHNIQUES = ("noise", "sampling", "drop_random", "drop_threshold", "vae")
@@ -198,15 +197,12 @@ def augment_drop_threshold(x: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
     threshold, rows in input order and combinations in bit order.
 
     Candidates are strictly positive entries under the threshold (a zero
-    entry already reads as unheard). If more than 12 qualify, only the 12
-    weakest are combined.
+    entry already reads as unheard). A scan holds at most 7 readings, so a
+    row of a survey yields at most 2^7 - 1 = 127 variants.
     """
     blocks = [np.empty((0, x.shape[1]))]
     for row, mask in zip(x, _threshold_candidates(x, cfg)):
         candidates = np.flatnonzero(mask)
-        if candidates.size > MAX_THRESHOLD_CANDIDATES:
-            weakest = np.argsort(row[candidates], kind="stable")[:MAX_THRESHOLD_CANDIDATES]
-            candidates = np.sort(candidates[weakest])
         k = candidates.size
         # row b - 1 drops candidate i where bit i of b is set, b = 1 .. 2^k - 1
         drop = (np.arange(1, 2**k)[:, None] >> np.arange(k)) & 1 == 1
@@ -257,7 +253,7 @@ def _check_size(per_loc, n_towers: int, cfg: AugmentConfig) -> None:
     if cfg.drop_threshold_enabled:
         for _, x, _ in per_loc:
             k = np.count_nonzero(_threshold_candidates(x, cfg), axis=1)
-            rows += int(np.sum(2 ** np.minimum(k, MAX_THRESHOLD_CANDIDATES) - 1))
+            rows += sum(2**n - 1 for n in k.tolist())  # Python ints: 2**k overflows int64 at k = 63
     if rows * n_towers > MAX_AUGMENTED_VALUES:
         raise ConfigError(f"augmentation too large: {rows} rows x {n_towers} towers = "
                           f"{rows * n_towers} values exceeds {MAX_AUGMENTED_VALUES}")

@@ -4,10 +4,12 @@ A fingerprint survey is a set of reference locations, each holding repeated
 scans. One scan records up to seven (tower id, ASU) pairs, ASU in [0, 31].
 Databases are stored as UTF-8 JSON lines: a header object followed by one
 scan per line. _RULES states each rule a scan keeps once, as a check over
-columns of scans: load_database runs it over a file, RawScan over one scan.
+columns of scans, and load_database runs it over a file.
 
 In memory a survey is columnar (FingerprintDatabase): scan rows and reading
-matrices. RawScan and ReferenceLocation build small surveys by hand.
+matrices. One comes from load_database, from testbed.generate, as a
+temporal_split view, or from the constructor, which checks the arrays' shapes
+and grouping.
 """
 
 from __future__ import annotations
@@ -61,7 +63,14 @@ class _Scans:
         except OverflowError:
             return None
 
-    codes = cached_property(lambda self: _tower_codes(self.towers))
+    @cached_property
+    def codes(self) -> tuple[list[TowerId], np.ndarray]:
+        """The sorted towers heard and each reading's column among them."""
+        universe = sorted(set(self.towers))
+        column = {tower: j for j, tower in enumerate(universe)}
+        return universe, np.fromiter(map(column.__getitem__, self.towers), dtype=np.intp,
+                                     count=len(self.towers))
+
     # the sorted location ids, the first scan at each and each scan's index among them
     locations = cached_property(lambda self: np.unique(self.loc, return_index=True, return_inverse=True))
 
@@ -70,13 +79,6 @@ class _Scans:
         heard = np.zeros((k, len(universe)), dtype=bool)
         heard[np.repeat(np.arange(k), self.counts)[:len(cols)], cols] = True
         return np.count_nonzero(heard) == len(cols)
-
-
-def _tower_codes(towers: list) -> tuple[list[TowerId], np.ndarray]:
-    """The sorted towers heard and each reading's column among them."""
-    universe = sorted(set(towers))
-    column = {tower: j for j, tower in enumerate(universe)}
-    return universe, np.fromiter(map(column.__getitem__, towers), dtype=np.intp, count=len(towers))
 
 
 def _typed(values: list, *types: type) -> bool:
@@ -134,37 +136,6 @@ def _fault(scans: _Scans) -> tuple[int, str] | None:
     return i, message(head.head(i + 1, start + r))
 
 
-@dataclass(frozen=True)
-class RawScan:
-    """One cellular scan: a timestamp plus the (tower, ASU) pairs heard."""
-
-    timestamp: int
-    readings: tuple[tuple[TowerId, int], ...]
-
-    def __post_init__(self):
-        readings = tuple((str(t), int(a)) for t, a in self.readings)
-        object.__setattr__(self, "readings", readings)
-        # coerced, at a placeholder location: only the reading rules can break
-        if fault := _fault(_Scans([0], [0], [0], [0], [len(readings)],
-                                  [t for t, _ in readings], [a for _, a in readings])):
-            raise ValueError(fault[1])
-
-
-@dataclass(frozen=True)
-class ReferenceLocation:
-    """A surveyed point (indoor) or grid-cell center (outdoor) with its scans."""
-
-    location_id: int
-    coordinates: tuple[float, float]
-    scans: tuple[RawScan, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coordinates", (float(self.coordinates[0]), float(self.coordinates[1])))
-        object.__setattr__(self, "scans", tuple(self.scans))
-        if len(self.scans) < 1:
-            raise ValueError(f"location {self.location_id} has no scans")
-
-
 # The per-scan arrays of FingerprintDatabase, with their dtypes.
 SCAN_ARRAYS = {"scan_location": np.intp, "timestamps": np.int64, "asu": np.int8, "position": np.int8}
 
@@ -182,8 +153,8 @@ class FingerprintDatabase:
     - ``position`` (n, m): each reading's index in its scan's reading list,
       -1 where the tower is unheard, so ``position >= 0`` is the heard mask.
 
-    Loading or from_locations gives a universe of exactly the towers heard
-    in some scan; split views keep their parent's.
+    Loading gives a universe of exactly the towers heard in some scan;
+    split views keep their parent's.
     """
 
     tower_universe: tuple[TowerId, ...]
@@ -238,47 +209,6 @@ class FingerprintDatabase:
         return np.bincount(self.scan_location, minlength=len(self.location_ids))
 
 
-def _assemble(location_ids, coordinates, scan_ids, timestamps, towers, asus, counts,
-              testbed: str, grid_cell_m: float, codes=None) -> FingerprintDatabase:
-    """The database of locations at `coordinates` and of scans in file order:
-    scan i at location scan_ids[i] owns the next counts[i] entries of the
-    flat per-reading lists `towers` and `asus`. Rows are sorted stably by
-    location. `codes`, if given, is _tower_codes(towers)."""
-    universe, cols = codes or _tower_codes(towers)
-    counts = np.array(counts, dtype=np.intp)
-    row = np.repeat(np.arange(len(counts)), counts)
-    asu = np.zeros((len(counts), len(universe)), dtype=np.int8)
-    position = np.full(asu.shape, -1, dtype=np.int8)
-    asu[row, cols] = asus
-    position[row, cols] = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
-
-    ids = np.array(location_ids, dtype=np.int64)
-    by_id = np.argsort(ids, kind="stable")
-    scan_location = np.searchsorted(ids[by_id], np.array(scan_ids, dtype=np.int64))
-    rows = np.argsort(scan_location, kind="stable")
-    return FingerprintDatabase(
-        tuple(universe), ids[by_id], np.reshape(coordinates, (-1, 2))[by_id], scan_location[rows],
-        np.array(timestamps, dtype=np.int64)[rows], asu[rows], position[rows],
-        testbed=testbed, grid_cell_m=grid_cell_m,
-    )
-
-
-def from_locations(
-    locations: list[ReferenceLocation] | tuple[ReferenceLocation, ...],
-    testbed: str = "unnamed",
-    grid_cell_m: float = 1.0,
-) -> FingerprintDatabase:
-    """Build a database whose universe is exactly the towers heard anywhere."""
-    scans = [(loc.location_id, scan) for loc in locations for scan in loc.scans]
-    readings = [reading for _, scan in scans for reading in scan.readings]
-    return _assemble(
-        [loc.location_id for loc in locations], [loc.coordinates for loc in locations],
-        [loc_id for loc_id, _ in scans], [scan.timestamp for _, scan in scans],
-        [t for t, _ in readings], [a for _, a in readings],
-        [len(scan.readings) for _, scan in scans], testbed, grid_cell_m,
-    )
-
-
 def load_database(path: str | Path) -> FingerprintDatabase:
     """Load a JSON-lines fingerprint database.
 
@@ -327,9 +257,18 @@ def _parse(path: Path, lines: list[str]) -> FingerprintDatabase:
         raise DatabaseFormatError(f"{path}: line {line}: {fault[1]}")
     if not scans.counts:
         raise DatabaseFormatError(f"{path}: no locations")
-    ids, first, _ = scans.locations
-    return _assemble(ids, scans.xy[first], scans.loc, scans.ts, scans.towers, scans.asus, scans.counts,
-                     testbed, grid_cell_m, scans.codes)
+    # scan i owns the next counts[i] readings; rows are then sorted stably by location
+    (universe, cols), (ids, first, scan_location) = scans.codes, scans.locations
+    counts = np.array(scans.counts, dtype=np.intp)
+    row = np.repeat(np.arange(len(counts)), counts)
+    asu = np.zeros((len(counts), len(universe)), dtype=np.int8)
+    position = np.full(asu.shape, -1, dtype=np.int8)
+    asu[row, cols] = scans.asus
+    position[row, cols] = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+    rows = np.argsort(scan_location, kind="stable")
+    return FingerprintDatabase(tuple(universe), ids, scans.xy[first], scan_location[rows],
+                               np.array(scans.ts, dtype=np.int64)[rows], asu[rows], position[rows],
+                               testbed=testbed, grid_cell_m=grid_cell_m)
 
 
 _raw_decode = json.JSONDecoder().raw_decode

@@ -1,8 +1,8 @@
 """Turn raw ASU scans into fixed-length normalized feature vectors.
 
 ASU readings (0..31) are normalized to [0, 1] by dividing by 31; towers not
-heard in a scan get feature value 0. The dBm conversion is exposed for
-reference and diagnostics; the learning pipeline runs on normalized ASU.
+heard in a scan get feature value 0. The loader has already checked each
+ASU's range, so vectorize divides without checking again.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASU_MAX, ASU_MIN, FingerprintDatabase, TowerId
+from .core import ASU_MAX, FingerprintDatabase, TowerId
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,23 +40,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-
-def _check_asu(asu: int) -> int:
-    asu = int(asu)
-    if not (ASU_MIN <= asu <= ASU_MAX):
-        raise ValueError(f"ASU out of range: {asu}")
-    return asu
-
-
-def asu_to_dbm(asu: int) -> int:
-    """Convert an ASU reading to dBm: dBm = 2 * ASU - 113."""
-    return 2 * _check_asu(asu) - 113
-
-
-def normalize_asu(asu: int) -> float:
-    """Map an ASU reading onto [0, 1] using the fixed unit range 0..31."""
-    return _check_asu(asu) / ASU_MAX
 
 
 def vectorize(

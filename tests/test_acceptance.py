@@ -14,13 +14,13 @@ import pytest
 
 from cellaug.augment import AugmentConfig, augment_drop_threshold, compute_stats
 from cellaug.cli import main
-from cellaug.core import RawScan, ReferenceLocation, from_locations, load_database, save_database
+from cellaug.core import ASU_MAX, load_database, save_database
 from cellaug.distfit import fit_best, fit_beta, fit_gamma, fit_gaussian, sample_from
 from cellaug.localize import desk_profile, load_model, save_model, train_localizer, weighted_centroid
 from cellaug.nn import LayerSpec, backward, forward, forward_with_cache, init_network
 from cellaug.pipeline import run_comparison
-from cellaug.preprocess import SampleSet, asu_to_dbm, normalize_asu
-from cellaug.testbed import default_desk_spec, generate
+from cellaug.preprocess import SampleSet
+from cellaug.testbed import dbm_to_asu, default_desk_spec, generate
 from cellaug.vae import (
     VaeTrainConfig,
     build_vae,
@@ -30,6 +30,7 @@ from cellaug.vae import (
     vae_loss,
 )
 from cellaug.vae import generate as vae_generate
+from conftest import survey
 from reference_engine import one_hot, softmax_cross_entropy, squared_error
 
 
@@ -245,20 +246,18 @@ def test_criterion_6_exact_arithmetic():
     signal-range noise scale, threshold-dropper counts, KL closed form,
     and weighted-centroid decoding."""
     with criterion(6, "exact arithmetic"):
-        for asu in range(32):
-            assert asu_to_dbm(asu) == 2 * asu - 113
-        assert asu_to_dbm(0) == -113 and asu_to_dbm(31) == -51
+        for asu in range(32):  # dBm = 2 * ASU - 113, as the generator inverts it
+            assert dbm_to_asu(2 * asu - 113) == asu
+        assert dbm_to_asu(-113) == 0 and dbm_to_asu(-51) == 31
 
         # noise scale is half the observed range: ASU 0 and 31 give exactly 1/2
-        scans = (RawScan(0, (("A", 0),)), RawScan(1, (("A", 31),)))
-        db = from_locations([ReferenceLocation(0, (0, 0), scans),
-                             ReferenceLocation(1, (1, 1), (RawScan(0, (("A", 5),)),))])
+        db = survey([(0, (0, 0), [(0, [("A", 0)]), (1, [("A", 31)])]),
+                     (1, (1, 1), [(0, [("A", 5)])])])
         stats = compute_stats(db)
         assert stats[0].noise_scale[0] == 0.5
-        grid = (normalize_asu(20) - normalize_asu(10)) / 2
-        scans2 = (RawScan(0, (("A", 10),)), RawScan(1, (("A", 20),)))
-        db2 = from_locations([ReferenceLocation(0, (0, 0), scans2),
-                              ReferenceLocation(1, (1, 1), (RawScan(0, (("A", 5),)),))])
+        grid = (20 / ASU_MAX - 10 / ASU_MAX) / 2
+        db2 = survey([(0, (0, 0), [(0, [("A", 10)]), (1, [("A", 20)])]),
+                      (1, (1, 1), [(0, [("A", 5)])])])
         assert compute_stats(db2)[0].noise_scale[0] == grid == 5 / 31
 
         for k in range(7):
@@ -311,16 +310,13 @@ def test_criterion_8_serialization_round_trips(tmp_path):
                 for ts in range(int(rng.integers(1, 5))):
                     k = int(rng.integers(1, min(n_towers, 7) + 1))
                     heard = rng.choice(n_towers, size=k, replace=False)
-                    scans.append(RawScan(ts, tuple(
-                        (towers[j], int(rng.integers(0, 32))) for j in heard
-                    )))
-                locations.append(ReferenceLocation(
+                    scans.append((ts, [(towers[j], int(rng.integers(0, 32))) for j in heard]))
+                locations.append((
                     loc_id,
                     (float(rng.normal(0, 50)), float(rng.normal(0, 50))),
-                    tuple(scans),
+                    scans,
                 ))
-            db = from_locations(locations, testbed=f"rt{trial}",
-                                grid_cell_m=float(rng.uniform(0.5, 100)))
+            db = survey(locations, testbed=f"rt{trial}", grid_cell_m=float(rng.uniform(0.5, 100)))
             path = tmp_path / f"db{trial}.jsonl"
             save_database(db, path)
             assert load_database(path) == db

@@ -13,11 +13,12 @@ from cellaug.augment import (
     compute_stats,
     train_location_vaes,
 )
-from cellaug.core import RawScan, ReferenceLocation, from_locations
+from cellaug.core import ASU_MAX, FingerprintDatabase
 from cellaug.distfit import FittedDistribution
-from cellaug.preprocess import location_blocks, normalize_asu, vectorize, vectorize_database
+from cellaug.preprocess import location_blocks, vectorize, vectorize_database
 from cellaug.util import ConfigError
 from cellaug.vae import VaeTrainConfig, train_vae
+from conftest import survey
 
 
 def rows(values, n=1):
@@ -33,17 +34,9 @@ def stats_for(noise_scale, mean_values=None):
 
 @pytest.fixture
 def two_tower_db():
-    scans0 = (
-        RawScan(0, (("A", 10), ("B", 20))),
-        RawScan(1, (("A", 20), ("B", 20))),
-    )
-    scans1 = (
-        RawScan(0, (("A", 5),)),
-        RawScan(1, (("A", 6),)),
-    )
-    return from_locations([
-        ReferenceLocation(0, (0.0, 0.0), scans0),
-        ReferenceLocation(1, (3.0, 4.0), scans1),
+    return survey([
+        (0, (0.0, 0.0), [(0, [("A", 10), ("B", 20)]), (1, [("A", 20), ("B", 20)])]),
+        (1, (3.0, 4.0), [(0, [("A", 5)]), (1, [("A", 6)])]),
     ])
 
 
@@ -51,9 +44,9 @@ class TestComputeStats:
     def test_range_halved(self, two_tower_db):
         stats = compute_stats(two_tower_db)
         # tower A at location 0 heard at 10/31 and 20/31
-        expected = (normalize_asu(20) - normalize_asu(10)) / 2
+        expected = (20 / ASU_MAX - 10 / ASU_MAX) / 2
         assert stats[0].noise_scale[0] == pytest.approx(expected)
-        assert stats[0].mean_values[0] == pytest.approx(normalize_asu(15))
+        assert stats[0].mean_values[0] == pytest.approx(15 / ASU_MAX)
 
     def test_constant_tower_has_zero_scale(self, two_tower_db):
         stats = compute_stats(two_tower_db)
@@ -225,15 +218,14 @@ class TestDropThreshold:
         out = augment_drop_threshold(v, AugmentConfig(drop_threshold_value=0.2))
         assert len(out) == 1  # only the 0.1 entry
 
-    def test_cap_at_twelve(self):
-        values = [0.01 * (i + 1) for i in range(14)]
-        v = rows(values)
-        out = augment_drop_threshold(v, AugmentConfig(drop_threshold_value=0.2))
-        assert len(out) == 2**12 - 1
-        # the two strongest candidates (0.13, 0.14) are never dropped
-        for o in out[:100]:
-            assert o[12] == pytest.approx(0.13)
-            assert o[13] == pytest.approx(0.14)
+    def test_full_scan_gives_127_distinct_variants(self):
+        # a scan holds at most 7 readings: all weak, each nonempty subset is dropped once
+        values = [0.5] + [0.01 * (i + 1) for i in range(7)]
+        out = augment_drop_threshold(rows(values), AugmentConfig(drop_threshold_value=0.2))
+        assert len(out) == 2**7 - 1
+        assert np.all(out[:, 0] == 0.5)
+        dropped = {tuple(np.flatnonzero(o[1:] == 0.0)) for o in out}
+        assert len(dropped) == 2**7 - 1 and () not in dropped
 
 
 class TestHeardAsuZero:
@@ -243,18 +235,18 @@ class TestHeardAsuZero:
 
     @pytest.fixture
     def db(self):
-        scans = (RawScan(0, (("A", 0), ("B", 3), ("C", 5))), RawScan(1, (("A", 10), ("C", 25))))
-        return from_locations([ReferenceLocation(0, (0.0, 0.0), scans)])
+        return survey([(0, (0.0, 0.0), [(0, [("A", 0), ("B", 3), ("C", 5)]),
+                                        (1, [("A", 10), ("C", 25)])])])
 
     def test_vectorized_as_zero_but_heard(self, db):
         samples, heard = vectorize(db)
-        assert samples.x[0].tolist() == [0.0, normalize_asu(3), normalize_asu(5)]
+        assert samples.x[0].tolist() == [0.0, 3 / ASU_MAX, 5 / ASU_MAX]
         assert heard.tolist() == [[True, True, True], [True, False, True]]
 
     def test_counted_by_stats(self, db):
         stats = compute_stats(db)[0]
-        assert stats.noise_scale[0] == (normalize_asu(10) - 0.0) / 2.0  # heard at ASU 0 and 10
-        assert stats.mean_values[0] == pytest.approx(normalize_asu(5))
+        assert stats.noise_scale[0] == (10 / ASU_MAX - 0.0) / 2.0  # heard at ASU 0 and 10
+        assert stats.mean_values[0] == pytest.approx(5 / ASU_MAX)
 
     def test_not_a_threshold_candidate(self, db):
         first = vectorize_database(db).x[:1]
@@ -262,7 +254,7 @@ class TestHeardAsuZero:
         assert len(out) == 2**2 - 1  # B and C are candidates; the heard ASU 0 is not
         assert np.all(out[:, 0] == 0.0)
         assert {tuple(o) for o in out[:, 1:]} == {
-            (0.0, normalize_asu(5)), (normalize_asu(3), 0.0), (0.0, 0.0)}
+            (0.0, 5 / ASU_MAX), (3 / ASU_MAX, 0.0), (0.0, 0.0)}
 
 
 class TestAugmentAll:
@@ -274,11 +266,8 @@ class TestAugmentAll:
                           "drop_random": 0, "drop_threshold": 0, "vae": 0}
 
     def test_count_arithmetic_single_location(self):
-        scans = (
-            RawScan(0, (("A", 25), ("B", 4), ("C", 15))),
-            RawScan(1, (("A", 28), ("B", 5), ("C", 14))),
-        )
-        db = from_locations([ReferenceLocation(0, (0, 0), scans)])
+        db = survey([(0, (0, 0), [(0, [("A", 25), ("B", 4), ("C", 15)]),
+                                  (1, [("A", 28), ("B", 5), ("C", 14)])])])
         cfg = AugmentConfig(
             noise_per_scan=3,
             sampling_n_per_location=7,
@@ -318,8 +307,7 @@ class TestAugmentAll:
 def many_towers_db(scans=300):
     """One location whose scans each hear 7 towers of their own, all weak:
     127 threshold variants per scan, over a universe of 7 x scans towers."""
-    scans = tuple(RawScan(t, tuple((f"T{t}_{j}", 3) for j in range(7))) for t in range(scans))
-    return from_locations([ReferenceLocation(0, (0.0, 0.0), scans)])
+    return survey([(0, (0.0, 0.0), [(t, [(f"T{t}_{j}", 3) for j in range(7)]) for t in range(scans)])])
 
 
 class TestAugmentationBound:
@@ -353,6 +341,15 @@ class TestAugmentationBound:
         with pytest.raises(ConfigError, match=f"{300 * 128} rows x 2100 towers = 80640000 values"):
             augment_all(many_towers_db(), cfg)
 
+    def test_variant_count_does_not_wrap_at_64_candidates(self, monkeypatch):
+        # the constructor does not cap readings per scan; 2**64 wraps to 0 in int64
+        refuse_techniques(monkeypatch)
+        towers = tuple(f"T{j:02d}" for j in range(64))
+        db = FingerprintDatabase(towers, [0], [(0.0, 0.0)], [0], [0], [[1] * 64], [range(64)])
+        cfg = AugmentConfig(drop_threshold_value=0.2).only("drop_threshold")
+        with pytest.raises(ConfigError, match=f"^augmentation too large: {2**64} rows x 64 towers"):
+            augment_all(db, cfg)
+
 
 def refuse_techniques(monkeypatch):
     def technique(*args, **kwargs):
@@ -368,12 +365,11 @@ class TestTrainLocationVaes:
         towers = ("A", "B", "C", "D")
         locations = []
         for loc_id, n_scans in enumerate((1, 2, 5, 5, 70)):
-            scans = tuple(
-                RawScan(t, tuple((tw, int(rng.integers(3, 31))) for tw in towers
-                                 if rng.random() < 0.8) or (("A", 9),))
-                for t in range(n_scans))
-            locations.append(ReferenceLocation(loc_id, (float(loc_id), 0.0), scans))
-        db = from_locations(locations)
+            scans = [(t, [(tw, int(rng.integers(3, 31))) for tw in towers
+                          if rng.random() < 0.8] or [("A", 9)])
+                     for t in range(n_scans)]
+            locations.append((loc_id, (float(loc_id), 0.0), scans))
+        db = survey(locations)
         cfg = AugmentConfig(vae_epochs=25, vae_learning_rate=0.01, seed=4)
         with pytest.warns(UserWarning, match="location 0: only 1 scan"):
             models = train_location_vaes(db, cfg)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -15,29 +16,14 @@ from cellaug.core import (
     MAX_READINGS_PER_SCAN,
     DatabaseFormatError,
     FingerprintDatabase,
-    RawScan,
-    ReferenceLocation,
     TowerId,
-    from_locations,
-    _assemble,
     heard_count_histogram,
     load_database,
     save_database,
 )
 from cellaug.pipeline import temporal_split
-from cellaug.preprocess import location_blocks, normalize_asu, vectorize
-
-
-def scan(ts, readings):
-    return RawScan(timestamp=ts, readings=tuple(readings))
-
-
-def make_db(loc_specs, testbed="t", grid=1.0):
-    locations = [
-        ReferenceLocation(location_id=i, coordinates=xy, scans=tuple(scans))
-        for i, (xy, scans) in enumerate(loc_specs)
-    ]
-    return from_locations(locations, testbed=testbed, grid_cell_m=grid)
+from cellaug.preprocess import location_blocks, vectorize
+from conftest import survey
 
 
 def one_location(tower_universe, asu_rows):
@@ -51,55 +37,10 @@ def one_location(tower_universe, asu_rows):
 
 @pytest.fixture
 def small_db():
-    return make_db([
-        ((0.0, 0.0), [scan(0, [("B", 10), ("A", 20)]), scan(1, [("A", 5)]), scan(2, [("B", 31)])]),
-        ((2.0, 1.5), [scan(0, [("A", 0)]), scan(1, [("A", 7), ("B", 3)]), scan(2, [("B", 12)])]),
-    ])
-
-
-class TestRawScan:
-    def test_orders_and_caps(self):
-        s = scan(5, [("X", 1), ("Y", 31)])
-        assert tuple(t for t, _ in s.readings) == ("X", "Y")
-        assert dict(s.readings).get("Y") == 31
-        assert dict(s.readings).get("Z") is None
-
-    def test_empty_scan_rejected(self):
-        with pytest.raises(ValueError, match="empty scan"):
-            scan(0, [])
-
-    def test_more_than_seven_readings_rejected(self):
-        readings = [(f"T{i}", 5) for i in range(8)]
-        with pytest.raises(ValueError, match="too many readings"):
-            scan(0, readings)
-
-    def test_asu_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="ASU out of range"):
-            scan(0, [("A", 32)])
-        with pytest.raises(ValueError, match="ASU out of range"):
-            scan(0, [("A", -1)])
-
-    def test_duplicate_tower_rejected(self):
-        with pytest.raises(ValueError, match="duplicate tower"):
-            scan(0, [("A", 1), ("A", 2)])
-
-    @pytest.mark.parametrize("readings, message", [
-        ([], "empty scan: at least one reading required"),
-        ([(f"T{i}", 5) for i in range(8)], "too many readings: 8 > 7"),
-        ([("A", 1), ("", 2)], "empty tower id"),
-        ([("A", 1), ("B", 2), ("A", 3)], "duplicate tower in scan: A"),
-        ([("A", 1), ("B", 32)], "ASU out of range: 32 for tower B"),
-    ], ids=["no readings", "eight readings", "empty tower id", "repeated tower", "ASU 32"])
-    def test_reading_rules_match_the_loader(self, tmp_path, readings, message):
-        with pytest.raises(ValueError) as raw:
-            scan(0, readings)
-        path = tmp_path / "db.jsonl"
-        record = {"loc": 0, "x": 0, "y": 0, "ts": 0, "readings": [list(r) for r in readings]}
-        path.write_text('{"testbed": "x", "grid_cell_m": 1}\n' + json.dumps(record) + "\n")
-        with pytest.raises(DatabaseFormatError) as loaded:
-            load_database(path)
-        assert str(raw.value) == message
-        assert str(loaded.value) == f"{path}: line 2: {message}"
+    return survey([
+        (0, (0.0, 0.0), [(0, [("B", 10), ("A", 20)]), (1, [("A", 5)]), (2, [("B", 31)])]),
+        (1, (2.0, 1.5), [(0, [("A", 0)]), (1, [("A", 7), ("B", 3)]), (2, [("B", 12)])]),
+    ], testbed="t")
 
 
 class TestDatabaseInvariants:
@@ -122,12 +63,24 @@ class TestDatabaseInvariants:
             one_location(("B", "A"), [[1, 0]])
 
     def test_duplicate_location_id_rejected(self):
-        locs = (
-            ReferenceLocation(0, (0, 0), (scan(0, [("A", 1)]),)),
-            ReferenceLocation(0, (1, 1), (scan(0, [("A", 2)]),)),
-        )
         with pytest.raises(ValueError, match="duplicate location_id"):
-            from_locations(locs)
+            FingerprintDatabase(("A",), [0, 0], [(0, 0), (1, 1)], [0, 1], [0, 0],
+                                [[1], [2]], [[0], [0]])
+
+    def test_descending_location_ids_rejected(self):
+        with pytest.raises(ValueError, match="location ids must ascend"):
+            FingerprintDatabase(("A",), [1, 0], [(0, 0), (1, 1)], [0, 1], [0, 0],
+                                [[1], [2]], [[0], [0]])
+
+    def test_position_shape_checked(self):
+        with pytest.raises(ValueError, match=re.escape("position has shape (1, 2), expected (1, 1)")):
+            FingerprintDatabase(("A",), [0], [(0, 0)], [0], [0], [[1]], [[0, -1]])
+
+    def test_location_requires_scans(self):
+        # location 1 has no scan
+        with pytest.raises(ValueError, match="each with one"):
+            FingerprintDatabase(("A",), [0, 1], [(0, 0), (1, 1)], [0, 0], [0, 1],
+                                [[1], [2]], [[0], [0]])
 
     @settings(max_examples=200, deadline=None)
     @given(scan_location=st.lists(st.integers(-1, 4), max_size=6), n_locations=st.integers(0, 4))
@@ -143,10 +96,6 @@ class TestDatabaseInvariants:
             assert not want and "grouped by location" in str(exc)
         else:
             assert want
-
-    def test_location_requires_scans(self):
-        with pytest.raises(ValueError, match="no scans"):
-            ReferenceLocation(0, (0, 0), ())
 
 
 class TestSerialization:
@@ -185,6 +134,48 @@ class TestSerialization:
         path.write_text('{"testbed": "x", "grid_cell_m": 1}\n{not json}\n')
         with pytest.raises(DatabaseFormatError, match="line 2"):
             load_database(path)
+
+    @pytest.mark.parametrize("readings, message", [
+        ([], "empty scan: at least one reading required"),
+        ([(f"T{i}", 5) for i in range(8)], "too many readings: 8 > 7"),
+        ([("A", 1), ("", 2)], "empty tower id"),
+        ([("A", 1), ("B", 2), ("A", 3)], "duplicate tower in scan: A"),
+        ([("A", 1), ("B", 32)], "ASU out of range: 32 for tower B"),
+        ([("A", -1)], "ASU out of range: -1 for tower A"),
+    ], ids=["no readings", "eight readings", "empty tower id", "repeated tower", "ASU 32", "ASU -1"])
+    def test_reading_rule_messages(self, tmp_path, readings, message):
+        record = {"loc": 0, "x": 0, "y": 0, "ts": 0, "readings": readings}
+        assert self.load_one_scan(tmp_path, json.dumps(record)) == message
+
+    def test_seven_readings_accepted(self):
+        db = survey([(0, (0, 0), [(0, [(f"T{i}", 5) for i in range(MAX_READINGS_PER_SCAN)])])])
+        assert db.heard.sum() == MAX_READINGS_PER_SCAN == 7
+
+    def test_asu_bounds_accepted(self):
+        db = survey([(0, (0, 0), [(0, [("A", 0), ("B", ASU_MAX)])])])
+        assert db.asu.tolist() == [[0, 31]] and db.heard.tolist() == [[True, True]]
+
+    def test_loader_keeps_reading_order(self, tmp_path):
+        db = survey([(0, (0, 0), [(0, [("B", 10), ("A", 20)])])])
+        assert db.asu.tolist() == [[20, 10]]
+        assert db.position.tolist() == [[1, 0]]
+        save_database(db, tmp_path / "db.jsonl")
+        record = json.loads((tmp_path / "db.jsonl").read_text().splitlines()[1])
+        assert record["readings"] == [["B", 10], ["A", 20]]
+
+    def test_interleaved_location_keeps_its_scan_order(self):
+        db = survey([(3, (1, 1), [(9, [("A", 1)])]), (0, (0, 0), [(5, [("A", 2)])]),
+                     (3, (1, 1), [(2, [("A", 3)])])])
+        assert db.location_ids.tolist() == [0, 3]
+        assert db.scan_location.tolist() == [0, 1, 1]
+        assert db.timestamps.tolist() == [5, 9, 2]
+        assert db.asu[:, 0].tolist() == [2, 1, 3]
+
+    def test_loaded_arrays_match_hand_filled_constructor(self, small_db):
+        assert small_db == FingerprintDatabase(
+            ("A", "B"), [0, 1], [(0.0, 0.0), (2.0, 1.5)], [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2],
+            [[20, 10], [5, 0], [0, 31], [0, 0], [7, 3], [0, 12]],
+            [[1, 0], [0, -1], [-1, 0], [0, -1], [0, 1], [-1, 0]], testbed="t", grid_cell_m=1.0)
 
     def test_out_of_range_asu_in_file(self, tmp_path):
         path = tmp_path / "asu.jsonl"
@@ -261,7 +252,7 @@ class TestSerialization:
         ("readings", "[[5, 3]]", "tower id must be a JSON string, got 5"),
     ])
     def test_loose_json_type_rejected(self, tmp_path, key, value, message):
-        # RawScan coerces these; a file must hold the JSON types themselves
+        # a file must hold the JSON types themselves, not values that convert to them
         fields = {"loc": "0", "x": "0", "y": "0", "ts": "0", "readings": '[["A", 1]]', key: value}
         path = tmp_path / "types.jsonl"
         path.write_text('{"testbed": "x", "grid_cell_m": 1}\n'
@@ -310,14 +301,14 @@ class TestSerialization:
     def test_55_locations_17_towers(self, tmp_path):
         rng = np.random.default_rng(17)
         towers = [f"C{i:02d}" for i in range(17)]
-        loc_specs = []
-        for _ in range(55):
+        locations = []
+        for loc_id in range(55):
             scans = []
             for ts in range(3):
                 heard = rng.choice(17, size=5, replace=False)
-                scans.append(scan(ts, [(towers[j], int(rng.integers(0, 32))) for j in sorted(heard)]))
-            loc_specs.append(((float(rng.uniform(0, 11)), float(rng.uniform(0, 12))), scans))
-        db = make_db(loc_specs)
+                scans.append((ts, [(towers[j], int(rng.integers(0, 32))) for j in sorted(heard)]))
+            locations.append((loc_id, (float(rng.uniform(0, 11)), float(rng.uniform(0, 12))), scans))
+        db = survey(locations)
         path = tmp_path / "big.jsonl"
         save_database(db, path)
         lines = path.read_text().strip().splitlines()
@@ -331,16 +322,16 @@ class TestSerialization:
         for trial in range(10):
             n_towers = int(rng.integers(2, 9))
             towers = [f"T{i}" for i in range(n_towers)]
-            loc_specs = []
-            for _ in range(int(rng.integers(2, 6))):
+            locations = []
+            for loc_id in range(int(rng.integers(2, 6))):
                 scans = []
                 for ts in range(int(rng.integers(1, 5))):
                     k = int(rng.integers(1, min(n_towers, 7) + 1))
                     heard = rng.choice(n_towers, size=k, replace=False)
-                    scans.append(scan(ts, [(towers[j], int(rng.integers(0, 32))) for j in heard]))
+                    scans.append((ts, [(towers[j], int(rng.integers(0, 32))) for j in heard]))
                 xy = (float(rng.normal(0, 10)), float(rng.normal(0, 10)))
-                loc_specs.append((xy, scans))
-            db = make_db(loc_specs, testbed=f"trial{trial}", grid=float(rng.uniform(0.5, 100)))
+                locations.append((loc_id, xy, scans))
+            db = survey(locations, testbed=f"trial{trial}", grid_cell_m=float(rng.uniform(0.5, 100)))
             path = tmp_path / f"r{trial}.jsonl"
             save_database(db, path)
             assert load_database(path) == db
@@ -352,7 +343,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def surveys_in_file_order(draw):
     """A survey as drawn: (scans, coordinates, testbed, grid_cell_m), where
-    scans lists (location id, RawScan) in file order. 1-4 locations with
+    scans lists (location id, timestamp, readings) in file order, readings a
+    tuple of (tower, ASU) pairs. 1-4 locations with
     1-3 scans each and arbitrary finite coordinates and grid size; free-form
     tower ids and testbed name. Scans interleave across locations, tie on
     timestamps often, and list their readings in no particular tower order."""
@@ -366,23 +358,21 @@ def surveys_in_file_order(draw):
                                   max_size=MAX_READINGS_PER_SCAN, unique=True))
             asus = draw(st.lists(st.integers(0, ASU_MAX), min_size=len(heard), max_size=len(heard)))
             ts = draw(st.integers(0, 2) | st.integers(-2**40, 2**40))
-            scans.append((loc_id, scan(ts, zip(heard, asus))))
+            scans.append((loc_id, ts, tuple(zip(heard, asus))))
     return draw(st.permutations(scans)), coordinates, draw(st.text(max_size=8)), draw(finite)
 
 
 def grouped(scans):
-    """Each location's scans in file order, locations by ascending id."""
-    out: dict[int, list[RawScan]] = {}
-    for loc_id, s in scans:
-        out.setdefault(loc_id, []).append(s)
-    return dict(sorted(out.items()))
+    """The drawn scans sorted stably by location id: locations by ascending
+    id, each location's scans in file order."""
+    return sorted(scans, key=lambda s: s[0])
 
 
 def build(drawn):
+    """The database loaded from the drawn survey's lines, in file order."""
     scans, coordinates, testbed, grid = drawn
-    locations = [ReferenceLocation(loc_id, coordinates[loc_id], tuple(loc_scans))
-                 for loc_id, loc_scans in grouped(scans).items()]
-    return from_locations(locations, testbed=testbed, grid_cell_m=grid)
+    return survey([(loc_id, coordinates[loc_id], [(ts, readings)]) for loc_id, ts, readings in scans],
+                  testbed=testbed, grid_cell_m=grid)
 
 
 def surveys():
@@ -390,14 +380,14 @@ def surveys():
 
 
 def read_back(db):
-    """Each scan of db as (location id, RawScan), in database order, read
-    cell by cell from the arrays."""
+    """Each scan of db as (location id, timestamp, readings), in database
+    order, read cell by cell from the arrays."""
     out = []
     for i, ts in enumerate(db.timestamps.tolist()):
         readings = sorted((int(db.position[i, j]), db.tower_universe[j], int(db.asu[i, j]))
                           for j in range(db.n_towers) if db.position[i, j] >= 0)
         loc_id = int(db.location_ids[db.scan_location[i]])
-        out.append((loc_id, scan(ts, [(t, a) for _, t, a in readings])))
+        out.append((loc_id, ts, tuple((t, a) for _, t, a in readings)))
     return out
 
 
@@ -420,17 +410,14 @@ class TestRoundTripProperty:
 
     @settings(max_examples=60, deadline=None)
     @given(drawn=surveys_in_file_order())
-    def test_load_groups_interleaved_lines(self, tmp_path_factory, drawn):
+    def test_load_groups_interleaved_lines(self, drawn):
+        db = build(drawn)
         scans, coordinates, testbed, grid = drawn
-        lines = [json.dumps({"testbed": testbed, "grid_cell_m": grid})]
-        lines += [json.dumps({"loc": loc_id, "x": coordinates[loc_id][0], "y": coordinates[loc_id][1],
-                              "ts": s.timestamp, "readings": [list(r) for r in s.readings]})
-                  for loc_id, s in scans]
-        path = tmp_path_factory.mktemp("survey") / "db.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        db = load_database(path)
-        assert db == build(drawn)
-        assert read_back(db) == [(loc_id, s) for loc_id, ss in grouped(scans).items() for s in ss]
+        assert read_back(db) == grouped(scans)
+        assert db.location_ids.tolist() == sorted(coordinates)
+        assert db.coordinates.tolist() == [list(map(float, coordinates[loc_id]))
+                                           for loc_id in sorted(coordinates)]
+        assert (db.testbed, db.grid_cell_m) == (testbed, float(grid))
 
 
 # Text that json escapes: quotes, backslashes, control and non-ASCII characters.
@@ -452,9 +439,9 @@ def edge_surveys(draw):
         for _ in range(draw(st.integers(1, 3))):
             heard = draw(st.lists(st.sampled_from(towers), min_size=1,
                                   max_size=MAX_READINGS_PER_SCAN, unique=True))
-            scans.append(scan(draw(int64_ends), [(t, draw(st.integers(0, ASU_MAX))) for t in heard]))
-        locations.append(ReferenceLocation(loc_id, (draw(edge_floats), draw(edge_floats)), scans))
-    return from_locations(locations, testbed=draw(tower_ids), grid_cell_m=draw(edge_floats))
+            scans.append((draw(int64_ends), [(t, draw(st.integers(0, ASU_MAX))) for t in heard]))
+        locations.append((loc_id, (draw(edge_floats), draw(edge_floats)), scans))
+    return survey(locations, testbed=draw(tower_ids), grid_cell_m=draw(edge_floats))
 
 
 class TestWriterProperty:
@@ -466,8 +453,8 @@ class TestWriterProperty:
         coords = dict(zip(db.location_ids.tolist(), db.coordinates.tolist()))
         records = [{"testbed": db.testbed, "grid_cell_m": db.grid_cell_m}]
         records += [{"loc": loc_id, "x": coords[loc_id][0], "y": coords[loc_id][1],
-                     "ts": s.timestamp, "readings": [list(r) for r in s.readings]}
-                    for loc_id, s in read_back(db)]
+                     "ts": ts, "readings": readings}
+                    for loc_id, ts, readings in read_back(db)]
         assert path.read_text(encoding="utf-8") == "".join(json.dumps(r) + "\n" for r in records)
         assert load_database(path) == db
 
@@ -482,15 +469,16 @@ class TestSplitAndVectorizeProperties:
     def test_temporal_split_matches_reference(self, drawn, train_scans, fraction):
         db = build(drawn)
         train, test, failure = [], [], None
-        for loc_id, loc_scans in grouped(drawn[0]).items():
+        for loc_id, loc_scans in itertools.groupby(grouped(drawn[0]), key=lambda s: s[0]):
+            loc_scans = list(loc_scans)
             n = len(loc_scans)
             cut = train_scans if train_scans is not None else max(1, int(n * fraction))
             if not 0 < cut < n:
                 failure = failure or f"location {loc_id}: cannot split {n} scans into {cut} train"
                 continue
-            ordered = sorted(loc_scans, key=lambda s: s.timestamp)  # stable: ties keep file order
-            train += [(loc_id, s) for s in ordered[:cut]]
-            test += [(loc_id, s) for s in ordered[cut:]]
+            ordered = sorted(loc_scans, key=lambda s: s[1])  # stable: ties keep file order
+            train += ordered[:cut]
+            test += ordered[cut:]
         if failure:
             with pytest.raises(ValueError, match=re.escape(failure)):
                 temporal_split(db, fraction, train_scans)
@@ -508,34 +496,34 @@ class TestSplitAndVectorizeProperties:
         db = build(drawn)
         # any column order, over a universe that may be wider than the heard towers
         towers = data.draw(st.permutations(sorted(set(db.tower_universe) | set(extra))))
-        rows = [(loc_id, s) for loc_id, ss in grouped(drawn[0]).items() for s in ss]
+        rows = grouped(drawn[0])
         x = np.zeros((len(rows), len(towers)))
         heard = np.zeros(x.shape, dtype=bool)
-        for i, (_, s) in enumerate(rows):
-            for tower, asu in s.readings:
-                x[i, towers.index(tower)] = normalize_asu(asu)
+        for i, (_, _, readings) in enumerate(rows):
+            for tower, asu in readings:
+                x[i, towers.index(tower)] = asu / ASU_MAX
                 heard[i, towers.index(tower)] = True
         samples, mask = vectorize(db, towers)
         assert samples.towers == tuple(towers)
-        assert samples.labels.tolist() == [loc_id for loc_id, _ in rows]
+        assert samples.labels.tolist() == [loc_id for loc_id, _, _ in rows]
         assert np.array_equal(samples.x, x)
         assert np.array_equal(mask, heard)
 
 
 def heard_of(scans):
-    return from_locations([ReferenceLocation(0, (0, 0), tuple(scans))]).heard
+    return survey([(0, (0, 0), scans)]).heard
 
 
 class TestHeardCountHistogram:
     def test_all_same_count(self):
-        scans = [scan(t, [(f"T{i}", 10) for i in range(5)]) for t in range(10)]
+        scans = [(t, [(f"T{i}", 10) for i in range(5)]) for t in range(10)]
         assert heard_count_histogram(heard_of(scans)) == {5: 1.0}
 
     def test_hand_counts(self):
         scans = [
-            scan(0, [("A", 1), ("B", 2), ("C", 3)]),
-            scan(1, [("A", 1), ("B", 2), ("C", 3)]),
-            scan(2, [("A", 1), ("B", 2), ("C", 3), ("D", 4)]),
+            (0, [("A", 1), ("B", 2), ("C", 3)]),
+            (1, [("A", 1), ("B", 2), ("C", 3)]),
+            (2, [("A", 1), ("B", 2), ("C", 3), ("D", 4)]),
         ]
         hist = heard_count_histogram(heard_of(scans))
         assert hist == {3: pytest.approx(2 / 3), 4: pytest.approx(1 / 3)}
@@ -593,8 +581,7 @@ def reference_parse(path, lines):
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DatabaseFormatError(f"{path}: line 1: bad header: {exc}") from exc
 
-    coords_by_loc = {}
-    scan_ids, timestamps, towers, asus, counts = [], [], [], [], []
+    coords_by_loc, scans = {}, []
     for lineno, raw in enumerate(lines, start=2):
         if not raw.strip():
             continue
@@ -614,16 +601,22 @@ def reference_parse(path, lines):
             raise DatabaseFormatError(
                 f"{path}: line {lineno}: conflicting coordinates for location {loc_id}"
             )
-        scan_ids.append(loc_id)
-        timestamps.append(ts)
-        towers.extend(t for t, _ in readings)
-        asus.extend(a for _, a in readings)
-        counts.append(len(readings))
+        scans.append((loc_id, ts, readings))
 
     if not coords_by_loc:
         raise DatabaseFormatError(f"{path}: no locations")
-    return _assemble(list(coords_by_loc), list(coords_by_loc.values()), scan_ids, timestamps,
-                     towers, asus, counts, testbed, grid_cell_m)
+    # cell by cell: each location's scans in file order, locations by ascending id
+    ids, scans = sorted(coords_by_loc), grouped(scans)
+    universe = sorted({tower for _, _, readings in scans for tower, _ in readings})
+    asu = np.zeros((len(scans), len(universe)), dtype=np.int8)
+    position = np.full(asu.shape, -1, dtype=np.int8)
+    for i, (_, _, readings) in enumerate(scans):
+        for p, (tower, a) in enumerate(readings):
+            asu[i, universe.index(tower)], position[i, universe.index(tower)] = a, p
+    return FingerprintDatabase(universe, ids, [coords_by_loc[i] for i in ids],
+                               [ids.index(loc_id) for loc_id, _, _ in scans],
+                               [ts for _, ts, _ in scans], asu, position,
+                               testbed=testbed, grid_cell_m=grid_cell_m)
 
 
 def _set_reading(rec, index, value):
@@ -671,7 +664,8 @@ BAD_RECORDS = {
         readings=_pick(draw, [["A", 1, 2]], [["A"]], {"A": 1}, 5, "AB")),
 }
 
-# Values that RawScan coerces but a file may not hold.
+# Values that convert to a scan's types (as reference_parse converts them)
+# but that a file may not hold.
 LOOSE_RECORDS = {
     "loc as float": lambda rec, draw: rec.update(loc=float(rec["loc"])),
     "loc as string": lambda rec, draw: rec.update(loc=str(rec["loc"])),
@@ -694,8 +688,8 @@ def mutated_surveys(draw):
     line ends."""
     scans, coordinates, testbed, grid = draw(surveys_in_file_order())
     records = [{"loc": loc_id, "x": coordinates[loc_id][0], "y": coordinates[loc_id][1],
-                "ts": s.timestamp, "readings": [list(r) for r in s.readings]}
-               for loc_id, s in scans]
+                "ts": ts, "readings": [list(r) for r in readings]}
+               for loc_id, ts, readings in scans]
     loose_line = None
     if draw(st.booleans()):
         table = LOOSE_RECORDS

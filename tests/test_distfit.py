@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellaug.core import RawScan, ReferenceLocation, from_locations
 from cellaug.distfit import (
     _SERIES_FROM,
     BETA,
@@ -24,6 +23,7 @@ from cellaug.distfit import (
     _digamma,
     _trigamma,
 )
+from conftest import survey
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -250,13 +250,10 @@ class TestSampleFrom:
 
 class TestFitDatabase:
     def test_fits_heard_towers_only(self):
-        scans = (
-            RawScan(0, (("A", 10), ("B", 20))),
-            RawScan(1, (("A", 12), ("B", 20))),
-            RawScan(2, (("A", 14),)),
-        )
-        other = ReferenceLocation(1, (5, 5), (RawScan(0, (("C", 9),)), RawScan(1, (("C", 9),))))
-        db = from_locations([ReferenceLocation(0, (0, 0), scans), other])
+        db = survey([
+            (0, (0, 0), [(0, [("A", 10), ("B", 20)]), (1, [("A", 12), ("B", 20)]), (2, [("A", 14)])]),
+            (1, (5, 5), [(0, [("C", 9)]), (1, [("C", 9)])]),
+        ])
         fits = fit_database(db)
         assert set(fits[0]) == {"A", "B"}
         assert set(fits[1]) == {"C"}

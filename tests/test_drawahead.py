@@ -24,7 +24,8 @@ RINGS = [None, (1, 1), (2000, 7000)]
 
 @pytest.fixture(params=RINGS, ids=["default-ring", "two-slots", "small-ring"])
 def forked(request, monkeypatch):
-    """Force the forked producer, count the forks and check that none is left."""
+    """Force the forked producer, count the forks and check that no child
+    and no pipe end is left."""
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork")
     if request.param:
@@ -39,14 +40,21 @@ def forked(request, monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)
+    fds = open_fds()
     yield forks
     assert_no_child_left()
+    assert open_fds() == fds
 
 
 def inline(run, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(drawahead, "_forks", lambda count: False)
         return run()
+
+
+def open_fds():
+    """This process's open file descriptors, where /proc lists them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 def assert_no_child_left():

@@ -12,20 +12,14 @@ import pytest
 
 from cellaug.augment import TECHNIQUES, AugmentConfig, augment_all
 from cellaug.cli import main
-from cellaug.core import (
-    SCAN_ARRAYS,
-    RawScan,
-    ReferenceLocation,
-    from_locations,
-    load_database,
-    save_database,
-)
+from cellaug.core import SCAN_ARRAYS, load_database, save_database
 from cellaug.localize import HyperProfile, evaluate, train_localizer
 from cellaug.pipeline import database_coordinates, run_comparison, temporal_split
 from cellaug.preprocess import vectorize_database
 from cellaug.testbed import TestbedSpec as SurveySpec
 from cellaug.testbed import Tower, generate
 from cellaug.util import ConfigError
+from conftest import survey
 
 TINY_PROFILE = HyperProfile(learning_rate=0.05, batch_size=32, dropout_rate=0.0,
                             epochs=30, hidden_neurons=16, hidden_layers=1)
@@ -156,11 +150,9 @@ class TestRunComparison:
 
 class TestVaeSkipsThinLocations:
     def test_one_scan_location_warns_and_continues(self):
-        rich_scans = tuple(RawScan(t, (("A", 10 + t), ("B", 6))) for t in range(10))
-        thin_scans = (RawScan(0, (("A", 20),)), RawScan(1, (("A", 22),)))
-        db = from_locations([
-            ReferenceLocation(0, (0.0, 0.0), rich_scans),
-            ReferenceLocation(1, (5.0, 5.0), thin_scans),
+        db = survey([
+            (0, (0.0, 0.0), [(t, [("A", 10 + t), ("B", 6)]) for t in range(10)]),
+            (1, (5.0, 5.0), [(0, [("A", 20)]), (1, [("A", 22)])]),
         ])
         train_db, _ = temporal_split(db, train_fraction=0.5)  # loc 1 gets 1 scan
         cfg = AugmentConfig(vae_epochs=10, vae_n_per_location=3).only("vae")

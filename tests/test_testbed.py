@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellaug.augment import AugmentConfig
-from cellaug.core import (
-    MAX_READINGS_PER_SCAN,
-    RawScan,
-    ReferenceLocation,
-    from_locations,
-    heard_count_histogram,
-)
+from cellaug.core import MAX_READINGS_PER_SCAN, heard_count_histogram
 from cellaug.testbed import TestbedSpec as SurveySpec
 from cellaug.testbed import (
     MAX_REFERENCE_POINTS,
@@ -26,6 +20,7 @@ from cellaug.testbed import (
     spec_from_file,
 )
 from cellaug.util import ConfigError, derive_rng
+from conftest import survey
 
 
 def poisson_binomial(probabilities):
@@ -57,10 +52,10 @@ def scalar_generate(spec):
                     heard.append((tower.tower_id, dbm))
             heard.sort(key=lambda pair: (-pair[1], pair[0]))
             readings = [(t, dbm_to_asu(dbm)) for t, dbm in heard[:MAX_READINGS_PER_SCAN]]
-            scans.append(RawScan(s, tuple(readings)))
-        locations.append(ReferenceLocation(loc_id, point, tuple(scans)))
+            scans.append((s, readings))
+        locations.append((loc_id, point, scans))
     grid = spec.grid_spacing_m if spec.grid_spacing_m else 1.0
-    return from_locations(locations, testbed=spec.name, grid_cell_m=grid)
+    return survey(locations, testbed=spec.name, grid_cell_m=grid)
 
 
 def spec_with(towers, sigma=0.0, scans=10, seed=1, points=((0.0, 0.0), (5.0, 0.0)), **kw):
@@ -108,6 +103,16 @@ class TestPathLossArithmetic:
         assert dbm_to_asu(10.0) == 31
         assert dbm_to_asu(-113.0) == 0
         assert dbm_to_asu(-51.0) == 31
+
+    def test_dbm_to_asu_inverts_the_asu_scale(self):
+        # the ASU scale is dBm = 2 ASU - 113 on 0 .. 31
+        assert [dbm_to_asu(2 * asu - 113) for asu in range(32)] == list(range(32))
+
+    def test_dbm_to_asu_elementwise_matches_scalar(self):
+        dbm = np.arange(-130.0, 0.5, 0.5)
+        asu = dbm_to_asu(dbm)
+        assert asu.dtype == np.int8 and asu.shape == dbm.shape
+        assert asu.tolist() == [dbm_to_asu(float(d)) for d in dbm]
 
 
 class TestGenerate:
@@ -200,7 +205,7 @@ class TestDefaultDeskSpec:
         assert db.n_towers <= 10
 
     def test_database_satisfies_invariants(self):
-        # construction through from_locations validates everything
+        # the constructor checks shapes and grouping; the heard counts are checked here
         db = generate(default_desk_spec())
         assert db.tower_universe == tuple(sorted(db.tower_universe))
         heard_counts = db.heard.sum(axis=1)
