@@ -9,7 +9,7 @@ columns of scans, and load_database runs it over a file.
 In memory a survey is columnar (FingerprintDatabase): scan rows and reading
 matrices. One comes from load_database, from testbed.generate, as a
 temporal_split view, or from the constructor, which checks the arrays' shapes
-and grouping.
+and grouping and the reading values a file can hold.
 """
 
 from __future__ import annotations
@@ -187,6 +187,17 @@ class FingerprintDatabase:
         ends = self.scan_location[[0, -1]].tolist() if n else [0, -1]
         if ends != [0, n_locations - 1] or np.any((steps < 0) | (steps > 1)):
             raise ValueError("scans must be grouped by location in location order, each with one")
+        # what a file can hold: 1 to 7 readings a scan, whose k heard positions set
+        # the k bits of 2**k - 1 only as 0 to k - 1, once each; an ASU only if heard
+        heard, k = self.heard, np.count_nonzero(self.heard, axis=1)
+        if np.any((k < 1) | (k > MAX_READINGS_PER_SCAN)):
+            raise ValueError(f"each scan must hear 1 to {MAX_READINGS_PER_SCAN} towers")
+        bits = heard.view(np.uint8) << self.position.clip(0, MAX_READINGS_PER_SCAN).view(np.uint8)
+        if np.any(self.position < -1) or not np.array_equal(np.bitwise_or.reduce(bits, axis=1),
+                                                            (1 << k) - 1):
+            raise ValueError("heard positions must be 0 to k - 1, each once, and -1 elsewhere")
+        if np.any((self.asu < ASU_MIN) | (self.asu > ASU_MAX) | ((self.asu != 0) & ~heard)):
+            raise ValueError(f"ASU must be in [{ASU_MIN}, {ASU_MAX}] where heard and 0 elsewhere")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FingerprintDatabase):
@@ -308,7 +319,9 @@ def _scan_columns(lines: list[str]) -> tuple[_Scans, tuple[int, str] | None]:
 
 def save_database(db: FingerprintDatabase, path: str | Path) -> None:
     """Write a database in the JSON-lines format, each scan's readings in
-    their original order. load(save(db)) == db."""
+    their original order. load(save(db)) == db when every universe tower is
+    heard in some scan, as in any loaded or generated survey; a split view's
+    unheard towers are not written, so it loads with a smaller universe."""
     path = Path(path)
     lines = [json.dumps({"testbed": db.testbed, "grid_cell_m": db.grid_cell_m})]
     # Each line is json.dumps of {"loc", "x", "y", "ts", "readings"}, put

@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import FingerprintDatabase
 from .preprocess import location_blocks
-from .util import as_rng
 
 BOUNDARY_EPS = 1e-4     # Beta/Gamma likelihoods diverge at 0 and 1
 SCORE_TOL = 1e-10       # Newton stopping tolerance on the per-sample score
@@ -254,7 +253,7 @@ def sample_from(dist: FittedDistribution, rng, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gen = as_rng(rng)
+    gen = np.random.default_rng(rng)
     if dist.family == DEGENERATE:
         return np.full(n, dist.params[0], dtype=np.float64)
     if dist.family == GAUSSIAN:

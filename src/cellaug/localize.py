@@ -19,7 +19,6 @@ import numpy as np
 from .core import TowerId
 from .nn import (
     DenseNetwork,
-    LayerSpec,
     TrainConfig,
     forward,
     init_network,
@@ -102,7 +101,7 @@ class LocalizerModel:
     def __post_init__(self):
         if (self.network.input_dim, self.network.output_dim) != (len(self.towers), len(self.classes)):
             raise ValueError("network dims disagree with the tower and class counts")
-        if self.network.layers[-1].activation != "softmax":
+        if self.network.activations[-1] != "softmax":
             raise ValueError("output layer is not softmax")
         for name, ids in (("class", self.classes), ("tower", self.towers)):
             if len(set(ids)) != len(ids):
@@ -237,10 +236,9 @@ def train_localizer(
     if missing:
         raise ValueError(f"no coordinates for location(s): {missing}")
 
-    dims = [samples.x.shape[1]] + [profile.hidden_neurons] * profile.hidden_layers
-    specs = [LayerSpec(a, b, "relu") for a, b in zip(dims, dims[1:])]
-    specs.append(LayerSpec(dims[-1], len(classes), "softmax"))
-    net = init_network(specs, derive_rng(seed, "localizer-init"), dropout_rate=profile.dropout_rate)
+    widths = [samples.x.shape[1], *[profile.hidden_neurons] * profile.hidden_layers, len(classes)]
+    net = init_network(widths, ["relu"] * profile.hidden_layers + ["softmax"],
+                       derive_rng(seed, "localizer-init"), dropout_rate=profile.dropout_rate)
 
     cfg = TrainConfig(
         learning_rate=profile.learning_rate,

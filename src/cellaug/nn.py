@@ -5,11 +5,13 @@ augmenter (tanh/sigmoid/linear heads). No autodiff: gradients are the exact
 analytic expressions for the fixed affine + activation topology; a softmax
 head takes the fused cross-entropy gradient (probs - targets) / n.
 
-A network may carry a leading stack axis: weights (L, in, out), biases
-(L, out), inputs (L, n, in). Its L networks then run as one batched matmul
-per layer, each slice computing exactly what the unstacked network would.
-However it is made, a network checks its own structure on construction;
-network_from_dict also takes only finite numbers, with no stack axis.
+A network is its activations, weights, biases and dropout rate: a layer's
+widths are its weight's. It may carry a leading stack axis: weights
+(L, in, out), biases (L, out), inputs (L, n, in). Its L networks then run as
+one batched matmul per layer, each slice computing exactly what the
+unstacked network would. However it is made, a network checks its own
+structure on construction; network_from_dict also takes only finite
+numbers, with no stack axis, and reads no width.
 
 train() is the localizer's loop: a softmax classifier trained on class
 indices, each step's forward, fused cross-entropy, backward and update in
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drawahead import draw_ahead
-from .util import TrainingDiverged, as_rng
+from .util import TrainingDiverged
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear", "softmax")
 
@@ -66,55 +68,43 @@ def _non_finite(message: str, arrays: list[np.ndarray], lead: int) -> NonFiniteE
     return NonFiniteError(message, np.flatnonzero(bad).tolist())
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    input_dim: int
-    output_dim: int
-    activation: str
-
-    def __post_init__(self):
-        if self.input_dim <= 0 or self.output_dim <= 0:
-            raise ValueError(f"layer dims must be positive: {self.input_dim}x{self.output_dim}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation: {self.activation}")
-
-
 @dataclass
 class DenseNetwork:
-    """One weight (..., in, out) and one bias (..., out) per layer, all with
-    the same leading stack shape; __post_init__ holds every structural rule."""
+    """One activation, one weight (..., in, out) and one bias (..., out) per
+    layer, all with the same leading stack shape: a layer's widths are those
+    of its weight. __post_init__ holds every structural rule."""
 
-    layers: list[LayerSpec]
+    activations: list[str]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError("network needs at least one layer")
-        for prev, cur in zip(self.layers, self.layers[1:]):
-            if prev.output_dim != cur.input_dim:
-                raise ValueError(f"mismatched dims: layer output {prev.output_dim} "
-                                 f"feeds input {cur.input_dim}")
-        if any(spec.activation == "softmax" for spec in self.layers[:-1]):
+        counts = (len(self.activations), len(self.weights), len(self.biases))
+        if len(set(counts)) != 1 or not counts[0]:
+            raise ValueError(f"need 1+ layers, each one activation, weight and bias: {counts}")
+        if unknown := [kind for kind in self.activations if kind not in ACTIVATIONS]:
+            raise ValueError(f"unknown activation: {unknown[0]}")
+        if "softmax" in self.activations[:-1]:
             raise ValueError("softmax allowed only as the final layer")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError(f"dropout_rate must be in [0, 1): {self.dropout_rate}")
-        counts = (len(self.layers), len(self.weights), len(self.biases))
-        if len(set(counts)) != 1:
-            raise ValueError(f"layer, weight and bias counts differ: {counts}")
-        lead = self.weights[0].shape[:-2]
-        if any((w.shape, b.shape) != (lead + (s.input_dim, s.output_dim), lead + (s.output_dim,))
-               for s, w, b in zip(self.layers, self.weights, self.biases)):
-            raise ValueError("weight shapes disagree with layer specs")
+        lead, width = self.weights[0].shape[:-2], self.weights[0].shape[-2:-1]
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.ndim < 2 or w.shape[:-1] != lead + width or b.shape != lead + w.shape[-1:]:
+                raise ValueError(f"layer {i}: expected weight {lead + width + ('out',)} and bias "
+                                 f"{lead + ('out',)}, got {w.shape} and {b.shape}")
+            if 0 in w.shape[-2:]:
+                raise ValueError(f"layer {i}: widths must be positive: {w.shape[-2:]}")
+            width = w.shape[-1:]
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].input_dim
+        return self.weights[0].shape[-2]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].output_dim
+        return self.weights[-1].shape[-1]
 
 
 @dataclass
@@ -149,15 +139,16 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
-def init_network(specs: list[LayerSpec], seed, dropout_rate: float = 0.0) -> DenseNetwork:
-    """Glorot-uniform weights, zero biases; deterministic for a given seed."""
-    rng = as_rng(seed)
-    weights, biases = [], []
-    for spec in specs:
-        limit = np.sqrt(6.0 / (spec.input_dim + spec.output_dim))
-        weights.append(rng.uniform(-limit, limit, size=(spec.input_dim, spec.output_dim)))
-        biases.append(np.zeros(spec.output_dim))
-    return DenseNetwork(list(specs), weights, biases, dropout_rate)
+def init_network(widths: list[int], activations: list[str], seed,
+                 dropout_rate: float = 0.0) -> DenseNetwork:
+    """Layer i maps widths[i] units to widths[i + 1] through activations[i]:
+    Glorot-uniform weights, zero biases; deterministic for a given seed."""
+    net = DenseNetwork(list(activations), [np.empty((a, b)) for a, b in zip(widths, widths[1:])],
+                       [np.zeros(b) for b in widths[1:]], dropout_rate)
+    rng = np.random.default_rng(seed)
+    for w in net.weights:  # drawn once the structure is checked
+        w[...] = rng.uniform(-(limit := np.sqrt(6.0 / sum(w.shape))), limit, size=w.shape)
+    return net
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -204,9 +195,9 @@ def forward_with_cache(
 
     cache = ForwardCache(x=x)
     a = x
-    last = len(net.layers) - 1
-    for i, (spec, w, b) in enumerate(zip(net.layers, net.weights, net.biases)):
-        post = _layer(a, w, b, spec.activation, f"layer {i}")
+    last = len(net.activations) - 1
+    for i, (kind, w, b) in enumerate(zip(net.activations, net.weights, net.biases)):
+        post = _layer(a, w, b, kind, f"layer {i}")
         mask = None
         fed = post
         if train_mode and net.dropout_rate > 0.0 and i != last:
@@ -229,8 +220,8 @@ def forward(net: DenseNetwork, x: np.ndarray) -> np.ndarray:
     a = x[None, :] if single else x
     _check_input(net, a)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (spec, w, b) in enumerate(zip(net.layers, net.weights, net.biases)):
-            a = _layer(a, w, b, spec.activation, f"layer {i}")
+        for i, (kind, w, b) in enumerate(zip(net.activations, net.weights, net.biases)):
+            a = _layer(a, w, b, kind, f"layer {i}")
     return a[0] if single else a
 
 
@@ -275,12 +266,12 @@ def backward(
     if loss_grad.shape != cache.fed[-1].shape:
         raise ValueError(f"loss_grad shape {loss_grad.shape} != output shape {cache.fed[-1].shape}")
 
-    d_weights = [np.empty(0)] * len(net.layers)
-    d_biases = [np.empty(0)] * len(net.layers)
+    d_weights = [np.empty(0)] * len(net.weights)
+    d_biases = [np.empty(0)] * len(net.weights)
     d_fed = loss_grad
-    for i in range(len(net.layers) - 1, -1, -1):
+    for i in range(len(net.weights) - 1, -1, -1):
         d_post = d_fed if cache.drop[i] is None else d_fed * cache.drop[i]
-        delta = _activation_grad(net.layers[i].activation, cache.post[i], d_post)
+        delta = _activation_grad(net.activations[i], cache.post[i], d_post)
         a_prev = cache.x if i == 0 else cache.fed[i - 1]
         d_weights[i] = a_prev.swapaxes(-1, -2) @ delta
         d_biases[i] = np.sum(delta, axis=-2)
@@ -373,13 +364,13 @@ def train(
         raise ValueError("empty dataset")
     if labels.shape != inputs.shape[:1]:
         raise ValueError("inputs and labels disagree on sample count")
-    if net.layers[-1].activation != "softmax":
+    if net.activations[-1] != "softmax":
         raise ValueError("train needs a softmax head")
     if labels.min() < 0 or labels.max() >= net.output_dim:
         raise ValueError(f"labels must be class indices in [0, {net.output_dim})")
     labels = labels.astype(np.intp)  # uint64 plus the int64 row offsets would be float64
 
-    kinds = [spec.activation for spec in net.layers]
+    kinds = net.activations
     last = len(kinds) - 1
     drop = net.dropout_rate > 0.0
     keep = 1.0 - net.dropout_rate
@@ -391,8 +382,8 @@ def train(
 
     n = inputs.shape[0]
     batch = min(cfg.batch_size, n)
-    widths = [spec.output_dim for spec in net.layers[:last]] if drop else []
-    producer = _train_draws(as_rng(cfg.seed), n, batch, cfg.epochs, widths, keep)
+    widths = [w.shape[1] for w in net.weights[:last]] if drop else []
+    producer = _train_draws(np.random.default_rng(cfg.seed), n, batch, cfg.epochs, widths, keep)
     sizes = [min(batch, n - start) for start in range(0, n, batch)]
     # each step's target probabilities, for the loss taken once per epoch,
     # and their flat positions in its (b, classes) softmax output
@@ -458,10 +449,8 @@ def train(
 def network_to_dict(net: DenseNetwork) -> dict:
     return {
         "dropout_rate": float(net.dropout_rate),
-        "layers": [
-            {"in": s.input_dim, "out": s.output_dim, "activation": s.activation}
-            for s in net.layers
-        ],
+        "layers": [{"in": w.shape[-2], "out": w.shape[-1], "activation": kind}
+                   for kind, w in zip(net.activations, net.weights)],
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
@@ -476,9 +465,10 @@ def _parameter(values, ndim: int) -> np.ndarray:
 
 
 def network_from_dict(data: dict) -> DenseNetwork:
-    """The network of a network_to_dict dict, each value coerced to the type it writes."""
+    """The network of a network_to_dict dict's activations and arrays, each
+    value coerced to the type it writes; its layer widths are not read."""
     return DenseNetwork(
-        [LayerSpec(int(d["in"]), int(d["out"]), str(d["activation"])) for d in data["layers"]],
+        [str(d["activation"]) for d in data["layers"]],
         [_parameter(w, 2) for w in data["weights"]],
         [_parameter(b, 1) for b in data["biases"]],
         float(data["dropout_rate"]),

@@ -1,8 +1,9 @@
 """Turn raw ASU scans into fixed-length normalized feature vectors.
 
 ASU readings (0..31) are normalized to [0, 1] by dividing by 31; towers not
-heard in a scan get feature value 0. The loader has already checked each
-ASU's range, so vectorize divides without checking again.
+heard in a scan get feature value 0. A FingerprintDatabase holds only an
+ASU in range where heard and 0 elsewhere, so vectorize divides without
+checking again.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def vectorize(
     dst = [index[db.tower_universe[j]] for j in src]
     x = np.zeros((len(heard), len(towers)))
     out_heard = np.zeros(x.shape, dtype=bool)
-    x[:, dst] = np.where(heard[:, src], db.asu[:, src] / ASU_MAX, 0.0)
+    x[:, dst] = db.asu[:, src] / ASU_MAX  # 0 where unheard, as the database holds
     out_heard[:, dst] = heard[:, src]
     return SampleSet(x, db.location_ids[db.scan_location], towers), out_heard
 

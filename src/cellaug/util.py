@@ -121,9 +121,3 @@ def derive_rng(master_seed: int, *labels: object) -> np.random.Generator:
     keys = [zlib.crc32(str(label).encode("utf-8")) for label in labels]
     return np.random.default_rng([checked_seed(int(master_seed)), *keys])
 
-
-def as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    """Accept a Generator, a seed, or None (fresh nondeterministic stream)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)

@@ -55,7 +55,6 @@ import numpy as np
 from .nn import (
     DenseNetwork,
     Gradients,
-    LayerSpec,
     NonFiniteError,
     TrainingDiverged,
     _layer,
@@ -67,7 +66,7 @@ from .nn import (
 # bench/trace.py wraps these on this module to time the VAE's engine calls.
 from .nn import backward, forward_with_cache, sgd_step  # noqa: F401
 from .drawahead import draw_ahead
-from .util import as_rng, derive_rng
+from .util import derive_rng
 
 LATENT_DIM = 5
 HIDDEN_UNITS = 10
@@ -112,7 +111,7 @@ class VaeModel:
 
     def __post_init__(self):
         # _batch_loss and vae_grads compute exactly build_vae's layers.
-        kinds = [[spec.activation for spec in net.layers] for net in (self.encoder, self.decoder)]
+        kinds = [self.encoder.activations, self.decoder.activations]
         if kinds != [["tanh", "linear"], ["tanh", "sigmoid"]]:
             raise ValueError(f"VAE layers must be tanh, linear and tanh, sigmoid; got {kinds}")
         if self.encoder.output_dim != 2 * self.latent_dim:
@@ -151,16 +150,10 @@ class VaeCache:
 
 def build_vae(n_features: int, seed: int, location_id: int) -> VaeModel:
     """Fresh encoder/decoder pair with the 10-5-10 bottleneck structure."""
-    enc = init_network(
-        [LayerSpec(n_features, HIDDEN_UNITS, "tanh"),
-         LayerSpec(HIDDEN_UNITS, 2 * LATENT_DIM, "linear")],
-        derive_rng(seed, "vae-encoder"),
-    )
-    dec = init_network(
-        [LayerSpec(LATENT_DIM, HIDDEN_UNITS, "tanh"),
-         LayerSpec(HIDDEN_UNITS, n_features, "sigmoid")],
-        derive_rng(seed, "vae-decoder"),
-    )
+    enc = init_network([n_features, HIDDEN_UNITS, 2 * LATENT_DIM], ["tanh", "linear"],
+                       derive_rng(seed, "vae-encoder"))
+    dec = init_network([LATENT_DIM, HIDDEN_UNITS, n_features], ["tanh", "sigmoid"],
+                       derive_rng(seed, "vae-decoder"))
     return VaeModel(enc, dec, location_id)
 
 
@@ -270,7 +263,7 @@ def vae_loss(
     if values.shape != (model.n_features,):
         raise ValueError(f"expected vector of length {model.n_features}, got {values.shape}")
     if eps is None:
-        eps = as_rng(rng).standard_normal(model.latent_dim)
+        eps = np.random.default_rng(rng).standard_normal(model.latent_dim)
     loss, cache = _batch_loss(model, values[None, :], np.asarray(eps, dtype=np.float64)[None, :])
     if error := _first_non_finite(cache):
         raise error
@@ -283,7 +276,7 @@ def stack_vaes(models: list[VaeModel]) -> VaeModel:
 
     def stack(nets: list[DenseNetwork]) -> DenseNetwork:
         return DenseNetwork(
-            nets[0].layers,
+            nets[0].activations,
             [np.stack(ws) for ws in zip(*(net.weights for net in nets))],
             [np.stack(bs) for bs in zip(*(net.biases for net in nets))],
         )
@@ -409,6 +402,5 @@ def generate(model: VaeModel, rng, n: int) -> np.ndarray:
     """Decode n standard-normal latent draws into (n, m) synthetic rows."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gen = as_rng(rng)
-    z = gen.standard_normal((n, model.latent_dim))
+    z = np.random.default_rng(rng).standard_normal((n, model.latent_dim))
     return np.clip(forward(model.decoder, z), 0.0, 1.0)

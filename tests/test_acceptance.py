@@ -17,7 +17,7 @@ from cellaug.cli import main
 from cellaug.core import ASU_MAX, load_database, save_database
 from cellaug.distfit import fit_best, fit_beta, fit_gamma, fit_gaussian, sample_from
 from cellaug.localize import desk_profile, load_model, save_model, train_localizer, weighted_centroid
-from cellaug.nn import LayerSpec, backward, forward, forward_with_cache, init_network
+from cellaug.nn import backward, forward, forward_with_cache, init_network
 from cellaug.pipeline import run_comparison
 from cellaug.preprocess import SampleSet
 from cellaug.testbed import dbm_to_asu, default_desk_spec, generate
@@ -136,19 +136,16 @@ def _classifier_gradient_worst(seed):
     activations = ["relu", "tanh", "sigmoid", "linear"]
     n_hidden = int(rng.integers(1, 3))
     dims = [int(rng.integers(2, 6)) for _ in range(n_hidden + 2)]
-    specs = []
-    for i in range(n_hidden):
-        act = activations[int(rng.integers(0, len(activations)))]
-        specs.append(LayerSpec(dims[i], dims[i + 1], act))
+    kinds = [activations[int(rng.integers(0, len(activations)))] for _ in range(n_hidden)]
     if rng.integers(0, 2) == 0:
-        specs.append(LayerSpec(dims[-2], dims[-1], "softmax"))
+        kinds.append("softmax")
         loss_fn = softmax_cross_entropy
         targets = one_hot(rng.integers(0, dims[-1], 3), dims[-1])
     else:
-        specs.append(LayerSpec(dims[-2], dims[-1], "sigmoid"))
+        kinds.append("sigmoid")
         loss_fn = squared_error
         targets = rng.uniform(0, 1, (3, dims[-1]))
-    net = init_network(specs, int(rng.integers(0, 2**31)))
+    net = init_network(dims, kinds, int(rng.integers(0, 2**31)))
     x = rng.normal(0, 1, (3, dims[0]))
     out, cache = forward_with_cache(net, x)
     _, d_out = loss_fn(out, targets)

@@ -341,14 +341,12 @@ class TestAugmentationBound:
         with pytest.raises(ConfigError, match=f"{300 * 128} rows x 2100 towers = 80640000 values"):
             augment_all(many_towers_db(), cfg)
 
-    def test_variant_count_does_not_wrap_at_64_candidates(self, monkeypatch):
-        # the constructor does not cap readings per scan; 2**64 wraps to 0 in int64
-        refuse_techniques(monkeypatch)
+    def test_variant_count_cannot_reach_64_candidates(self):
+        # 2**64 variants would wrap to 0 in int64, but the constructor refuses
+        # a scan of more than MAX_READINGS_PER_SCAN readings, as a file does
         towers = tuple(f"T{j:02d}" for j in range(64))
-        db = FingerprintDatabase(towers, [0], [(0.0, 0.0)], [0], [0], [[1] * 64], [range(64)])
-        cfg = AugmentConfig(drop_threshold_value=0.2).only("drop_threshold")
-        with pytest.raises(ConfigError, match=f"^augmentation too large: {2**64} rows x 64 towers"):
-            augment_all(db, cfg)
+        with pytest.raises(ValueError, match="each scan must hear 1 to 7 towers"):
+            FingerprintDatabase(towers, [0], [(0.0, 0.0)], [0], [0], [[1] * 64], [range(64)])
 
 
 def refuse_techniques(monkeypatch):

@@ -82,6 +82,48 @@ class TestDatabaseInvariants:
             FingerprintDatabase(("A",), [0, 1], [(0, 0), (1, 1)], [0, 0], [0, 1],
                                 [[1], [2]], [[0], [0]])
 
+    @pytest.mark.parametrize("asu, position, message", [
+        ([[40]], [[0]], r"ASU must be in \[0, 31\] where heard"),
+        ([[-1]], [[0]], r"ASU must be in \[0, 31\] where heard"),
+        ([[3, 2]], [[0, -1]], "and 0 elsewhere"),
+        ([[0, 0]], [[-1, -1]], "each scan must hear 1 to 7 towers"),
+        ([[3, 3]], [[3, 3]], "heard positions must be 0 to k - 1, each once"),
+        ([[3, 3]], [[0, 0]], "heard positions must be 0 to k - 1, each once"),
+        ([[3, 0]], [[0, -2]], "and -1 elsewhere"),
+    ], ids=["ASU 40", "ASU -1", "unheard ASU 2", "no tower heard", "positions 3 and 3",
+            "positions 0 and 0", "position -2"])
+    def test_values_no_file_holds_rejected(self, asu, position, message):
+        towers = ("A", "B")[:len(asu[0])]
+        with pytest.raises(ValueError, match=message):
+            FingerprintDatabase(towers, [0], [(0.0, 0.0)], [0], [0], asu, position)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_position_check_matches_its_sorted_form(self, data):
+        # accepted exactly when 1 to 7 towers are heard and the sorted row is
+        # -1 for each unheard tower, then 0 to k - 1; drawn as such a row,
+        # with one entry perhaps replaced
+        m = data.draw(st.integers(1, 9), label="towers")
+        k = data.draw(st.integers(0, min(m, 8)), label="heard")
+        row = data.draw(st.permutations([-1] * (m - k) + list(range(k))), label="row")
+        if data.draw(st.booleans(), label="replace one"):
+            row[data.draw(st.integers(0, m - 1))] = data.draw(st.integers(-3, 9))
+        heard = sum(p >= 0 for p in row)
+        want = 1 <= heard <= 7 and sorted(row) == [-1] * (m - heard) + list(range(heard))
+        asu = [[int(p >= 0) for p in row]]
+        try:
+            FingerprintDatabase(tuple(f"T{j}" for j in range(m)), [0], [(0.0, 0.0)], [0], [0],
+                                asu, [row])
+        except ValueError as exc:
+            assert not want and re.match("each scan must hear|heard positions", str(exc))
+        else:
+            assert want
+
+    def test_eight_heard_towers_rejected(self):
+        towers = tuple(f"T{j}" for j in range(8))
+        with pytest.raises(ValueError, match="each scan must hear 1 to 7 towers"):
+            FingerprintDatabase(towers, [0], [(0.0, 0.0)], [0], [0], [[5] * 8], [range(8)])
+
     @settings(max_examples=200, deadline=None)
     @given(scan_location=st.lists(st.integers(-1, 4), max_size=6), n_locations=st.integers(0, 4))
     def test_scan_grouping_check_matches_its_unique_form(self, scan_location, n_locations):
@@ -110,6 +152,19 @@ class TestSerialization:
         path = tmp_path / "db.jsonl"
         save_database(small_db, path)
         assert load_database(path) == small_db
+
+    def test_round_trip_identity_when_every_tower_is_heard(self, tmp_path):
+        db = FingerprintDatabase(("A", "B"), [0], [(0.0, 0.0)], [0], [0], [[3, 5]], [[0, 1]])
+        save_database(db, tmp_path / "db.jsonl")
+        assert load_database(tmp_path / "db.jsonl") == db
+
+    def test_unheard_universe_tower_is_not_written(self, tmp_path):
+        # as in a split view: B is in the universe, but no scan hears it
+        db = FingerprintDatabase(("A", "B"), [0], [(0.0, 0.0)], [0], [0], [[3, 0]], [[0, -1]])
+        save_database(db, tmp_path / "db.jsonl")
+        loaded = load_database(tmp_path / "db.jsonl")
+        assert loaded != db
+        assert loaded == FingerprintDatabase(("A",), [0], [(0.0, 0.0)], [0], [0], [[3]], [[0]])
 
     def test_round_trip_determinism(self, small_db, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -14,7 +14,7 @@ import pytest
 from cellaug import drawahead
 from cellaug.cli import main
 from cellaug.drawahead import draw_ahead
-from cellaug.nn import DenseNetwork, LayerSpec, TrainConfig, TrainingDiverged, init_network, train
+from cellaug.nn import DenseNetwork, TrainConfig, TrainingDiverged, init_network, train
 from cellaug.vae import VaeTrainConfig, train_vaes
 
 # (SLOT_BYTES, RING_BYTES): the defaults, one record per slot in two slots,
@@ -141,11 +141,11 @@ class TestTrainers:
         rng = np.random.default_rng(11)
         x = rng.normal(0, 1, (rows, 4))
         y = rng.integers(0, 3, rows)
-        specs = [LayerSpec(4, 6, "relu"), LayerSpec(6, 5, "relu"), LayerSpec(5, 3, "softmax")]
+        widths, kinds = [4, 6, 5, 3], ["relu", "relu", "softmax"]
         cfg = TrainConfig(0.05, batch, epochs, seed=3)
 
         def run():
-            return train(init_network(specs, 2, dropout_rate=dropout), x, y, cfg)
+            return train(init_network(widths, kinds, 2, dropout_rate=dropout), x, y, cfg)
 
         want, want_trace = inline(run, monkeypatch)
         got, trace = run()
@@ -172,7 +172,7 @@ class TestTrainers:
                     assert np.array_equal(p, q)
 
     def test_diverging_localizer_leaves_no_child(self, forked):
-        net = DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[1.0, 1e300]])],
+        net = DenseNetwork(["softmax"], [np.array([[1.0, 1e300]])],
                            [np.zeros(2)])
         with pytest.raises(TrainingDiverged, match="loss diverged at epoch 1"):
             train(net, np.array([[1e80]]), np.array([0]), TrainConfig(1.0, 1, 10, seed=0))

@@ -118,9 +118,9 @@ class TestTrainLocalizer:
         coords = {i: (float(i), 0.0) for i in range(55)}
         profile = dataclasses.replace(default_profile("indoor"), epochs=1, batch_size=110)
         model = train_localizer(vectors, profile, coords, seed=0)
-        dims = [(s.input_dim, s.output_dim) for s in model.network.layers]
-        assert dims == [(17, 280), (280, 280), (280, 280), (280, 280), (280, 55)]
-        assert model.network.layers[-1].activation == "softmax"
+        assert [w.shape for w in model.network.weights] == [
+            (17, 280), (280, 280), (280, 280), (280, 280), (280, 55)]
+        assert model.network.activations == ["relu"] * 4 + ["softmax"]
 
     def test_deterministic(self):
         vectors, coords = toy_square_vectors(n_per_loc=5)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cellaug import nn as nn_module
 from cellaug.nn import (
     DenseNetwork,
-    LayerSpec,
     NonFiniteError,
     TrainConfig,
     TrainingDiverged,
@@ -100,7 +99,7 @@ def float32_reference_train(net, inputs, labels, cfg, checked=False, steps=None)
     """reference_train on a float32 copy of net, inputs and one-hot targets,
     as nn.train computes; checked, with nn.train's loss and checks, so that
     its trace and error are nn.train's bit for bit."""
-    net32 = DenseNetwork(net.layers, [w.astype(np.float32) for w in net.weights],
+    net32 = DenseNetwork(net.activations, [w.astype(np.float32) for w in net.weights],
                          [b.astype(np.float32) for b in net.biases], net.dropout_rate)
     targets = one_hot(labels, net.output_dim).astype(np.float32)
     return reference_train(net32, inputs.astype(np.float32), targets,
@@ -116,76 +115,83 @@ def assert_same_parameters(got, want):
 
 class TestInit:
     def test_same_seed_identical(self):
-        specs = [LayerSpec(3, 4, "tanh"), LayerSpec(4, 2, "linear")]
-        n1, n2 = init_network(specs, 5), init_network(specs, 5)
+        widths, kinds = [3, 4, 2], ["tanh", "linear"]
+        n1, n2 = init_network(widths, kinds, 5), init_network(widths, kinds, 5)
         for a, b in zip(n1.weights, n2.weights):
             assert np.array_equal(a, b)
         assert all(np.all(b == 0.0) for b in n1.biases)
 
     def test_mismatched_dims_rejected(self):
-        with pytest.raises(ValueError, match="mismatched dims"):
-            init_network([LayerSpec(3, 4, "tanh"), LayerSpec(5, 2, "linear")], 0)
+        # layer 1's weight takes 5 inputs, but layer 0 gives 4
+        with pytest.raises(ValueError, match=r"layer 1: expected weight \(4, 'out'\)"):
+            DenseNetwork(["tanh", "linear"], [np.zeros((3, 4)), np.zeros((5, 2))],
+                         [np.zeros(4), np.zeros(2)])
+
+    @pytest.mark.parametrize("widths", [[3, 0, 2], [0, 0, 2]])
+    def test_non_positive_width_rejected_before_drawing(self, widths):
+        with pytest.raises(ValueError, match="widths must be positive"):
+            init_network(widths, ["tanh", "linear"], 0)
 
     def test_softmax_only_final(self):
         with pytest.raises(ValueError, match="softmax"):
-            init_network([LayerSpec(3, 4, "softmax"), LayerSpec(4, 2, "linear")], 0)
+            init_network([3, 4, 2], ["softmax", "linear"], 0)
 
     def test_every_maker_refuses_a_weight_count_mismatch(self, monkeypatch):
         """Direct construction, network_from_dict and stack_vaes refuse a
         network that lost its last weight and bias; init_network, whose
-        weights follow its specs, runs the same check."""
-        specs = [LayerSpec(3, 4, "tanh"), LayerSpec(4, 2, "linear")]
-        net = init_network(specs, 0)
+        weights follow its widths, runs the same check."""
+        widths, kinds = [3, 4, 2], ["tanh", "linear"]
+        net = init_network(widths, kinds, 0)
         data = network_to_dict(net)
         del data["weights"][-1], data["biases"][-1]
         models = [build_vae(3, seed, location_id=seed) for seed in range(2)]
         del models[1].encoder.weights[-1], models[1].encoder.biases[-1]
-        for make in (lambda: DenseNetwork(specs, net.weights[:-1], net.biases[:-1]),
+        for make in (lambda: DenseNetwork(kinds, net.weights[:-1], net.biases[:-1]),
                      lambda: network_from_dict(data),
                      lambda: stack_vaes(models)):
-            with pytest.raises(ValueError, match=r"counts differ: \(2, 1, 1\)"):
+            with pytest.raises(ValueError, match=r"weight and bias: \(2, 1, 1\)"):
                 make()
         checked = []
         check = DenseNetwork.__post_init__
         monkeypatch.setattr(DenseNetwork, "__post_init__",
                             lambda self: checked.append(len(self.weights)) or check(self))
-        init_network(specs, 0)
+        init_network(widths, kinds, 0)
         assert checked == [2]
 
     def test_glorot_bounds(self):
-        net = init_network([LayerSpec(10, 20, "relu")], 1)
+        net = init_network([10, 20], ["relu"], 1)
         limit = np.sqrt(6.0 / 30.0)
         assert np.all(np.abs(net.weights[0]) <= limit)
 
 
 class TestForward:
     def test_zero_net_uniform_softmax(self):
-        net = init_network([LayerSpec(3, 4, "softmax")], 0)
+        net = init_network([3, 4], ["softmax"], 0)
         net.weights[0][:] = 0.0
         out = forward(net, np.array([1.0, -2.0, 0.5]))
         assert np.allclose(out, 0.25)
 
     def test_identity_linear_layer(self):
-        net = init_network([LayerSpec(3, 3, "linear")], 0)
+        net = init_network([3, 3], ["linear"], 0)
         net.weights[0][:] = np.eye(3)
         x = np.array([0.3, -1.2, 4.0])
         assert np.allclose(forward(net, x), x)
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(2)
-        net = init_network([LayerSpec(5, 7, "relu"), LayerSpec(7, 4, "softmax")], 3)
+        net = init_network([5, 7, 4], ["relu", "softmax"], 3)
         out = forward(net, rng.normal(0, 3, (20, 5)))
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out >= 0.0)
 
     def test_dimension_mismatch(self):
-        net = init_network([LayerSpec(3, 2, "linear")], 0)
+        net = init_network([3, 2], ["linear"], 0)
         with pytest.raises(ValueError, match="input shape"):
             forward(net, np.zeros(4))
 
     def test_softmax_shift_overflow_is_silent(self):
         # logits of 1e308 and -1e308: the shift overflows to -inf, exp gives 0
-        net = DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[1e308, -1e308]])],
+        net = DenseNetwork(["softmax"], [np.array([[1e308, -1e308]])],
                            [np.zeros(2)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -193,7 +199,7 @@ class TestForward:
         assert out.tolist() == [1.0, 0.0]
 
     def test_non_finite_activation_detected(self):
-        net = init_network([LayerSpec(2, 2, "linear")], 0)
+        net = init_network([2, 2], ["linear"], 0)
         net.weights[0][:] = 1e308
         with np.errstate(over="ignore"):
             with pytest.raises(FloatingPointError, match="non-finite"):
@@ -202,14 +208,14 @@ class TestForward:
 
 class TestBackward:
     def test_finite_difference_small_net(self):
-        net = init_network([LayerSpec(3, 5, "tanh"), LayerSpec(5, 2, "softmax")], 0)
+        net = init_network([3, 5, 2], ["tanh", "softmax"], 0)
         rng = np.random.default_rng(1)
         x = rng.normal(0, 1, (4, 3))
         t = one_hot(rng.integers(0, 2, 4), 2)
         assert finite_difference_check(net, x, t, softmax_cross_entropy) < 1e-4
 
     def test_zero_loss_grad_gives_zero_grads(self):
-        net = init_network([LayerSpec(3, 4, "sigmoid"), LayerSpec(4, 2, "linear")], 0)
+        net = init_network([3, 4, 2], ["sigmoid", "linear"], 0)
         out, cache = forward_with_cache(net, np.ones((2, 3)))
         grads, d_in = backward(net, cache, np.zeros_like(out))
         assert all(np.all(g == 0.0) for g in grads.weights + grads.biases)
@@ -218,7 +224,7 @@ class TestBackward:
     def test_softmax_cross_entropy_logit_gradient(self):
         # the fused head: the loss hands (o - t) / n to backward, which
         # passes it through the softmax as the gradient at the logits
-        net = init_network([LayerSpec(3, 4, "softmax")], 2)
+        net = init_network([3, 4], ["softmax"], 2)
         rng = np.random.default_rng(3)
         x = rng.normal(0, 1, (6, 3))
         t = one_hot(rng.integers(0, 4, 6), 4)
@@ -232,7 +238,7 @@ class TestBackward:
     def test_saturated_softmax_row_keeps_exact_gradient(self):
         # logit gap 800: the target's probability underflows to 0, yet the
         # logit gradient is still (p - t) / n and the loss stays finite
-        net = DenseNetwork([LayerSpec(1, 2, "softmax")], [np.zeros((1, 2))],
+        net = DenseNetwork(["softmax"], [np.zeros((1, 2))],
                            [np.array([0.0, 800.0])])
         t = one_hot(np.array([0]), 2)
         out, cache = forward_with_cache(net, np.zeros((1, 1)))
@@ -245,7 +251,7 @@ class TestBackward:
 
 class TestSgd:
     def test_zero_learning_rate(self):
-        net = init_network([LayerSpec(2, 2, "linear")], 0)
+        net = init_network([2, 2], ["linear"], 0)
         before = [w.copy() for w in net.weights]
         out, cache = forward_with_cache(net, np.ones((1, 2)))
         grads, _ = backward(net, cache, np.ones_like(out))
@@ -253,13 +259,13 @@ class TestSgd:
         assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
 
     def test_scalar_update(self):
-        net = DenseNetwork([LayerSpec(1, 1, "linear")], [np.array([[1.0]])], [np.array([0.0])])
+        net = DenseNetwork(["linear"], [np.array([[1.0]])], [np.array([0.0])])
         from cellaug.nn import Gradients
         sgd_step(net, Gradients([np.array([[2.0]])], [np.array([0.0])]), 0.1)
         assert net.weights[0][0, 0] == pytest.approx(0.8)
 
     def test_quadratic_loss_strictly_decreases(self):
-        net = init_network([LayerSpec(2, 1, "linear")], 1)
+        net = init_network([2, 1], ["linear"], 1)
         rng = np.random.default_rng(2)
         x = rng.normal(0, 1, (20, 2))
         y = x @ np.array([[1.5], [-0.7]]) + 0.3
@@ -273,7 +279,7 @@ class TestSgd:
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_non_finite_gradient_rejected(self):
-        net = init_network([LayerSpec(1, 1, "linear")], 0)
+        net = init_network([1, 1], ["linear"], 0)
         from cellaug.nn import Gradients
         with pytest.raises(FloatingPointError):
             sgd_step(net, Gradients([np.array([[np.inf]])], [np.array([0.0])]), 0.1)
@@ -283,16 +289,15 @@ class TestStacked:
     """A network with a leading stack axis computes, slice by slice, exactly
     what the unstacked networks compute."""
 
-    SPECS = [LayerSpec(4, 6, "tanh"), LayerSpec(6, 5, "relu"),
-             LayerSpec(5, 4, "sigmoid"), LayerSpec(4, 3, "softmax")]
+    WIDTHS, KINDS = [4, 6, 5, 4, 3], ["tanh", "relu", "sigmoid", "softmax"]
 
     def _nets(self):
         rng = np.random.default_rng(6)
-        nets = [init_network(self.SPECS, seed) for seed in range(3)]
+        nets = [init_network(self.WIDTHS, self.KINDS, seed) for seed in range(3)]
         for net in nets:
             for b in net.biases:
                 b[:] = rng.normal(0, 0.5, b.shape)
-        stacked = DenseNetwork(self.SPECS,
+        stacked = DenseNetwork(self.KINDS,
                                [np.stack(ws) for ws in zip(*(n.weights for n in nets))],
                                [np.stack(bs) for bs in zip(*(n.biases for n in nets))])
         return nets, stacked
@@ -353,7 +358,7 @@ class TestTrain:
 
     def test_linearly_separable_reaches_full_accuracy(self):
         x, y = self._separable()
-        net = init_network([LayerSpec(2, 8, "relu"), LayerSpec(8, 2, "softmax")], 0)
+        net = init_network([2, 8, 2], ["relu", "softmax"], 0)
         net, trace = train(net, x, y, TrainConfig(0.1, 4, 200, seed=0))
         pred = forward(net, x).argmax(axis=1)
         assert np.mean(pred == y) == 1.0
@@ -362,7 +367,7 @@ class TestTrain:
     def test_zero_epochs_no_change(self):
         # beyond the float32 rounding that training starts from
         x, y = self._separable()
-        net = init_network([LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "softmax")], 0)
+        net = init_network([2, 3, 2], ["relu", "softmax"], 0)
         before = [w.astype(np.float32) for w in net.weights + net.biases]
         net, trace = train(net, x, y, TrainConfig(0.1, 4, 0))
         assert trace == []
@@ -373,7 +378,7 @@ class TestTrain:
         x, y = self._separable()
         results = []
         for _ in range(2):
-            net = init_network([LayerSpec(2, 6, "relu"), LayerSpec(6, 2, "softmax")], 7,
+            net = init_network([2, 6, 2], ["relu", "softmax"], 7,
                                dropout_rate=0.2)
             net, trace = train(net, x, y, TrainConfig(0.05, 4, 30, seed=9))
             results.append((net, trace))
@@ -382,23 +387,24 @@ class TestTrain:
         assert all(np.array_equal(a, b) for a, b in zip(n1.weights, n2.weights))
 
     def test_empty_dataset(self):
-        net = init_network([LayerSpec(2, 2, "softmax")], 0)
+        net = init_network([2, 2], ["softmax"], 0)
         with pytest.raises(ValueError, match="empty dataset"):
             train(net, np.empty((0, 2)), np.empty(0, dtype=int), TrainConfig(0.1, 4, 1))
 
     @pytest.mark.parametrize("head", ["linear", "sigmoid"])
     def test_non_softmax_head_rejected(self, head):
         x, y = self._separable()
-        net = init_network([LayerSpec(2, 3, "relu"), LayerSpec(3, 2, head)], 0)
+        net = init_network([2, 3, 2], ["relu", head], 0)
         with pytest.raises(ValueError, match="softmax head"):
             train(net, x, y, TrainConfig(0.1, 4, 1))
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
     def test_any_integer_label_dtype_trains_as_int64(self, dtype):
         x, y = self._separable()
-        specs = [LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "softmax")]
-        net, trace = train(init_network(specs, 0), x, y.astype(dtype), TrainConfig(0.1, 4, 3))
-        want, want_trace = train(init_network(specs, 0), x, y.astype(np.int64),
+        widths, kinds = [2, 3, 2], ["relu", "softmax"]
+        net, trace = train(init_network(widths, kinds, 0), x, y.astype(dtype),
+                           TrainConfig(0.1, 4, 3))
+        want, want_trace = train(init_network(widths, kinds, 0), x, y.astype(np.int64),
                                  TrainConfig(0.1, 4, 3))
         assert trace == want_trace
         assert_same_parameters(net, want)
@@ -407,7 +413,7 @@ class TestTrain:
     def test_label_outside_the_classes_rejected(self, bad):
         x, y = self._separable()
         y[3] = bad
-        net = init_network([LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "softmax")], 0)
+        net = init_network([2, 3, 2], ["relu", "softmax"], 0)
         with pytest.raises(ValueError, match=r"class indices in \[0, 2\)"):
             train(net, x, y, TrainConfig(0.1, 4, 1))
 
@@ -421,11 +427,11 @@ class TestTrain:
         rng = np.random.default_rng(11)
         x = rng.normal(0, 1, (23, 4))
         y = rng.integers(0, 3, 23)
-        specs = [LayerSpec(4, 6, hidden), LayerSpec(6, 5, hidden), LayerSpec(5, 3, head)]
+        widths, kinds = [4, 6, 5, 3], [hidden, hidden, head]
         cfg = TrainConfig(0.05, 5, 7, seed=3)
-        net, trace = train(init_network(specs, 2, dropout_rate=dropout), x, y, cfg)
-        ref, ref_trace = float32_reference_train(init_network(specs, 2, dropout_rate=dropout),
-                                                 x, y, cfg)
+        net, trace = train(init_network(widths, kinds, 2, dropout_rate=dropout), x, y, cfg)
+        ref, ref_trace = float32_reference_train(
+            init_network(widths, kinds, 2, dropout_rate=dropout), x, y, cfg)
         # only the loss differs: train takes its logs in float64
         np.testing.assert_allclose(trace, ref_trace, rtol=1e-6, atol=0)
         assert_same_parameters(net, ref)
@@ -442,12 +448,11 @@ class TestTrain:
         hidden = data.draw(st.sampled_from(["relu", "tanh"]), label="hidden")
         depth = data.draw(st.integers(0, 2), label="hidden layers")
         x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(0, 1, (n, 3))
-        dims = [3] + [4] * depth
-        specs = [LayerSpec(a, b, hidden) for a, b in zip(dims, dims[1:])]
-        specs.append(LayerSpec(dims[-1], classes, "softmax"))
+        widths, kinds = [3, *[4] * depth, classes], [hidden] * depth + ["softmax"]
         cfg = TrainConfig(0.1, batch, 3, seed=5)
-        net, _ = train(init_network(specs, 1, dropout_rate=dropout), x, y, cfg)
-        ref, _ = float32_reference_train(init_network(specs, 1, dropout_rate=dropout), x, y, cfg)
+        net, _ = train(init_network(widths, kinds, 1, dropout_rate=dropout), x, y, cfg)
+        ref, _ = float32_reference_train(init_network(widths, kinds, 1, dropout_rate=dropout),
+                                         x, y, cfg)
         assert_same_parameters(net, ref)
 
     def test_non_finite_update_aborts_with_trace(self):
@@ -456,7 +461,7 @@ class TestTrain:
         # 0, so the second step's weight gradient is 1e10 * 0.5 and lr times it
         # overflows float32 (5e39 > 3.4e38), while every loss stays finite.
         def net():
-            return DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[0.0, 1e-8]])],
+            return DenseNetwork(["softmax"], [np.array([[0.0, 1e-8]])],
                                 [np.zeros(2)])
         x, y = np.array([[0.0], [1e10]]), np.array([0, 1])
         with pytest.raises(TrainingDiverged, match="update diverged at epoch 2") as excinfo:
@@ -470,11 +475,11 @@ class TestTrain:
         # the checked reference takes train's float64 loss step by step
         rng = np.random.default_rng(12)
         x, y = rng.normal(0, 1, (23, 4)), rng.integers(0, 3, 23)
-        specs = [LayerSpec(4, 6, "relu"), LayerSpec(6, 3, "softmax")]
+        widths, kinds = [4, 6, 3], ["relu", "softmax"]
         cfg = TrainConfig(0.05, 5, 7, seed=3)
-        net, trace = train(init_network(specs, 2, dropout_rate=dropout), x, y, cfg)
-        ref, ref_trace = float32_reference_train(init_network(specs, 2, dropout_rate=dropout),
-                                                 x, y, cfg, checked=True)
+        net, trace = train(init_network(widths, kinds, 2, dropout_rate=dropout), x, y, cfg)
+        ref, ref_trace = float32_reference_train(
+            init_network(widths, kinds, 2, dropout_rate=dropout), x, y, cfg, checked=True)
         assert trace == ref_trace and len(trace) == 7
         assert_same_parameters(net, ref)
 
@@ -493,7 +498,7 @@ class TestTrain:
 
     @staticmethod
     def nan_row_net():
-        return DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[0.0, -1e-8]])],
+        return DenseNetwork(["softmax"], [np.array([[0.0, -1e-8]])],
                             [np.zeros(2)])
 
     def test_loss_turning_nan_mid_epoch(self):
@@ -522,7 +527,7 @@ class TestTrain:
         # row at x = 0 moves the biases by lr * 0.5 and flips it; epoch 2
         # visits it third, and lr times its weight gradient overflows float32.
         def net():
-            return DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[0.0, 1e-8]])],
+            return DenseNetwork(["softmax"], [np.array([[0.0, 1e-8]])],
                                 [np.zeros(2)])
         x, y = np.array([[0.0], [1e10], [0.0]]), np.array([0, 1, 0])
         trace = self.assert_fails_as_checked_reference(
@@ -531,7 +536,7 @@ class TestTrain:
 
     def test_target_probability_underflowing_float32_floors_the_loss(self):
         # exp(-200) is 0 in float32 but the 1e-300 floor is not, in float64
-        net = DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[0.0, 200.0]])],
+        net = DenseNetwork(["softmax"], [np.array([[0.0, 200.0]])],
                            [np.zeros(2)])
         _, trace = train(net, np.array([[1.0]]), np.array([0]), TrainConfig(1e-3, 1, 1, seed=0))
         assert trace == [pytest.approx(-np.log(1e-300), rel=1e-15)]
@@ -540,7 +545,7 @@ class TestTrain:
         # 1e150 is a finite float64 but casts to float32 inf: the first update
         # is non-finite, and numpy's cast warning stays quiet
         x, y = self._separable()
-        net = init_network([LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "softmax")], 0)
+        net = init_network([2, 3, 2], ["relu", "softmax"], 0)
         before = [w.copy() for w in net.weights + net.biases]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -554,7 +559,7 @@ class TestTrain:
     def test_divergence_aborts_with_trace(self):
         # 1e80 and 1e300 are inf in float32, so the logits inf and inf * inf
         # overflow: the softmax row is NaN
-        net = DenseNetwork([LayerSpec(1, 2, "softmax")], [np.array([[1.0, 1e300]])],
+        net = DenseNetwork(["softmax"], [np.array([[1.0, 1e300]])],
                            [np.zeros(2)])
         with pytest.raises(TrainingDiverged, match="loss diverged at epoch 1") as excinfo:
             train(net, np.array([[1e80]]), np.array([0]), TrainConfig(1.0, 1, 10, seed=0))
@@ -572,19 +577,19 @@ class TestDropout:
         assert abs(np.mean(masks * a) - a) / a < 0.01
 
     def test_eval_mode_has_no_dropout(self):
-        net = init_network([LayerSpec(3, 16, "tanh"), LayerSpec(16, 2, "linear")], 0,
+        net = init_network([3, 16, 2], ["tanh", "linear"], 0,
                            dropout_rate=0.5)
         x = np.ones((1, 3))
         assert np.array_equal(forward(net, x), forward(net, x))
 
     def test_train_mode_requires_rng(self):
-        net = init_network([LayerSpec(3, 4, "tanh"), LayerSpec(4, 2, "linear")], 0,
+        net = init_network([3, 4, 2], ["tanh", "linear"], 0,
                            dropout_rate=0.5)
         with pytest.raises(ValueError, match="rng"):
             forward_with_cache(net, np.ones((1, 3)), train_mode=True)
 
     def test_output_layer_never_masked(self):
-        net = init_network([LayerSpec(3, 4, "tanh"), LayerSpec(4, 2, "linear")], 0,
+        net = init_network([3, 4, 2], ["tanh", "linear"], 0,
                            dropout_rate=0.9)
         rng = np.random.default_rng(1)
         _, cache = forward_with_cache(net, np.ones((5, 3)), train_mode=True, rng=rng)
@@ -595,22 +600,32 @@ class TestDropout:
 class TestSerialization:
     def test_round_trip(self):
         net = init_network(
-            [LayerSpec(4, 6, "relu"), LayerSpec(6, 3, "softmax")], 11, dropout_rate=0.1
+            [4, 6, 3], ["relu", "softmax"], 11, dropout_rate=0.1
         )
         loaded = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
-        assert loaded.layers == net.layers
+        assert loaded.activations == net.activations
         assert loaded.dropout_rate == net.dropout_rate
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, net.weights))
         assert all(np.array_equal(a, b) for a, b in zip(loaded.biases, net.biases))
 
     def test_dict_round_trip_exact_floats(self):
-        net = init_network([LayerSpec(2, 2, "tanh")], 3)
+        net = init_network([2, 2], ["tanh"], 3)
         again = network_from_dict(network_to_dict(net))
         assert np.array_equal(again.weights[0], net.weights[0])
 
     def test_shape_mismatch_rejected(self):
-        net = init_network([LayerSpec(2, 2, "tanh")], 3)
+        net = init_network([2, 2], ["tanh"], 3)
+        data = network_to_dict(net)
+        data["biases"][0] = [0.0]
+        with pytest.raises(ValueError, match=r"expected weight \(2, 'out'\) and bias \('out',\)"):
+            network_from_dict(data)
+
+    def test_widths_are_read_from_the_weights(self):
+        # a one-row weight takes one input, whatever the file's "in" says;
+        # network_to_dict writes the widths of the weights
+        net = init_network([2, 2], ["tanh"], 3)
         data = network_to_dict(net)
         data["weights"][0] = [[1.0, 2.0]]
-        with pytest.raises(ValueError, match="shapes"):
-            network_from_dict(data)
+        loaded = network_from_dict(data)
+        assert (loaded.input_dim, loaded.output_dim) == (1, 2)
+        assert network_to_dict(loaded)["layers"] == [{"in": 1, "out": 2, "activation": "tanh"}]

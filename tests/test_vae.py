@@ -9,7 +9,6 @@ from cellaug import drawahead
 from cellaug import vae as vae_module
 from cellaug.nn import (
     DenseNetwork,
-    LayerSpec,
     NonFiniteError,
     TrainingDiverged,
     backward,
@@ -517,7 +516,7 @@ class TestGenerate:
 class TestLayerRule:
     def test_other_activations_rejected(self):
         model = build_vae(4, 0, location_id=0)
-        encoder = DenseNetwork([LayerSpec(4, 10, "relu"), model.encoder.layers[1]],
+        encoder = DenseNetwork(["relu", "linear"],
                                model.encoder.weights, model.encoder.biases)
         with pytest.raises(ValueError, match="tanh, linear and tanh, sigmoid"):
             VaeModel(encoder, model.decoder, location_id=0)
