@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import DatabaseFormatError, load_database, save_database
+from .core import DatabaseFormatError, load_database, save_database, sidecar_path
 from .util import ConfigError, ModelFormatError, TrainingDiverged, apply_config, read_kv_config
 
 if TYPE_CHECKING:
@@ -70,8 +70,9 @@ def _resolve_profile(kind: str, profile_raw: dict[str, str]) -> HyperProfile:
 def _check_paths(args) -> None:
     """Refuse an output that is a directory, lies in none, or would overwrite
     an input or another output; set args.csvs, the CDF CSVs beside --out,
-    `<stem><suffix>.cdf.csv` for each declared suffix. os.path.realpath,
-    unlike Path.resolve, does not raise on a symlink loop."""
+    `<stem><suffix>.cdf.csv` for each declared suffix. The survey sidecar
+    beside a declared survey --out is checked as an output too.
+    os.path.realpath, unlike Path.resolve, does not raise on a symlink loop."""
     def named(dests):
         return [(dest if dest in ("database", "model") else f"--{dest}", value)
                 for dest in dests if (value := getattr(args, dest, None))]
@@ -92,7 +93,10 @@ def _check_paths(args) -> None:
     out = Path(args.out)
     args.csvs = [out.with_name(f"{out.stem}{suffix}.cdf.csv")
                  for suffix in getattr(args, "csv_suffixes", ())]
-    for label, path in [("--out's CSV", csv) for csv in args.csvs] + named(OUTPUTS[1:]):
+    derived = [("--out's CSV", csv) for csv in args.csvs]
+    if getattr(args, "out_is_survey", False):
+        derived.append(("--out's sidecar", sidecar_path(out)))
+    for label, path in derived + named(OUTPUTS[1:]):
         check(label, path)
 
 
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="testbed spec file (key = value); default: built-in desk testbed")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, out_is_survey=True)
 
     p = sub.add_parser("preprocess", help="vectorize a database to normalized feature vectors")
     p.add_argument("database")

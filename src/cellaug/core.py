@@ -10,10 +10,18 @@ In memory a survey is columnar (FingerprintDatabase): scan rows and reading
 matrices. One comes from load_database, from testbed.generate, as a
 temporal_split view, or from the constructor, which checks the arrays' shapes
 and grouping and the reading values a file can hold.
+
+save_database also writes a binary sidecar, `<file>.npz`, holding the survey's
+arrays and the sha256 of the JSON lines it wrote, when those lines load back
+to exactly the survey saved. load_database builds the survey from a sidecar,
+through the constructor, when its digest is that of the file's bytes, and
+parses the file otherwise; the sidecar is a cache of the parse and never
+changes what a file loads to, or how it is refused.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from bisect import bisect_left
@@ -136,8 +144,9 @@ def _fault(scans: _Scans) -> tuple[int, str] | None:
     return i, message(head.head(i + 1, start + r))
 
 
-# The per-scan arrays of FingerprintDatabase, with their dtypes.
+# The per-scan arrays of FingerprintDatabase, with their dtypes, and all its arrays.
 SCAN_ARRAYS = {"scan_location": np.intp, "timestamps": np.int64, "asu": np.int8, "position": np.int8}
+_ARRAYS = {"location_ids": np.int64, "coordinates": np.float64, **SCAN_ARRAYS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +178,7 @@ class FingerprintDatabase:
 
     def __post_init__(self):
         object.__setattr__(self, "tower_universe", tuple(self.tower_universe))
-        for name, dtype in {"location_ids": np.int64, "coordinates": np.float64, **SCAN_ARRAYS}.items():
+        for name, dtype in _ARRAYS.items():
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if list(self.tower_universe) != sorted(set(self.tower_universe)):
             raise ValueError("tower_universe must be sorted and duplicate-free")
@@ -229,9 +238,12 @@ def load_database(path: str | Path) -> FingerprintDatabase:
     ``ts`` in int64, ``x`` and ``y`` finite JSON numbers, tower ids
     non-empty JSON strings. A malformed file raises DatabaseFormatError
     naming its first bad line. Locations come out sorted by id, scans in
-    file order within each.
+    file order within each. A file with a sidecar saved with its bytes
+    loads from the sidecar, to the same survey, with no parse.
     """
     path = Path(path)
+    if (db := _cached(path)) is not None:
+        return db
     try:
         with path.open(encoding="utf-8") as file:
             lines = file.readlines()
@@ -250,16 +262,8 @@ def _parse(path: Path, lines: list[str]) -> FingerprintDatabase:
     if not any(map(str.strip, lines)):
         raise DatabaseFormatError(f"{path}: no locations (empty file)")
     try:
-        if not lines[0].strip():
-            raise ValueError("blank line")
-        header = json.loads(lines[0])
-        testbed, grid_cell_m = header["testbed"], header["grid_cell_m"]
-        if type(testbed) is not str or type(grid_cell_m) not in (int, float):
-            raise ValueError("testbed must be a JSON string and grid_cell_m a JSON number, "
-                             f"got {testbed!r} and {grid_cell_m!r}")
-        if not math.isfinite(grid_cell_m := float(grid_cell_m)):
-            raise ValueError(f"non-finite grid_cell_m: {grid_cell_m}")
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        testbed, grid_cell_m = _header(lines[0])
+    except _HEADER_ERRORS as exc:
         raise DatabaseFormatError(f"{path}: line 1: bad header: {exc}") from exc
 
     scans, error = _scan_columns(lines[1:])
@@ -280,6 +284,24 @@ def _parse(path: Path, lines: list[str]) -> FingerprintDatabase:
     return FingerprintDatabase(tuple(universe), ids, scans.xy[first], scan_location[rows],
                                np.array(scans.ts, dtype=np.int64)[rows], asu[rows], position[rows],
                                testbed=testbed, grid_cell_m=grid_cell_m)
+
+
+_HEADER_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+def _header(line: str) -> tuple[str, float]:
+    """The testbed and grid_cell_m of a header line; one of _HEADER_ERRORS
+    if it is no header."""
+    if not line.strip():
+        raise ValueError("blank line")
+    header = json.loads(line)
+    testbed, grid_cell_m = header["testbed"], header["grid_cell_m"]
+    if type(testbed) is not str or type(grid_cell_m) not in (int, float):
+        raise ValueError("testbed must be a JSON string and grid_cell_m a JSON number, "
+                         f"got {testbed!r} and {grid_cell_m!r}")
+    if not math.isfinite(grid_cell_m := float(grid_cell_m)):
+        raise ValueError(f"non-finite grid_cell_m: {grid_cell_m}")
+    return testbed, grid_cell_m
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -319,9 +341,12 @@ def _scan_columns(lines: list[str]) -> tuple[_Scans, tuple[int, str] | None]:
 
 def save_database(db: FingerprintDatabase, path: str | Path) -> None:
     """Write a database in the JSON-lines format, each scan's readings in
-    their original order. load(save(db)) == db when every universe tower is
-    heard in some scan, as in any loaded or generated survey; a split view's
-    unheard towers are not written, so it loads with a smaller universe."""
+    their original order, then its sidecar (see sidecar_path) if the file
+    loads back to exactly db, or else remove any sidecar at that path.
+    load(save(db)) == db when every universe tower is heard in some scan, as
+    in any loaded or generated survey, and the values are ones a file holds;
+    a split view's unheard towers are not written, so it loads with a
+    smaller universe."""
     path = Path(path)
     lines = [json.dumps({"testbed": db.testbed, "grid_cell_m": db.grid_cell_m})]
     # Each line is json.dumps of {"loc", "x", "y", "ts", "readings"}, put
@@ -341,7 +366,60 @@ def save_database(db: FingerprintDatabase, path: str | Path) -> None:
     for loc, ts, row, k in rows:
         scan = ", ".join([readings[code] for code in row[m - k:]])
         lines.append(f'{heads[loc]}{ts}, "readings": [{scan}]}}')
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    sidecar = sidecar_path(path)
+    if (header := _written_exactly(db, lines[0])) is None:
+        sidecar.unlink(missing_ok=True)
+        return
+    testbed, grid_cell_m = header
+    # tower ids go in JSON text, as a numpy string array drops trailing NULs
+    meta = {"sha256": hashlib.sha256(data).hexdigest(), "testbed": testbed,
+            "grid_cell_m": grid_cell_m, "tower_universe": list(db.tower_universe)}
+    np.savez(sidecar, meta=json.dumps(meta), **{name: getattr(db, name) for name in _ARRAYS})
+
+
+def sidecar_path(path: str | Path) -> Path:
+    """Where save_database writes the binary copy of the survey file at
+    `path`, and load_database looks for it: `<path>.npz`."""
+    path = Path(path)
+    return path.with_name(path.name + ".npz")
+
+
+def _written_exactly(db: FingerprintDatabase, header_line: str) -> tuple[str, float] | None:
+    """The testbed and grid_cell_m that `header_line`, db's saved header,
+    loads to, if db's file loads back to exactly db; else None. It does when
+    the header loads, db has a scan, every tower is heard and has a non-empty
+    string id, and every coordinate is finite: the readings and integers of
+    a survey in memory are ones a file holds."""
+    try:
+        header = _header(header_line)
+    except _HEADER_ERRORS:
+        return None
+    universe = list(db.tower_universe)
+    exact = (len(db.timestamps) > 0 and _typed(universe, str) and "" not in universe
+             and np.all(np.any(db.heard, axis=0)) and np.all(np.isfinite(db.coordinates)))
+    return header if exact else None
+
+
+def _cached(path: Path) -> FingerprintDatabase | None:
+    """The survey in the sidecar of the file at `path`, if the sidecar holds
+    the digest of the file's bytes, its arrays the dtypes save_database
+    wrote, and they pass the constructor; else None, and the file is parsed.
+    A stale, truncated, foreign or unreadable sidecar is such a None."""
+    try:
+        # np.load given a name leaves the file open when the zip is unreadable
+        with sidecar_path(path).open("rb") as file, np.load(file) as npz:
+            meta = json.loads(npz["meta"][()])
+            if meta["sha256"] != hashlib.sha256(path.read_bytes()).hexdigest():
+                return None
+            arrays = {name: npz[name] for name in _ARRAYS}
+        if any(arrays[name].dtype != dtype for name, dtype in _ARRAYS.items()):
+            return None
+        return FingerprintDatabase(meta["tower_universe"], **arrays, testbed=meta["testbed"],
+                                   grid_cell_m=meta["grid_cell_m"])
+    except Exception:  # whatever stops a read: a damaged zip raises more kinds than zipfile
+        return None    # and numpy name (zlib.error, tokenize.TokenError, NotImplementedError)
 
 
 def heard_count_histogram(heard: np.ndarray) -> dict[int, float]:

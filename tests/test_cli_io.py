@@ -7,7 +7,7 @@ import json
 import pytest
 
 from cellaug.cli import INPUTS, OUTPUTS, build_parser, main
-from cellaug.core import save_database
+from cellaug.core import save_database, sidecar_path
 from cellaug.distfit import DEGENERATE
 from cellaug.pipeline import temporal_split
 from cellaug.testbed import default_desk_spec, generate
@@ -52,6 +52,9 @@ def test_fit_dist_writes_strict_json(tmp_path):
     (["augment", "{survey}", "--out", "{tmp}/v.jsonl", "--report", "{tmp}/v.jsonl"],
      "--report would overwrite --out: {tmp}/v.jsonl"),
     (["synth", "--config", "{cfg}", "--out", "{cfg}"], "--out would overwrite --config: {cfg}"),
+    (["synth", "--out", "{tmp}/s.jsonl"], "[Errno 21] Is a directory: '{tmp}/s.jsonl.npz'"),
+    (["synth", "--config", "{tmp}/spec.npz", "--out", "{tmp}/spec"],
+     "--out's sidecar would overwrite --config: {tmp}/spec.npz"),
     (["compare", "{survey}", "--out", "."], "[Errno 21] Is a directory: '.'"),
     (["compare", "{survey}", "--out", "{dir}/.."], "[Errno 21] Is a directory: '{dir}/..'"),
     (["evaluate", "{model}", "{survey}", "--out", "/"], "[Errno 21] Is a directory: '/'"),
@@ -69,7 +72,8 @@ def test_fit_dist_writes_strict_json(tmp_path):
         "synth directory out", "preprocess path through a file", "evaluate out is the model",
         "evaluate CSV is the model", "compare manifest is out", "compare manifest is a CSV",
         "compare out is the config", "train out is the survey", "augment report is out",
-        "synth out is the config", "compare out is the working directory",
+        "synth out is the config", "synth sidecar is a directory", "synth sidecar is the config",
+        "compare out is the working directory",
         "compare out is a parent directory", "evaluate out is the root",
         "compare manifest is a directory", "augment report is a directory",
         "train out is a directory", "compare out in a missing directory",
@@ -77,20 +81,62 @@ def test_fit_dist_writes_strict_json(tmp_path):
 def test_unusable_path_exits_2(tmp_path, capsys, monkeypatch, argv, error):
     def work(*args, **kwargs):
         pytest.fail("the command worked before it refused the path")
+    import cellaug.augment  # noqa: F401 -- bound to the real fit_database, not to work
     for name in ("localize.train_localizer", "pipeline.run_comparison", "distfit.fit_database"):
         monkeypatch.setattr(f"cellaug.{name}", work)
     monkeypatch.chdir(tmp_path)
     paths = {"tmp": tmp_path, "dir": tmp_path / "dir", "survey": tmp_path / "db.jsonl",
              "model": tmp_path / "model.json", "cfg": tmp_path / "c.cfg"}
     paths["dir"].mkdir()
+    (tmp_path / "s.jsonl.npz").mkdir()
     save_database(generate(default_desk_spec()), paths["survey"])
     # the file names are all the check reads of the model and the config
-    for name in ("model.json", "m.cdf.csv", "c.cfg"):
+    for name in ("model.json", "m.cdf.csv", "c.cfg", "spec.npz"):
         (tmp_path / name).write_text("seed = 1\n")
     before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {error.format(**paths)}"]
     assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+
+def test_outputs_do_not_depend_on_the_sidecar(tmp_path, monkeypatch):
+    # train, evaluate and compare read synth's survey through its sidecar,
+    # then through the parse once the sidecar is deleted, to the same bytes
+    survey, cfg = tmp_path / "db.jsonl", tmp_path / "run.cfg"
+    assert main(["synth", "--seed", "1", "--out", str(survey)]) == 0
+    cfg.write_text("vae.enabled = false\nnoise.per_scan = 2\nsampling.n_per_location = 5\n"
+                   "drop_random.per_scan = 2\nprofile.epochs = 2\nprofile.hidden_neurons = 8\n"
+                   "profile.hidden_layers = 1\n")
+
+    def outputs(name):
+        out = tmp_path / name
+        out.mkdir()
+        split = ["--train-scans", "5"]
+        assert main(["train", str(survey), "--config", str(cfg), *split,
+                     "--out", str(out / "model.json")]) == 0
+        assert main(["evaluate", str(out / "model.json"), str(survey), *split,
+                     "--out", str(out / "evaluate.json")]) == 0
+        assert main(["compare", str(survey), "--config", str(cfg), *split,
+                     "--out", str(out / "compare.json")]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    with monkeypatch.context() as patch:
+        patch.setattr("cellaug.core._parse", lambda *args: pytest.fail("the survey was parsed"))
+        cached = outputs("cached")
+    sidecar_path(survey).unlink()
+    assert outputs("parsed") == cached
+    assert len(cached) == 6
+
+
+def test_survey_edited_after_synth_exits_2_naming_its_line(tmp_path, capsys):
+    survey = tmp_path / "db.jsonl"
+    assert main(["synth", "--out", str(survey)]) == 0
+    lines = survey.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace('"ts": ', '"ts": "').replace(', "readings"', '", "readings"')
+    survey.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["preprocess", str(survey), "--out", str(tmp_path / "v.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {survey}: line 3: ts must be a JSON integer")
 
 
 # Every other argument a command declares, by dest: none of them names a path.

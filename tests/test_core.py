@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -14,12 +15,14 @@ from cellaug.core import (
     INT64_MAX,
     INT64_MIN,
     MAX_READINGS_PER_SCAN,
+    SCAN_ARRAYS,
     DatabaseFormatError,
     FingerprintDatabase,
     TowerId,
     heard_count_histogram,
     load_database,
     save_database,
+    sidecar_path,
 )
 from cellaug.pipeline import temporal_split
 from cellaug.preprocess import location_blocks, vectorize
@@ -797,3 +800,144 @@ class TestLoaderOracle:
                             message, flags=re.DOTALL)
         if expected_message is not None:  # the coerced value may clash with a later line
             assert int(re.search(r"line (\d+)", expected_message).group(1)) >= loose_line
+
+
+def split_view(db, draw):
+    """db less some scans, keeping one or more at each location, so its
+    universe may hold towers that no scan hears, as a temporal_split view's."""
+    keep = np.array(draw(st.lists(st.booleans(), min_size=db.timestamps.size,
+                                  max_size=db.timestamps.size)), dtype=bool)
+    keep[np.unique(db.scan_location, return_index=True)[1]] = True
+    return dataclasses.replace(db, **{name: getattr(db, name)[keep] for name in SCAN_ARRAYS})
+
+
+def non_finite_coordinate(db, draw):
+    coordinates = db.coordinates.copy()
+    coordinates.flat[draw(st.integers(0, coordinates.size - 1))] = _pick(draw, math.nan, math.inf)
+    return dataclasses.replace(db, coordinates=coordinates)
+
+
+# Surveys in memory, each made from a loaded one, that save_database writes
+# as a file that loads to another survey or is refused; "as loaded" round trips.
+SAVED_SURVEYS = {
+    "as loaded": lambda db, draw: db,
+    "split view": split_view,
+    "non-finite coordinate": non_finite_coordinate,
+    "empty tower id": lambda db, draw: dataclasses.replace(
+        db, tower_universe=("", *db.tower_universe[1:])),
+    "integer tower ids": lambda db, draw: dataclasses.replace(db, tower_universe=range(db.n_towers)),
+    "grid_cell_m no header holds": lambda db, draw: dataclasses.replace(
+        db, grid_cell_m=_pick(draw, math.nan, math.inf, True, 10**400)),
+    "integer grid_cell_m": lambda db, draw: dataclasses.replace(db, grid_cell_m=3),
+    "testbed no header holds": lambda db, draw: dataclasses.replace(db, testbed=_pick(draw, None, 5)),
+    "no scans": lambda db, draw: FingerprintDatabase((), [], np.empty((0, 2)), [], [],
+                                                     np.empty((0, 0)), np.empty((0, 0))),
+}
+
+
+def rewrite_sidecar(path, **changes):
+    """Rewrite the sidecar of the survey file at `path`, each entry named in
+    `changes` dropped (None) or replaced by change(entry); the digest stays
+    the file's."""
+    with np.load(sidecar_path(path)) as npz:
+        entries = dict(npz)
+    for name, change in changes.items():
+        entry = entries.pop(name)
+        if change:
+            entries[name] = change(entry)
+    with sidecar_path(path).open("wb") as file:
+        np.savez(file, **entries)
+
+
+def write_npy(path):
+    with sidecar_path(path).open("wb") as file:
+        np.save(file, np.arange(3))
+
+
+def make_directory(path):
+    sidecar_path(path).unlink()
+    sidecar_path(path).mkdir()
+
+
+# Sidecars that a survey file must be parsed past, each made from the one
+# save_database wrote; all but the first four keep the file's digest.
+BAD_SIDECARS = {
+    "truncated": lambda path: sidecar_path(path).write_bytes(sidecar_path(path).read_bytes()[:-200]),
+    "garbage": lambda path: sidecar_path(path).write_bytes(b"PK\x03\x04" + bytes(range(256)) * 4),
+    "a .npy file": write_npy,
+    "a directory": make_directory,
+    "no asu": lambda path: rewrite_sidecar(path, asu=None),
+    "no meta": lambda path: rewrite_sidecar(path, meta=None),
+    "meta not an object": lambda path: rewrite_sidecar(path, meta=lambda meta: np.array("[1, 2]")),
+    "float32 coordinates": lambda path: rewrite_sidecar(path, coordinates=lambda a: a.astype(np.float32)),
+    "int32 timestamps": lambda path: rewrite_sidecar(path, timestamps=lambda a: a.astype(np.int32)),
+    "asu one column short": lambda path: rewrite_sidecar(path, asu=lambda a: a[:, :-1]),
+    "position transposed": lambda path: rewrite_sidecar(path, position=lambda a: a.T),
+}
+
+
+class TestSidecar:
+    """save_database's binary sidecar is a cache of the parse: a survey file
+    loads to the same survey, or is refused with the same message, whether
+    its sidecar is read, damaged or deleted."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """A saved survey whose coordinates float32 cannot hold, and its path."""
+        db = survey([(0, (0.1, 0.2), [(5, [("B", 10), ("A", 20)]), (6, [("A", 5)])]),
+                     (1, (2.3, 1e-9), [(7, [("C", 31)])])], testbed="t", grid_cell_m=0.3)
+        path = tmp_path / "db.jsonl"
+        save_database(db, path)
+        return db, path
+
+    @settings(max_examples=150, deadline=None)
+    @given(db=surveys() | edge_surveys(), kind=st.sampled_from(sorted(SAVED_SURVEYS)),
+           data=st.data())
+    def test_sidecar_never_changes_an_answer(self, tmp_path_factory, db, kind, data):
+        db = SAVED_SURVEYS[kind](db, data.draw)
+        path = tmp_path_factory.mktemp("survey") / "db.jsonl"
+        save_database(db, path)
+        written = sidecar_path(path).exists()
+        cached = load_with(load_database, path)
+        sidecar_path(path).unlink(missing_ok=True)
+        parsed = load_with(load_database, path)
+        assert cached[1] == parsed[1]
+        assert cached[0] == parsed[0]
+        # written exactly when the file loads back to the survey saved
+        assert written == (parsed[0] == db)
+
+    def test_saved_survey_loads_without_a_parse(self, saved, monkeypatch):
+        db, path = saved
+        with monkeypatch.context() as patch:
+            patch.setattr("cellaug.core._parse", lambda *args: pytest.fail("the file was parsed"))
+            assert load_database(path) == db
+        sidecar_path(path).unlink()
+        assert load_database(path) == db
+        assert not sidecar_path(path).exists()  # readers never write one
+
+    def test_save_removes_a_stale_sidecar(self, saved):
+        db, path = saved
+        view = dataclasses.replace(db, **{name: getattr(db, name)[[1, 2]] for name in SCAN_ARRAYS})
+        save_database(view, path)  # B is unheard, so the file cannot hold the view
+        assert not sidecar_path(path).exists()
+        assert load_database(path).tower_universe == ("A", "C")
+
+    @pytest.mark.parametrize("damage", sorted(BAD_SIDECARS))
+    def test_bad_sidecar_is_parsed_past(self, saved, damage):
+        db, path = saved
+        BAD_SIDECARS[damage](path)
+        assert load_database(path) == db
+
+    def test_another_files_sidecar_is_parsed_past(self, saved, tmp_path):
+        db, path = saved
+        other = tmp_path / "other.jsonl"
+        save_database(dataclasses.replace(db, testbed="u"), other)
+        sidecar_path(other).replace(sidecar_path(path))
+        assert load_database(path) == db
+
+    def test_file_edited_after_saving_is_parsed(self, saved):
+        db, path = saved
+        path.write_text(path.read_text().replace('"ts": 6', '"ts": 9'))
+        loaded = load_database(path)
+        assert loaded.timestamps.tolist() == [5, 9, 7]
+        assert loaded == dataclasses.replace(db, timestamps=[5, 9, 7])
