@@ -1,6 +1,6 @@
 """Generate a synthetic fingerprint survey and look at what the radio model
 produces: per-location heard-tower histograms, signal ranges, and the
-JSON-lines database round trip, parsed with no sidecar.
+JSON-lines database round trip.
 
 Run:  python demos/01_synthetic_survey.py
 """
@@ -9,7 +9,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from cellaug.core import heard_count_histogram, load_database, save_database, sidecar_path
+from cellaug.core import heard_count_histogram, load_database, save_database
 from cellaug.preprocess import vectorize_database
 from cellaug.testbed import default_desk_spec, generate
 
@@ -46,8 +46,5 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "survey.jsonl"
     save_database(db, path)
     size_kb = path.stat().st_size / 1024
-    # save also writes a binary sidecar that a later load reads instead of
-    # the text; without it the JSON lines are parsed
-    sidecar_path(path).unlink()
     assert load_database(path) == db
     print(f"\nround trip through {path.name} ({size_kb:.0f} KiB): lossless")

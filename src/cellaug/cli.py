@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import DatabaseFormatError, load_database, save_database, sidecar_path
+from .core import DatabaseFormatError, load_database, save_database
 from .util import ConfigError, ModelFormatError, TrainingDiverged, apply_config, read_kv_config
 
 if TYPE_CHECKING:
@@ -68,11 +68,10 @@ def _resolve_profile(kind: str, profile_raw: dict[str, str]) -> HyperProfile:
 
 
 def _check_paths(args) -> None:
-    """Refuse an output that is a directory, lies in none, or would overwrite
-    an input or another output; set args.csvs, the CDF CSVs beside --out,
-    `<stem><suffix>.cdf.csv` for each declared suffix. The survey sidecar
-    beside a declared survey --out is checked as an output too.
-    os.path.realpath, unlike Path.resolve, does not raise on a symlink loop."""
+    """Refuse an input that is a directory, and an output that is one, lies
+    in none, or would overwrite an input or another output; set args.csvs, the CDF CSVs beside --out,
+    `<stem><suffix>.cdf.csv` for each declared suffix. os.path.realpath,
+    unlike Path.resolve, does not raise on a symlink loop."""
     def named(dests):
         return [(dest if dest in ("database", "model") else f"--{dest}", value)
                 for dest in dests if (value := getattr(args, dest, None))]
@@ -88,15 +87,15 @@ def _check_paths(args) -> None:
         if earlier != label:
             raise ConfigError(f"{label} would overwrite {earlier}: {path}")
 
+    for _, path in named(INPUTS):
+        if os.path.isdir(path):  # the error the read would raise
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     seen = {os.path.realpath(path): label for label, path in named(INPUTS)}
     check("--out", args.out)  # first, as a directory such as `.` names no CSV
     out = Path(args.out)
     args.csvs = [out.with_name(f"{out.stem}{suffix}.cdf.csv")
                  for suffix in getattr(args, "csv_suffixes", ())]
-    derived = [("--out's CSV", csv) for csv in args.csvs]
-    if getattr(args, "out_is_survey", False):
-        derived.append(("--out's sidecar", sidecar_path(out)))
-    for label, path in derived + named(OUTPUTS[1:]):
+    for label, path in [("--out's CSV", csv) for csv in args.csvs] + named(OUTPUTS[1:]):
         check(label, path)
 
 
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="testbed spec file (key = value); default: built-in desk testbed")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth, out_is_survey=True)
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="vectorize a database to normalized feature vectors")
     p.add_argument("database")

@@ -11,19 +11,21 @@ matrices. One comes from load_database, from testbed.generate, as a
 temporal_split view, or from the constructor, which checks the arrays' shapes
 and grouping and the reading values a file can hold.
 
-save_database also writes a binary sidecar, `<file>.npz`, holding the survey's
-arrays and the sha256 of the JSON lines it wrote, when those lines load back
-to exactly the survey saved. load_database builds the survey from a sidecar,
-through the constructor, when its digest is that of the file's bytes, and
-parses the file otherwise; the sidecar is a cache of the parse and never
-changes what a file loads to, or how it is refused.
+A survey is parsed once: load_database then writes the survey it parsed to a
+binary sidecar, `<file>.npz`, with the sha256 of the bytes it parsed, and a
+later load of the same bytes builds the survey from the sidecar, through the
+constructor, with no parse. A sidecar is a cache of the parse: one that is
+absent, stale or damaged is parsed past, and it never changes what a file
+loads to, or how it is refused.
 """
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
+import io
 import json
 import math
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -238,20 +240,85 @@ def load_database(path: str | Path) -> FingerprintDatabase:
     ``ts`` in int64, ``x`` and ``y`` finite JSON numbers, tower ids
     non-empty JSON strings. A malformed file raises DatabaseFormatError
     naming its first bad line. Locations come out sorted by id, scans in
-    file order within each. A file with a sidecar saved with its bytes
-    loads from the sidecar, to the same survey, with no parse.
+    file order within each.
+
+    A regular file that loads is parsed once: its survey is then written to
+    the sidecar (see sidecar_path), and a later load of the same bytes
+    builds it from there, with no parse.
     """
+    import hashlib  # OpenSSL's; only a command that reads a survey pays its import
+
     path = Path(path)
-    if (db := _cached(path)) is not None:
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    db, writable = _cached(sidecar_path(path), digest)
+    if db is not None:
         return db
-    try:
-        with path.open(encoding="utf-8") as file:
-            lines = file.readlines()
+    try:  # the text, split as a file opened for text is
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
     except UnicodeDecodeError as exc:  # name the first line that fails a UTF-8 round trip
-        lines = path.read_bytes().splitlines()  # at LF, CRLF and CR, as readlines splits
+        lines = data.splitlines()  # at LF, CRLF and CR, as readlines splits
         bad = next(i for i, b in enumerate(lines, 1) if b.decode("utf-8", "replace").encode() != b)
         raise DatabaseFormatError(f"{path}: line {bad}: not UTF-8: {exc.reason}") from exc
-    return _parse(path, lines)
+    db = _parse(path, lines)
+    if writable and path.is_file():  # a pipe's bytes are not read twice
+        _write_sidecar(sidecar_path(path), digest, db)
+    return db
+
+
+def sidecar_path(path: str | Path) -> Path:
+    """Where load_database keeps the parsed survey of the file at `path`:
+    `<path>.npz`."""
+    path = Path(path)
+    return path.with_name(path.name + ".npz")
+
+
+def _cached(sidecar: Path, digest: str) -> tuple[FingerprintDatabase | None, bool]:
+    """The survey in `sidecar` if it holds `digest`, its arrays the dtypes
+    _write_sidecar wrote and they pass the constructor; else None. Second,
+    whether a sidecar may be written there: no file is, or one whose `meta`
+    names a sha256, as a sidecar of other bytes does. Any other file, also
+    one that does not read as a zip, is left alone."""
+    ours = False
+    try:
+        # np.load given a name leaves the file open when the zip is unreadable
+        with sidecar.open("rb") as file, np.load(file) as npz:
+            meta = json.loads(npz["meta"][()])
+            ours = type(meta) is dict and "sha256" in meta
+            if meta["sha256"] != digest:
+                return None, ours
+            arrays = {name: npz[name] for name in _ARRAYS}
+        if any(arrays[name].dtype != dtype for name, dtype in _ARRAYS.items()):
+            return None, ours
+        return FingerprintDatabase(meta["tower_universe"], **arrays, testbed=meta["testbed"],
+                                   grid_cell_m=meta["grid_cell_m"]), ours
+    except FileNotFoundError:
+        return None, True
+    except Exception:  # whatever stops a read: a damaged zip raises more kinds than zipfile
+        return None, ours  # and numpy name (zlib.error, tokenize.TokenError, NotImplementedError)
+
+
+def _write_sidecar(sidecar: Path, digest: str, db: FingerprintDatabase) -> None:
+    """Write db, parsed from bytes whose sha256 is `digest`, to `sidecar`
+    through a new file beside it, so a reader finds the old sidecar or the
+    new one whole. Where no file can be made, none is written."""
+    # tower ids go in JSON text, as a numpy string array drops trailing NULs
+    meta = {"sha256": digest, "testbed": db.testbed, "grid_cell_m": db.grid_cell_m,
+            "tower_universe": list(db.tower_universe)}
+    part = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.part")
+    try:
+        file = part.open("xb")  # x: never a file this process did not make
+    except OSError:
+        return
+    try:
+        with file:
+            np.savez(file, meta=json.dumps(meta), **{name: getattr(db, name) for name in _ARRAYS})
+        os.replace(part, sidecar)
+    except OSError:
+        pass
+    finally:
+        with contextlib.suppress(OSError):
+            part.unlink(missing_ok=True)
 
 
 def _parse(path: Path, lines: list[str]) -> FingerprintDatabase:
@@ -262,8 +329,16 @@ def _parse(path: Path, lines: list[str]) -> FingerprintDatabase:
     if not any(map(str.strip, lines)):
         raise DatabaseFormatError(f"{path}: no locations (empty file)")
     try:
-        testbed, grid_cell_m = _header(lines[0])
-    except _HEADER_ERRORS as exc:
+        if not lines[0].strip():
+            raise ValueError("blank line")
+        header = json.loads(lines[0])
+        testbed, grid_cell_m = header["testbed"], header["grid_cell_m"]
+        if type(testbed) is not str or type(grid_cell_m) not in (int, float):
+            raise ValueError("testbed must be a JSON string and grid_cell_m a JSON number, "
+                             f"got {testbed!r} and {grid_cell_m!r}")
+        if not math.isfinite(grid_cell_m := float(grid_cell_m)):
+            raise ValueError(f"non-finite grid_cell_m: {grid_cell_m}")
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DatabaseFormatError(f"{path}: line 1: bad header: {exc}") from exc
 
     scans, error = _scan_columns(lines[1:])
@@ -284,24 +359,6 @@ def _parse(path: Path, lines: list[str]) -> FingerprintDatabase:
     return FingerprintDatabase(tuple(universe), ids, scans.xy[first], scan_location[rows],
                                np.array(scans.ts, dtype=np.int64)[rows], asu[rows], position[rows],
                                testbed=testbed, grid_cell_m=grid_cell_m)
-
-
-_HEADER_ERRORS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
-
-
-def _header(line: str) -> tuple[str, float]:
-    """The testbed and grid_cell_m of a header line; one of _HEADER_ERRORS
-    if it is no header."""
-    if not line.strip():
-        raise ValueError("blank line")
-    header = json.loads(line)
-    testbed, grid_cell_m = header["testbed"], header["grid_cell_m"]
-    if type(testbed) is not str or type(grid_cell_m) not in (int, float):
-        raise ValueError("testbed must be a JSON string and grid_cell_m a JSON number, "
-                         f"got {testbed!r} and {grid_cell_m!r}")
-    if not math.isfinite(grid_cell_m := float(grid_cell_m)):
-        raise ValueError(f"non-finite grid_cell_m: {grid_cell_m}")
-    return testbed, grid_cell_m
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -341,12 +398,9 @@ def _scan_columns(lines: list[str]) -> tuple[_Scans, tuple[int, str] | None]:
 
 def save_database(db: FingerprintDatabase, path: str | Path) -> None:
     """Write a database in the JSON-lines format, each scan's readings in
-    their original order, then its sidecar (see sidecar_path) if the file
-    loads back to exactly db, or else remove any sidecar at that path.
-    load(save(db)) == db when every universe tower is heard in some scan, as
-    in any loaded or generated survey, and the values are ones a file holds;
-    a split view's unheard towers are not written, so it loads with a
-    smaller universe."""
+    their original order. load(save(db)) == db when every universe tower is
+    heard in some scan, as in any loaded or generated survey; a split view's
+    unheard towers are not written, so it loads with a smaller universe."""
     path = Path(path)
     lines = [json.dumps({"testbed": db.testbed, "grid_cell_m": db.grid_cell_m})]
     # Each line is json.dumps of {"loc", "x", "y", "ts", "readings"}, put
@@ -366,60 +420,7 @@ def save_database(db: FingerprintDatabase, path: str | Path) -> None:
     for loc, ts, row, k in rows:
         scan = ", ".join([readings[code] for code in row[m - k:]])
         lines.append(f'{heads[loc]}{ts}, "readings": [{scan}]}}')
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    path.write_bytes(data)
-    sidecar = sidecar_path(path)
-    if (header := _written_exactly(db, lines[0])) is None:
-        sidecar.unlink(missing_ok=True)
-        return
-    testbed, grid_cell_m = header
-    # tower ids go in JSON text, as a numpy string array drops trailing NULs
-    meta = {"sha256": hashlib.sha256(data).hexdigest(), "testbed": testbed,
-            "grid_cell_m": grid_cell_m, "tower_universe": list(db.tower_universe)}
-    np.savez(sidecar, meta=json.dumps(meta), **{name: getattr(db, name) for name in _ARRAYS})
-
-
-def sidecar_path(path: str | Path) -> Path:
-    """Where save_database writes the binary copy of the survey file at
-    `path`, and load_database looks for it: `<path>.npz`."""
-    path = Path(path)
-    return path.with_name(path.name + ".npz")
-
-
-def _written_exactly(db: FingerprintDatabase, header_line: str) -> tuple[str, float] | None:
-    """The testbed and grid_cell_m that `header_line`, db's saved header,
-    loads to, if db's file loads back to exactly db; else None. It does when
-    the header loads, db has a scan, every tower is heard and has a non-empty
-    string id, and every coordinate is finite: the readings and integers of
-    a survey in memory are ones a file holds."""
-    try:
-        header = _header(header_line)
-    except _HEADER_ERRORS:
-        return None
-    universe = list(db.tower_universe)
-    exact = (len(db.timestamps) > 0 and _typed(universe, str) and "" not in universe
-             and np.all(np.any(db.heard, axis=0)) and np.all(np.isfinite(db.coordinates)))
-    return header if exact else None
-
-
-def _cached(path: Path) -> FingerprintDatabase | None:
-    """The survey in the sidecar of the file at `path`, if the sidecar holds
-    the digest of the file's bytes, its arrays the dtypes save_database
-    wrote, and they pass the constructor; else None, and the file is parsed.
-    A stale, truncated, foreign or unreadable sidecar is such a None."""
-    try:
-        # np.load given a name leaves the file open when the zip is unreadable
-        with sidecar_path(path).open("rb") as file, np.load(file) as npz:
-            meta = json.loads(npz["meta"][()])
-            if meta["sha256"] != hashlib.sha256(path.read_bytes()).hexdigest():
-                return None
-            arrays = {name: npz[name] for name in _ARRAYS}
-        if any(arrays[name].dtype != dtype for name, dtype in _ARRAYS.items()):
-            return None
-        return FingerprintDatabase(meta["tower_universe"], **arrays, testbed=meta["testbed"],
-                                   grid_cell_m=meta["grid_cell_m"])
-    except Exception:  # whatever stops a read: a damaged zip raises more kinds than zipfile
-        return None    # and numpy name (zlib.error, tokenize.TokenError, NotImplementedError)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def heard_count_histogram(heard: np.ndarray) -> dict[int, float]:

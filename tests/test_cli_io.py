@@ -52,9 +52,6 @@ def test_fit_dist_writes_strict_json(tmp_path):
     (["augment", "{survey}", "--out", "{tmp}/v.jsonl", "--report", "{tmp}/v.jsonl"],
      "--report would overwrite --out: {tmp}/v.jsonl"),
     (["synth", "--config", "{cfg}", "--out", "{cfg}"], "--out would overwrite --config: {cfg}"),
-    (["synth", "--out", "{tmp}/s.jsonl"], "[Errno 21] Is a directory: '{tmp}/s.jsonl.npz'"),
-    (["synth", "--config", "{tmp}/spec.npz", "--out", "{tmp}/spec"],
-     "--out's sidecar would overwrite --config: {tmp}/spec.npz"),
     (["compare", "{survey}", "--out", "."], "[Errno 21] Is a directory: '.'"),
     (["compare", "{survey}", "--out", "{dir}/.."], "[Errno 21] Is a directory: '{dir}/..'"),
     (["evaluate", "{model}", "{survey}", "--out", "/"], "[Errno 21] Is a directory: '/'"),
@@ -72,8 +69,7 @@ def test_fit_dist_writes_strict_json(tmp_path):
         "synth directory out", "preprocess path through a file", "evaluate out is the model",
         "evaluate CSV is the model", "compare manifest is out", "compare manifest is a CSV",
         "compare out is the config", "train out is the survey", "augment report is out",
-        "synth out is the config", "synth sidecar is a directory", "synth sidecar is the config",
-        "compare out is the working directory",
+        "synth out is the config", "compare out is the working directory",
         "compare out is a parent directory", "evaluate out is the root",
         "compare manifest is a directory", "augment report is a directory",
         "train out is a directory", "compare out in a missing directory",
@@ -88,10 +84,9 @@ def test_unusable_path_exits_2(tmp_path, capsys, monkeypatch, argv, error):
     paths = {"tmp": tmp_path, "dir": tmp_path / "dir", "survey": tmp_path / "db.jsonl",
              "model": tmp_path / "model.json", "cfg": tmp_path / "c.cfg"}
     paths["dir"].mkdir()
-    (tmp_path / "s.jsonl.npz").mkdir()
     save_database(generate(default_desk_spec()), paths["survey"])
     # the file names are all the check reads of the model and the config
-    for name in ("model.json", "m.cdf.csv", "c.cfg", "spec.npz"):
+    for name in ("model.json", "m.cdf.csv", "c.cfg"):
         (tmp_path / name).write_text("seed = 1\n")
     before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
     assert main([arg.format(**paths) for arg in argv]) == 2
@@ -100,10 +95,12 @@ def test_unusable_path_exits_2(tmp_path, capsys, monkeypatch, argv, error):
 
 
 def test_outputs_do_not_depend_on_the_sidecar(tmp_path, monkeypatch):
-    # train, evaluate and compare read synth's survey through its sidecar,
-    # then through the parse once the sidecar is deleted, to the same bytes
+    # train, evaluate and compare write the same bytes when the first of
+    # them parses synth's survey and writes its sidecar, when all three read
+    # the sidecar, and when all three parse the survey
     survey, cfg = tmp_path / "db.jsonl", tmp_path / "run.cfg"
     assert main(["synth", "--seed", "1", "--out", str(survey)]) == 0
+    assert not sidecar_path(survey).exists()
     cfg.write_text("vae.enabled = false\nnoise.per_scan = 2\nsampling.n_per_location = 5\n"
                    "drop_random.per_scan = 2\nprofile.epochs = 2\nprofile.hidden_neurons = 8\n"
                    "profile.hidden_layers = 1\n")
@@ -120,17 +117,21 @@ def test_outputs_do_not_depend_on_the_sidecar(tmp_path, monkeypatch):
                      "--out", str(out / "compare.json")]) == 0
         return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
+    first = outputs("first")
     with monkeypatch.context() as patch:
         patch.setattr("cellaug.core._parse", lambda *args: pytest.fail("the survey was parsed"))
         cached = outputs("cached")
     sidecar_path(survey).unlink()
-    assert outputs("parsed") == cached
+    monkeypatch.setattr("cellaug.core._write_sidecar", lambda *args: None)
+    assert outputs("parsed") == cached == first
     assert len(cached) == 6
 
 
-def test_survey_edited_after_synth_exits_2_naming_its_line(tmp_path, capsys):
+def test_survey_edited_after_a_read_exits_2_naming_its_line(tmp_path, capsys):
     survey = tmp_path / "db.jsonl"
     assert main(["synth", "--out", str(survey)]) == 0
+    assert main(["preprocess", str(survey), "--out", str(tmp_path / "v.jsonl")]) == 0
+    assert sidecar_path(survey).exists()
     lines = survey.read_text().splitlines(keepends=True)
     lines[2] = lines[2].replace('"ts": ', '"ts": "').replace(', "readings"', '", "readings"')
     survey.write_text("".join(lines))

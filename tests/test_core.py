@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -860,84 +861,138 @@ def make_directory(path):
 
 
 # Sidecars that a survey file must be parsed past, each made from the one
-# save_database wrote; all but the first four keep the file's digest.
+# its first load wrote, and whether the next load replaces it: it does when
+# the entry `meta` reads and names a sha256. All but the first four keep the
+# file's digest.
 BAD_SIDECARS = {
-    "truncated": lambda path: sidecar_path(path).write_bytes(sidecar_path(path).read_bytes()[:-200]),
-    "garbage": lambda path: sidecar_path(path).write_bytes(b"PK\x03\x04" + bytes(range(256)) * 4),
-    "a .npy file": write_npy,
-    "a directory": make_directory,
-    "no asu": lambda path: rewrite_sidecar(path, asu=None),
-    "no meta": lambda path: rewrite_sidecar(path, meta=None),
-    "meta not an object": lambda path: rewrite_sidecar(path, meta=lambda meta: np.array("[1, 2]")),
-    "float32 coordinates": lambda path: rewrite_sidecar(path, coordinates=lambda a: a.astype(np.float32)),
-    "int32 timestamps": lambda path: rewrite_sidecar(path, timestamps=lambda a: a.astype(np.int32)),
-    "asu one column short": lambda path: rewrite_sidecar(path, asu=lambda a: a[:, :-1]),
-    "position transposed": lambda path: rewrite_sidecar(path, position=lambda a: a.T),
+    "truncated": (lambda path: sidecar_path(path).write_bytes(
+        sidecar_path(path).read_bytes()[:-200]), False),
+    "garbage": (lambda path: sidecar_path(path).write_bytes(
+        b"PK\x03\x04" + bytes(range(256)) * 4), False),
+    "a .npy file": (write_npy, False),
+    "a directory": (make_directory, False),
+    "no asu": (lambda path: rewrite_sidecar(path, asu=None), True),
+    "no meta": (lambda path: rewrite_sidecar(path, meta=None), False),
+    "meta not an object": (lambda path: rewrite_sidecar(
+        path, meta=lambda meta: np.array("[1, 2]")), False),
+    "float32 coordinates": (lambda path: rewrite_sidecar(
+        path, coordinates=lambda a: a.astype(np.float32)), True),
+    "int32 timestamps": (lambda path: rewrite_sidecar(
+        path, timestamps=lambda a: a.astype(np.int32)), True),
+    "asu one column short": (lambda path: rewrite_sidecar(path, asu=lambda a: a[:, :-1]), True),
+    "position transposed": (lambda path: rewrite_sidecar(path, position=lambda a: a.T), True),
 }
 
 
+def no_parse(*args):
+    pytest.fail("the file was parsed")
+
+
 class TestSidecar:
-    """save_database's binary sidecar is a cache of the parse: a survey file
-    loads to the same survey, or is refused with the same message, whether
-    its sidecar is read, damaged or deleted."""
+    """The sidecar a load writes is a cache of the parse: a survey file loads
+    to the same survey, or is refused with the same message, whether its
+    sidecar is read, damaged or deleted."""
 
     @pytest.fixture
-    def saved(self, tmp_path):
-        """A saved survey whose coordinates float32 cannot hold, and its path."""
+    def loaded(self, tmp_path):
+        """A survey whose coordinates float32 cannot hold, and its file,
+        loaded once, so its sidecar is written."""
         db = survey([(0, (0.1, 0.2), [(5, [("B", 10), ("A", 20)]), (6, [("A", 5)])]),
                      (1, (2.3, 1e-9), [(7, [("C", 31)])])], testbed="t", grid_cell_m=0.3)
         path = tmp_path / "db.jsonl"
         save_database(db, path)
+        assert load_database(path) == db
         return db, path
+
+    def assert_cache_keeps_the_answer(self, path):
+        parsed = load_with(load_database, path)
+        # written exactly when the file loads
+        assert sidecar_path(path).exists() == (parsed[1] is None)
+        with pytest.MonkeyPatch.context() as patch:
+            if parsed[1] is None:
+                patch.setattr("cellaug.core._parse", no_parse)
+            again = load_with(load_database, path)
+        assert again[1] == parsed[1]
+        assert again[0] == parsed[0]
+        sidecar_path(path).unlink(missing_ok=True)
+        assert load_with(load_database, path)[0] == parsed[0]
 
     @settings(max_examples=150, deadline=None)
     @given(db=surveys() | edge_surveys(), kind=st.sampled_from(sorted(SAVED_SURVEYS)),
            data=st.data())
-    def test_sidecar_never_changes_an_answer(self, tmp_path_factory, db, kind, data):
-        db = SAVED_SURVEYS[kind](db, data.draw)
+    def test_sidecar_never_changes_a_saved_surveys_answer(self, tmp_path_factory, db, kind, data):
         path = tmp_path_factory.mktemp("survey") / "db.jsonl"
-        save_database(db, path)
-        written = sidecar_path(path).exists()
-        cached = load_with(load_database, path)
-        sidecar_path(path).unlink(missing_ok=True)
-        parsed = load_with(load_database, path)
-        assert cached[1] == parsed[1]
-        assert cached[0] == parsed[0]
-        # written exactly when the file loads back to the survey saved
-        assert written == (parsed[0] == db)
+        save_database(SAVED_SURVEYS[kind](db, data.draw), path)
+        assert not sidecar_path(path).exists()  # saving writes none
+        self.assert_cache_keeps_the_answer(path)
 
-    def test_saved_survey_loads_without_a_parse(self, saved, monkeypatch):
-        db, path = saved
-        with monkeypatch.context() as patch:
-            patch.setattr("cellaug.core._parse", lambda *args: pytest.fail("the file was parsed"))
-            assert load_database(path) == db
-        sidecar_path(path).unlink()
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=mutated_surveys())
+    def test_sidecar_never_changes_a_texts_answer(self, tmp_path_factory, drawn):
+        path = tmp_path_factory.mktemp("survey") / "db.jsonl"
+        path.write_bytes(drawn[0].encode("utf-8"))
+        self.assert_cache_keeps_the_answer(path)
+
+    def test_second_load_reads_the_sidecar(self, loaded, monkeypatch):
+        db, path = loaded
+        monkeypatch.setattr("cellaug.core._parse", no_parse)
         assert load_database(path) == db
-        assert not sidecar_path(path).exists()  # readers never write one
+        assert sorted(p.name for p in path.parent.iterdir()) == ["db.jsonl", "db.jsonl.npz"]
 
-    def test_save_removes_a_stale_sidecar(self, saved):
-        db, path = saved
+    def test_stale_sidecar_is_replaced(self, loaded, monkeypatch):
+        db, path = loaded
         view = dataclasses.replace(db, **{name: getattr(db, name)[[1, 2]] for name in SCAN_ARRAYS})
-        save_database(view, path)  # B is unheard, so the file cannot hold the view
-        assert not sidecar_path(path).exists()
+        save_database(view, path)  # B is unheard, so the file holds towers A and C
+        assert load_database(path).tower_universe == ("A", "C")
+        monkeypatch.setattr("cellaug.core._parse", no_parse)
         assert load_database(path).tower_universe == ("A", "C")
 
     @pytest.mark.parametrize("damage", sorted(BAD_SIDECARS))
-    def test_bad_sidecar_is_parsed_past(self, saved, damage):
-        db, path = saved
-        BAD_SIDECARS[damage](path)
+    def test_bad_sidecar_is_parsed_past(self, loaded, monkeypatch, damage):
+        db, path = loaded
+        make, replaced = BAD_SIDECARS[damage]
+        make(path)
+        before = sidecar_path(path).read_bytes() if sidecar_path(path).is_file() else None
         assert load_database(path) == db
+        if replaced:
+            monkeypatch.setattr("cellaug.core._parse", no_parse)
+            assert load_database(path) == db
+        elif before is None:
+            assert sidecar_path(path).is_dir()
+        else:
+            assert sidecar_path(path).read_bytes() == before
 
-    def test_another_files_sidecar_is_parsed_past(self, saved, tmp_path):
-        db, path = saved
+    def test_another_files_sidecar_is_parsed_past(self, loaded, tmp_path):
+        db, path = loaded
         other = tmp_path / "other.jsonl"
         save_database(dataclasses.replace(db, testbed="u"), other)
+        load_database(other)
         sidecar_path(other).replace(sidecar_path(path))
         assert load_database(path) == db
 
-    def test_file_edited_after_saving_is_parsed(self, saved):
-        db, path = saved
+    def test_file_edited_after_a_load_is_parsed(self, loaded):
+        db, path = loaded
         path.write_text(path.read_text().replace('"ts": 6', '"ts": 9'))
         loaded = load_database(path)
         assert loaded.timestamps.tolist() == [5, 9, 7]
         assert loaded == dataclasses.replace(db, timestamps=[5, 9, 7])
+
+    def test_an_unrelated_npz_is_left_alone(self, tmp_path):
+        # a survey named with no extension, beside a file of the same name + .npz
+        path, other = tmp_path / "data", tmp_path / "data.npz"
+        save_database(survey([(0, (0.0, 0.0), [(1, [("A", 3)])])]), path)
+        with other.open("wb") as file:
+            np.savez(file, weights=np.arange(4))
+        before = other.read_bytes()
+        assert load_database(path).n_towers == 1
+        assert other.read_bytes() == before
+
+    def test_no_file_is_overwritten_but_a_sidecar(self, loaded):
+        # the sidecar is written through a new file: a name in use gets none
+        db, path = loaded
+        sidecar_path(path).unlink()
+        part = path.with_name(f"db.jsonl.npz.{os.getpid()}.part")
+        part.write_text("mine")
+        assert load_database(path) == db
+        assert not sidecar_path(path).exists()
+        assert part.read_text() == "mine"
