@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -986,6 +987,18 @@ class TestSidecar:
         before = other.read_bytes()
         assert load_database(path).n_towers == 1
         assert other.read_bytes() == before
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_pipe_gets_no_sidecar(self, loaded, tmp_path):
+        db, path = loaded
+        pipe = tmp_path / "pipe.jsonl"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        assert load_database(pipe) == db
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert not sidecar_path(pipe).exists()
 
     def test_no_file_is_overwritten_but_a_sidecar(self, loaded):
         # the sidecar is written through a new file: a name in use gets none
