@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import DatabaseFormatError, load_database, save_database
+from .core import DatabaseFormatError, load_database, save_database, sidecar_path
 from .util import ConfigError, ModelFormatError, TrainingDiverged, apply_config, read_kv_config
 
 if TYPE_CHECKING:
@@ -69,9 +69,10 @@ def _resolve_profile(kind: str, profile_raw: dict[str, str]) -> HyperProfile:
 
 def _check_paths(args) -> None:
     """Refuse an input that is a directory, and an output that is one, lies
-    in none, or would overwrite an input or another output; set args.csvs, the CDF CSVs beside --out,
-    `<stem><suffix>.cdf.csv` for each declared suffix. os.path.realpath,
-    unlike Path.resolve, does not raise on a symlink loop."""
+    in none, or would overwrite an input, another output or the database's
+    sidecar (core.sidecar_path, which reading it writes; also an input there).
+    Set args.csvs, the CDF CSVs beside --out, `<stem><suffix>.cdf.csv` for each
+    declared suffix. os.path.realpath, unlike Path.resolve, does not raise on a symlink loop."""
     def named(dests):
         return [(dest if dest in ("database", "model") else f"--{dest}", value)
                 for dest in dests if (value := getattr(args, dest, None))]
@@ -83,6 +84,9 @@ def _check_paths(args) -> None:
             code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
         if code:  # the error the write would raise
             raise OSError(code, os.strerror(code), str(path))
+        claim(label, path)
+
+    def claim(label, path):
         earlier = seen.setdefault(os.path.realpath(path), label)
         if earlier != label:
             raise ConfigError(f"{label} would overwrite {earlier}: {path}")
@@ -91,6 +95,8 @@ def _check_paths(args) -> None:
         if os.path.isdir(path):  # the error the read would raise
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     seen = {os.path.realpath(path): label for label, path in named(INPUTS)}
+    if getattr(args, "database", None):
+        claim("database's cache", sidecar_path(args.database))
     check("--out", args.out)  # first, as a directory such as `.` names no CSV
     out = Path(args.out)
     args.csvs = [out.with_name(f"{out.stem}{suffix}.cdf.csv")
@@ -107,10 +113,8 @@ def _write_json(path: str | Path, payload) -> None:
 
 def _write_vectors(path: str | Path, samples: SampleSet) -> None:
     lines = [json.dumps({"towers": list(samples.towers)})]
-    lines += [
-        json.dumps({"label": label, "values": row})
-        for label, row in zip(samples.labels.tolist(), samples.x.tolist())
-    ]
+    lines += [json.dumps({"label": label, "values": row})
+              for label, row in zip(samples.labels.tolist(), samples.x.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -269,18 +273,11 @@ def cmd_compare(args) -> int:
         }
         _write_json(args.manifest, manifest)
 
-    print(
-        "median error: without {:.3f} m, with {:.3f} m (improvement {})".format(
-            result.without_augmentation.p50,
-            result.with_augmentation.p50,
-            _fmt_improvement(result.improvement_percent["p50"]),
-        )
-    )
+    gain = result.improvement_percent["p50"]  # "exact" where the augmented median is 0
+    print(f"median error: without {result.without_augmentation.p50:.3f} m, with "
+          f"{result.with_augmentation.p50:.3f} m (improvement "
+          f"{gain if isinstance(gain, str) else f'{gain:.1f}%'})")
     return EXIT_OK
-
-
-def _fmt_improvement(value) -> str:
-    return value if isinstance(value, str) else f"{value:.1f}%"
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:

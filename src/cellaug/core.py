@@ -12,11 +12,11 @@ temporal_split view, or from the constructor, which checks the arrays' shapes
 and grouping and the reading values a file can hold.
 
 A survey is parsed once: load_database then writes the survey it parsed to a
-binary sidecar, `<file>.npz`, with the sha256 of the bytes it parsed, and a
-later load of the same bytes builds the survey from the sidecar, through the
-constructor, with no parse. A sidecar is a cache of the parse: one that is
-absent, stale or damaged is parsed past, and it never changes what a file
-loads to, or how it is refused.
+binary sidecar, `<file>.cellaug.npz`, with the sha256 of the bytes it parsed,
+and a later load of the same bytes builds it from there, with no parse. The
+sidecar is a cache of the parse: any file at its path is taken as one, and
+one that is absent, stale or damaged is parsed past and rewritten, so it
+never changes what a file loads to, or how it is refused.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from .util import first_non_utf8_line
 
 TowerId = str
 
@@ -251,51 +253,44 @@ def load_database(path: str | Path) -> FingerprintDatabase:
     path = Path(path)
     data = path.read_bytes()
     digest = hashlib.sha256(data).hexdigest()
-    db, writable = _cached(sidecar_path(path), digest)
+    db = _cached(sidecar_path(path), digest)
     if db is not None:
         return db
     try:  # the text, split as a file opened for text is
         lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
-    except UnicodeDecodeError as exc:  # name the first line that fails a UTF-8 round trip
-        lines = data.splitlines()  # at LF, CRLF and CR, as readlines splits
-        bad = next(i for i, b in enumerate(lines, 1) if b.decode("utf-8", "replace").encode() != b)
-        raise DatabaseFormatError(f"{path}: line {bad}: not UTF-8: {exc.reason}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatabaseFormatError(f"{path}: line {first_non_utf8_line(data)}: not UTF-8: "
+                                  f"{exc.reason}") from exc
     db = _parse(path, lines)
-    if writable and path.is_file():  # a pipe's bytes are not read twice
+    if path.is_file():  # a pipe's bytes are not read twice
         _write_sidecar(sidecar_path(path), digest, db)
     return db
 
 
 def sidecar_path(path: str | Path) -> Path:
     """Where load_database keeps the parsed survey of the file at `path`:
-    `<path>.npz`."""
+    `<path>.cellaug.npz`, a name only this program writes there."""
     path = Path(path)
-    return path.with_name(path.name + ".npz")
+    return path.with_name(path.name + ".cellaug.npz")
 
 
-def _cached(sidecar: Path, digest: str) -> tuple[FingerprintDatabase | None, bool]:
+def _cached(sidecar: Path, digest: str) -> FingerprintDatabase | None:
     """The survey in `sidecar` if it holds `digest`, its arrays the dtypes
-    _write_sidecar wrote and they pass the constructor; else None. Second,
-    whether a sidecar may be written there: no file is, or one whose `meta`
-    names a sha256, as a sidecar of other bytes does. Any other file, also
-    one that does not read as a zip, is left alone."""
-    ours = False
+    _write_sidecar wrote and they pass the constructor; else None, also
+    where no file or one that does not read is there."""
     try:
         # np.load given a name leaves the file open when the zip is unreadable
         with sidecar.open("rb") as file, np.load(file) as npz:
             meta = json.loads(npz["meta"][()])
-            ours = type(meta) is dict and "sha256" in meta
             if meta["sha256"] != digest:
-                return None, ours
+                return None
             arrays = {name: npz[name] for name in _ARRAYS}
         if any(arrays[name].dtype != dtype for name, dtype in _ARRAYS.items()):
-            return None, ours
+            return None
         return FingerprintDatabase(meta["tower_universe"], **arrays, testbed=meta["testbed"],
-                                   grid_cell_m=meta["grid_cell_m"]), ours
-    except FileNotFoundError:
-        return None, True
+                                   grid_cell_m=meta["grid_cell_m"])
     except Exception:  # whatever stops a read: a damaged zip raises more kinds than zipfile
-        return None, ours  # and numpy name (zlib.error, tokenize.TokenError, NotImplementedError)
+        return None  # and numpy name (zlib.error, tokenize.TokenError, NotImplementedError)
 
 
 def _write_sidecar(sidecar: Path, digest: str, db: FingerprintDatabase) -> None:

@@ -26,6 +26,14 @@ class TrainingDiverged(RuntimeError):
         self.trace = trace
 
 
+def first_non_utf8_line(data: bytes) -> int:
+    """The number of the first line of `data` that fails a UTF-8 round trip,
+    lines ending at LF, CRLF and CR, as readlines splits them; `data` must
+    hold one."""
+    lines = data.splitlines()
+    return next(i for i, b in enumerate(lines, 1) if b.decode("utf-8", "replace").encode() != b)
+
+
 def read_kv_config(path: str | Path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file.
 
@@ -37,10 +45,9 @@ def read_kv_config(path: str | Path) -> dict[str, str]:
         raise ConfigError(f"config file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")  # which reads CRLF and CR as LF
-    except UnicodeDecodeError as exc:  # name the first line that fails a UTF-8 round trip
-        lines = path.read_bytes().splitlines()  # at LF, CRLF and CR, as readlines splits
-        bad = next(i for i, b in enumerate(lines, 1) if b.decode("utf-8", "replace").encode() != b)
-        raise ConfigError(f"{path}:{bad}: not UTF-8: {exc.reason}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}:{first_non_utf8_line(path.read_bytes())}: not UTF-8: "
+                          f"{exc.reason}") from exc
     # Lines end at LF alone: str.splitlines would also end one at \x0c, \x85 or U+2028.
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -48,9 +55,7 @@ def read_kv_config(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = map(str.strip, line.partition("="))
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
         if key in out:

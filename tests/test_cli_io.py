@@ -65,6 +65,14 @@ def test_fit_dist_writes_strict_json(tmp_path):
     (["fit-dist", "{survey}", "--out", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
     (["fit-dist", "{survey}", "--out", "{survey}/f.json"],
      "[Errno 20] Not a directory: '{survey}/f.json'"),
+    (["train", "{survey}", "--no-augment", "--out", "{cache}"],
+     "--out would overwrite database's cache: {cache}"),
+    (["compare", "{survey}", "--out", "{tmp}/r.json", "--manifest", "{cache}"],
+     "--manifest would overwrite database's cache: {cache}"),
+    (["augment", "{survey}", "--out", "{tmp}/v.jsonl", "--report", "{cache}"],
+     "--report would overwrite database's cache: {cache}"),
+    (["evaluate", "{cache}", "{survey}", "--out", "{tmp}/e.json"],
+     "database's cache would overwrite model: {cache}"),
 ], ids=["preprocess directory", "evaluate directory model", "compare directory config",
         "synth directory out", "preprocess path through a file", "evaluate out is the model",
         "evaluate CSV is the model", "compare manifest is out", "compare manifest is a CSV",
@@ -73,7 +81,8 @@ def test_fit_dist_writes_strict_json(tmp_path):
         "compare out is a parent directory", "evaluate out is the root",
         "compare manifest is a directory", "augment report is a directory",
         "train out is a directory", "compare out in a missing directory",
-        "fit-dist out is a directory", "fit-dist out through a file"])
+        "fit-dist out is a directory", "fit-dist out through a file", "train out is the cache",
+        "compare manifest is the cache", "augment report is the cache", "evaluate model is the cache"])
 def test_unusable_path_exits_2(tmp_path, capsys, monkeypatch, argv, error):
     def work(*args, **kwargs):
         pytest.fail("the command worked before it refused the path")
@@ -83,11 +92,13 @@ def test_unusable_path_exits_2(tmp_path, capsys, monkeypatch, argv, error):
     monkeypatch.chdir(tmp_path)
     paths = {"tmp": tmp_path, "dir": tmp_path / "dir", "survey": tmp_path / "db.jsonl",
              "model": tmp_path / "model.json", "cfg": tmp_path / "c.cfg"}
+    paths["cache"] = sidecar_path(paths["survey"])
     paths["dir"].mkdir()
     save_database(generate(default_desk_spec()), paths["survey"])
-    # the file names are all the check reads of the model and the config
-    for name in ("model.json", "m.cdf.csv", "c.cfg"):
-        (tmp_path / name).write_text("seed = 1\n")
+    # the file names are all the check reads of the model and the config; a
+    # file at the survey's cache path is one a read would overwrite
+    for path in (paths["model"], tmp_path / "m.cdf.csv", paths["cfg"], paths["cache"]):
+        path.write_text("seed = 1\n")
     before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {error.format(**paths)}"]
