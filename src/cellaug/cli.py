@@ -70,8 +70,8 @@ def _resolve_profile(kind: str, profile_raw: dict[str, str]) -> HyperProfile:
 def _check_paths(args) -> None:
     """Refuse an input that is a directory, and an output that is one, lies
     in none, or would overwrite an input, another output or the database's
-    sidecar (core.sidecar_path, which reading it writes; also an input there).
-    Set args.csvs, the CDF CSVs beside --out, `<stem><suffix>.cdf.csv` for each
+    sidecar, which reading the database writes (an input there too); set
+    args.csvs, the CDF CSVs beside --out, `<stem><suffix>.cdf.csv` for each
     declared suffix. os.path.realpath, unlike Path.resolve, does not raise on a symlink loop."""
     def named(dests):
         return [(dest if dest in ("database", "model") else f"--{dest}", value)
@@ -113,8 +113,10 @@ def _write_json(path: str | Path, payload) -> None:
 
 def _write_vectors(path: str | Path, samples: SampleSet) -> None:
     lines = [json.dumps({"towers": list(samples.towers)})]
-    lines += [json.dumps({"label": label, "values": row})
-              for label, row in zip(samples.labels.tolist(), samples.x.tolist())]
+    lines += [
+        json.dumps({"label": label, "values": row})
+        for label, row in zip(samples.labels.tolist(), samples.x.tolist())
+    ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -274,9 +276,9 @@ def cmd_compare(args) -> int:
         _write_json(args.manifest, manifest)
 
     gain = result.improvement_percent["p50"]  # "exact" where the augmented median is 0
-    print(f"median error: without {result.without_augmentation.p50:.3f} m, with "
-          f"{result.with_augmentation.p50:.3f} m (improvement "
-          f"{gain if isinstance(gain, str) else f'{gain:.1f}%'})")
+    gain = gain if isinstance(gain, str) else f"{gain:.1f}%"
+    print(f"median error: without {result.without_augmentation.p50:.3f} m, "
+          f"with {result.with_augmentation.p50:.3f} m (improvement {gain})")
     return EXIT_OK
 
 

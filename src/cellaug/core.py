@@ -269,7 +269,7 @@ def load_database(path: str | Path) -> FingerprintDatabase:
 
 def sidecar_path(path: str | Path) -> Path:
     """Where load_database keeps the parsed survey of the file at `path`:
-    `<path>.cellaug.npz`, a name only this program writes there."""
+    `<path>.cellaug.npz`, named for this program, so any file there is taken as it."""
     path = Path(path)
     return path.with_name(path.name + ".cellaug.npz")
 

@@ -27,10 +27,8 @@ class TrainingDiverged(RuntimeError):
 
 
 def first_non_utf8_line(data: bytes) -> int:
-    """The number of the first line of `data` that fails a UTF-8 round trip,
-    lines ending at LF, CRLF and CR, as readlines splits them; `data` must
-    hold one."""
-    lines = data.splitlines()
+    """The number of the first line of `data` that fails a UTF-8 round trip."""
+    lines = data.splitlines()  # at LF, CRLF and CR, as readlines splits
     return next(i for i, b in enumerate(lines, 1) if b.decode("utf-8", "replace").encode() != b)
 
 
@@ -55,7 +53,9 @@ def read_kv_config(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = map(str.strip, line.partition("="))
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
         if key in out:
